@@ -22,6 +22,7 @@ from .errors import DomainError
 __all__ = [
     "FracOrder",
     "GradedMesh",
+    "KernelOperator",
     "WeightedGrid",
     "build_mesh",
     "rl_integral_monomial",
@@ -210,17 +211,16 @@ def _pow_diff(A0, A1, h, e):
     return np.where(tiny, endpoint, np.where(small, series, direct))
 
 
-def _moment_matrices(nodes: np.ndarray, beta: float):
-    """Lower-triangular matrices M0[j, i], M1[j, i] of the plain kernel
-    moments for subinterval [t_i, t_{i+1}] and target node t_j (i < j)."""
-    n = len(nodes)
+def _moment_matrices(nodes: np.ndarray, beta: float, rows: np.ndarray):
+    """Matrices M0[k, i], M1[k, i] of the plain kernel moments for
+    subinterval [t_i, t_{i+1}] and target node t_j, j = rows[k] (zero
+    unless i < j)."""
     t = nodes
-    A0 = t[:, None] - t[None, :]          # t_j - t_i
-    A1 = t[:, None] - t[None, 1:]         # t_j - t_{i+1}, shape (n, n-1)
+    A0 = t[rows, None] - t[None, :-1]     # t_j - t_i
+    A1 = t[rows, None] - t[None, 1:]      # t_j - t_{i+1}
     h = np.diff(t)[None, :]
-    # valid entries: subinterval index i <= j-1
-    mask = np.tril(np.ones((n, n - 1), dtype=bool), k=-1)
-    A0v = np.where(mask, A0[:, :-1], 1.0)
+    mask = np.arange(len(t) - 1)[None, :] < rows[:, None]
+    A0v = np.where(mask, A0, 1.0)
     A1v = np.where(mask, np.maximum(A1, 0.0), 0.0)
     hv = np.broadcast_to(h, A1.shape)
     P = _pow_diff(A0v, A1v, hv, beta)
@@ -230,62 +230,58 @@ def _moment_matrices(nodes: np.ndarray, beta: float):
     return M0, M1
 
 
-def _first_interval_moment(nodes: np.ndarray, beta: float) -> np.ndarray:
-    """M0 of the first subinterval [t_0, t_1] for every target node."""
-    t = nodes
-    out = np.zeros(len(t))
-    A0 = t[1:] - t[0]
-    A1 = np.maximum(t[1:] - t[1], 0.0)
-    out[1:] = _pow_diff(A0, A1, t[1] - t[0], beta) / beta
-    return out
+class KernelOperator:
+    """Product integration against the plain kernel (t_j-s)^{beta-1} on a
+    fixed mesh.
 
+    The moments are built once, by the constructor, and only for the
+    target rows: every node by default, or the given node indices. apply
+    returns the raw integrals int_a^{t_j} (t_j-s)^{beta-1} phi(s) ds at
+    those rows, with phi interpolated piecewise linearly between nodes.
+    The argument `first` models phi on the first subinterval [t_0, t_1]:
 
-def _weighted_first_moment(nodes: np.ndarray, beta: float, eta: float) -> np.ndarray:
-    """int_a^{t_1} (t_j - s)^{beta-1} (s-a)^{eta} ds for every target j."""
-    t = nodes
-    a = t[0]
-    out = np.zeros(len(t))
-    span = t[1:] - a
-    x1 = np.clip((t[1] - a) / span, 0.0, 1.0)
-    bfull = _beta_sp(eta + 1.0, beta)
-    out[1:] = span ** (beta + eta) * bfull * _betainc_reg(eta + 1.0, beta, x1)
-    return out
-
-
-def _profile_sampled(nodes: np.ndarray, beta: float, phi: np.ndarray) -> np.ndarray:
-    """Raw integrals int_a^{t_j} (t_j-s)^{beta-1} phi(s) ds at every node,
-    interpolating the sampled phi piecewise linearly on every subinterval."""
-    M0, M1 = _moment_matrices(nodes, beta)
-    s = np.diff(phi) / np.diff(nodes)
-    return M0 @ phi[:-1] + M1 @ s
-
-
-def _profile_tail(nodes, beta, phi, first) -> np.ndarray:
-    """Same as _profile_sampled but phi[0] is unusable; the first
-    subinterval uses an endpoint model instead.
-
-    first = ("const", v): one-point product rule, v times the kernel moment.
-    first = ("power", eta): integrand modelled as C (s-a)^{eta} with C
-    matched to phi[1] at t_1; the mixed kernel is integrated in closed form.
+    None:           phi[0] is used as sampled;
+    ("const", v):   phi[0] is unusable; one-point product rule, v times
+                    the kernel moment of the subinterval;
+    ("power", eta): phi[0] is unusable; phi is modelled as C (s-a)^{eta}
+                    with C matched to phi[1], and the mixed kernel is
+                    integrated in closed form.
     """
-    M0, M1 = _moment_matrices(nodes, beta)
-    phi0 = np.array(phi, dtype=float)
-    phi0[0] = 0.0
-    s = np.diff(phi0) / np.diff(nodes)
-    s[0] = 0.0
-    M0 = M0.copy()
-    M0[:, 0] = 0.0
-    out = M0 @ phi0[:-1] + M1 @ s
-    kind, value = first
-    if kind == "const":
-        out += value * _first_interval_moment(nodes, beta)
-    elif kind == "power":
-        eta = value
-        t1 = nodes[1] - nodes[0]
-        out += (phi0[1] * t1 ** (-eta)) * _weighted_first_moment(nodes, beta, eta)
-    else:
+
+    def __init__(self, nodes: np.ndarray, beta: float, targets=None):
+        self.nodes = nodes
+        self.beta = beta
+        self.rows = np.arange(len(nodes)) if targets is None else np.asarray(targets)
+        self.M0, self.M1 = _moment_matrices(nodes, beta, self.rows)
+
+    def apply(self, phi: np.ndarray, first=None) -> np.ndarray:
+        """Raw integrals of the node samples phi at the target rows."""
+        h = np.diff(self.nodes)
+        if first is None:
+            return self.M0 @ phi[:-1] + self.M1 @ (np.diff(phi) / h)
+        # drop the sampled first cell through phi0[0] = s[0] = 0; column 0
+        # of M0 stays intact, since it is the const model's moment
+        phi0 = np.array(phi, dtype=float)
+        phi0[0] = 0.0
+        s = np.diff(phi0) / h
+        s[0] = 0.0
+        out = self.M0 @ phi0[:-1] + self.M1 @ s
+        kind, value = first
+        if kind == "const":
+            return out + value * self.M0[:, 0]
+        if kind == "power":
+            return out + (phi0[1] * h[0] ** (-value)) * self._power_moment(value)
         raise ValueError(f"unknown first-interval model {kind!r}")
-    return out
+
+    def _power_moment(self, eta: float) -> np.ndarray:
+        """int_a^{t_1} (t_j-s)^{beta-1} (s-a)^{eta} ds at the target rows."""
+        t, beta = self.nodes, self.beta
+        span = t[self.rows] - t[0]
+        with np.errstate(all="ignore"):
+            x1 = np.clip((t[1] - t[0]) / span, 0.0, 1.0)
+            bfull = _beta_sp(eta + 1.0, beta)
+            m = span ** (beta + eta) * bfull * _betainc_reg(eta + 1.0, beta, x1)
+        return np.where(self.rows > 0, m, 0.0)
 
 
 def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
@@ -332,7 +328,7 @@ def rl_integral_quad(phi, mu: float, t: float, mesh: GradedMesh = None) -> float
         if len(values) != len(mesh.nodes):
             raise DomainError("sampled integrand length does not match mesh")
         j = mesh.index_of(t)
-        prof = _profile_sampled(mesh.nodes, mu, values)
+        prof = KernelOperator(mesh.nodes, mu).apply(values)
     return float(prof[j]) / specfun.gamma(mu)
 
 
@@ -419,7 +415,7 @@ def _hilfer_profile(g: WeightedGrid, order: FracOrder) -> np.ndarray:
     dd = np.array(d)
     dd[0] = 0.0
     dd[-1] = 0.0
-    prof = _profile_tail(nodes, outer, dd, ("power", mu - order.gamma))
+    prof = KernelOperator(nodes, outer).apply(dd, ("power", mu - order.gamma))
     out = prof / specfun.gamma(outer)
     out[0] = np.nan
     out[-1] = np.nan

@@ -23,6 +23,7 @@ mesh; Picard iteration starts from w = 0.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,10 +33,9 @@ from .expr import Expr, evaluate
 from .fraccalc import (
     FracOrder,
     GradedMesh,
+    KernelOperator,
     WeightedGrid,
-    _first_interval_moment,
     _hilfer_profile,
-    _moment_matrices,
     build_mesh,
 )
 
@@ -164,12 +164,15 @@ def problem_mesh(spec: ProblemSpec, config: SolveConfig) -> GradedMesh:
 
 
 class _Workspace:
-    """Precomputed kernel moments for one (mesh, order) pair.
+    """Kernel operators and f samples for one (mesh, order) pair.
 
-    The running integral of order mu is needed at every node; the boundary
-    integral of order 1-gamma+mu only at t = b. Both reuse the same sampled
-    f values, with the first subinterval handled by the one-point endpoint
-    model (f evaluated with the limiting weighted value w(a))."""
+    The running integral of order mu is read at every node, the boundary
+    integral of order 1-gamma+mu only at t = b, so the first operator holds
+    every row and the second only the last one. Each is built on first use
+    and then serves every iteration, the final coefficient and the
+    boundary residual. Both integrate the same f samples, with the first
+    subinterval under the one-point model (f evaluated with the limiting
+    weighted value w(a))."""
 
     def __init__(self, spec: ProblemSpec, params: DerivedParams, mesh: GradedMesh):
         self.spec = spec
@@ -179,50 +182,41 @@ class _Workspace:
         gamma = params.gamma
         nodes = mesh.nodes
         self.nodes = nodes
-        self.h = np.diff(nodes)
         self.gamma_mu = specfun.gamma(mu)
         self.gamma_gamma = specfun.gamma(gamma)
         self.gamma_bc = specfun.gamma(1.0 - gamma + mu)
-        M0, M1 = _moment_matrices(nodes, mu)
-        M0[:, 0] = 0.0
-        self.M0 = M0
-        self.M1 = M1
-        self.first_mu = _first_interval_moment(nodes, mu)
-        beta_bc = 1.0 - gamma + mu
-        M0b, M1b = _moment_matrices(nodes, beta_bc)
-        self.row_b_M0 = M0b[-1].copy()
-        self.row_b_M0[0] = 0.0
-        self.row_b_M1 = M1b[-1]
-        self.first_bc = _first_interval_moment(nodes, beta_bc)[-1]
         self.tau_indices = tuple(mesh.index_of(tau) for _, tau in spec.nonlocal_terms)
         self.lambdas = tuple(lam for lam, _ in spec.nonlocal_terms)
         self.weight_up = (nodes - nodes[0]) ** (1.0 - gamma)  # (t-a)^{1-gamma}
         self.weight_down = np.zeros_like(nodes)
         self.weight_down[1:] = (nodes[1:] - nodes[0]) ** (gamma - 1.0)
 
+    @cached_property
+    def running_op(self) -> KernelOperator:
+        return KernelOperator(self.nodes, self.spec.order.mu)
+
+    @cached_property
+    def boundary_op(self) -> KernelOperator:
+        beta = 1.0 - self.params.gamma + self.spec.order.mu
+        return KernelOperator(self.nodes, beta, targets=[len(self.nodes) - 1])
+
     def f_samples(self, w: np.ndarray):
-        """f at the nodes (index >= 1) plus the first-interval model value."""
+        """f at the nodes (index >= 1) plus the first-interval model."""
         f = self.spec.f
         nodes = self.nodes
         phi = np.zeros(len(nodes))
         for i in range(1, len(nodes)):
             phi[i] = evaluate(f, nodes[i], self.weight_down[i] * w[i])
         v_model = evaluate(f, nodes[1], self.weight_down[1] * w[0])
-        return phi, v_model
+        return phi, ("const", v_model)
 
-    def running_integral(self, phi, v_model) -> np.ndarray:
+    def running(self, samples) -> np.ndarray:
         """(1/Gamma(mu)) int_a^{t_j} (t_j-s)^{mu-1} f ds at every node."""
-        s = np.diff(phi) / self.h
-        s[0] = 0.0
-        out = self.M0 @ phi[:-1] + self.M1 @ s + v_model * self.first_mu
-        return out / self.gamma_mu
+        return self.running_op.apply(*samples) / self.gamma_mu
 
-    def boundary_integral(self, phi, v_model) -> float:
+    def boundary(self, samples) -> float:
         """(1/Gamma(1-gamma+mu)) int_a^b (b-s)^{mu-gamma} f ds."""
-        s = np.diff(phi) / self.h
-        s[0] = 0.0
-        raw = self.row_b_M0 @ phi[:-1] + self.row_b_M1 @ s + v_model * self.first_bc
-        return float(raw) / self.gamma_bc
+        return float(self.boundary_op.apply(*samples)[0]) / self.gamma_bc
 
     def init_coeff(self, running, boundary) -> float:
         acc = sum(
@@ -230,19 +224,28 @@ class _Workspace:
         )
         return (acc - self.spec.d * boundary) / self.params.denom
 
+    def bc_residual(self, w: np.ndarray, boundary: float) -> float:
+        """Residual of the nonlocal boundary condition for the iterate w,
+        given its boundary integral."""
+        ia = self.gamma_gamma * w[0]
+        ib = ia + boundary
+        acc = sum(
+            lam * self.weight_down[j] * w[j]
+            for lam, j in zip(self.lambdas, self.tau_indices)
+        )
+        return float(abs(self.spec.c * ia + self.spec.d * ib - acc))
+
     def apply(self, w: np.ndarray):
         """One application of the fixed-point map, in weighted form."""
-        phi, v_model = self.f_samples(w)
-        running = self.running_integral(phi, v_model)
-        boundary = self.boundary_integral(phi, v_model)
-        za = self.init_coeff(running, boundary)
+        samples = self.f_samples(w)
+        running = self.running(samples)
+        za = self.init_coeff(running, self.boundary(samples))
         w_out = za / self.gamma_gamma + self.weight_up * running
         return w_out, za
 
     def apply_frozen(self, w: np.ndarray, za: float) -> np.ndarray:
         """Volterra map with a frozen initial coefficient."""
-        phi, v_model = self.f_samples(w)
-        running = self.running_integral(phi, v_model)
+        running = self.running(self.f_samples(w))
         return za / self.gamma_gamma + self.weight_up * running
 
 
@@ -250,10 +253,8 @@ def initial_coefficient(spec: ProblemSpec, params: DerivedParams, z: WeightedGri
     """The scalar I^{1-gamma} z(a+) induced by the boundary condition for
     the given iterate."""
     ws = _Workspace(spec, params, z.mesh)
-    phi, v_model = ws.f_samples(z.w)
-    running = ws.running_integral(phi, v_model)
-    boundary = ws.boundary_integral(phi, v_model)
-    return ws.init_coeff(running, boundary)
+    samples = ws.f_samples(z.w)
+    return ws.init_coeff(ws.running(samples), ws.boundary(samples))
 
 
 def apply_T(spec: ProblemSpec, params: DerivedParams, z: WeightedGrid) -> WeightedGrid:
@@ -310,16 +311,14 @@ def solve_picard(spec: ProblemSpec, config: SolveConfig = SolveConfig()) -> Solv
     w0 = np.zeros(len(mesh.nodes))
     w, history, converged = _picard_loop(lambda v: ws.apply(v)[0], w0, config)
     grid = WeightedGrid(mesh=mesh, gamma=params.gamma, w=w)
-    phi, v_model = ws.f_samples(w)
-    running = ws.running_integral(phi, v_model)
-    boundary = ws.boundary_integral(phi, v_model)
-    za = ws.init_coeff(running, boundary)
+    samples = ws.f_samples(w)
+    boundary = ws.boundary(samples)
     report = SolveReport(
         solution=grid,
-        init_coeff=za,
+        init_coeff=ws.init_coeff(ws.running(samples), boundary),
         iterations=len(history),
         history=tuple(history),
-        residual_bc=verify_bc(spec, params, grid),
+        residual_bc=ws.bc_residual(w, boundary),
         residual_ode=verify_ode(spec, grid),
         converged=converged,
     )
@@ -363,17 +362,11 @@ def verify_bc(spec: ProblemSpec, params: DerivedParams, z: WeightedGrid) -> floa
 
     I^{1-gamma} z(a+) is read algebraically as Gamma(gamma) w(a), which is
     exact for the weighted representation; I^{1-gamma} z(b-) adds the
-    boundary integral of f."""
+    boundary integral of f, which needs only the t = b row of its kernel
+    (solve_picard computes the same residual from its own operator and f
+    samples)."""
     ws = _Workspace(spec, params, z.mesh)
-    phi, v_model = ws.f_samples(z.w)
-    boundary = ws.boundary_integral(phi, v_model)
-    ia = ws.gamma_gamma * z.w[0]
-    ib = ia + boundary
-    acc = sum(
-        lam * ws.weight_down[j] * z.w[j]
-        for lam, j in zip(ws.lambdas, ws.tau_indices)
-    )
-    return float(abs(spec.c * ia + spec.d * ib - acc))
+    return ws.bc_residual(z.w, ws.boundary(ws.f_samples(z.w)))
 
 
 def verify_ode(spec: ProblemSpec, z: WeightedGrid, check_nodes=None) -> float:

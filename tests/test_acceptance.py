@@ -16,9 +16,9 @@ from hilferbvp.existence import certificate, certificate_at, sweep_certificates
 from hilferbvp.expr import parse, pretty
 from hilferbvp.fraccalc import (
     FracOrder,
+    KernelOperator,
     WeightedGrid,
     _derivative_profile,
-    _profile_tail,
     build_mesh,
     hilfer_derivative_num,
     rl_derivative_num,
@@ -261,7 +261,7 @@ def test_criterion_6_property_suites(tmp_path):
     dd = np.array(d)
     dd[0] = 0.0
     dd[-1] = 0.0
-    caputo_ref = _profile_tail(m1.nodes, 1.0 - mu_c, dd, ("power", mu_c - 1.0))
+    caputo_ref = KernelOperator(m1.nodes, 1.0 - mu_c).apply(dd, ("power", mu_c - 1.0))
     caputo_ref = caputo_ref / specfun.gamma(1.0 - mu_c)
     for j in (10, 60, 120):
         t = float(m1.nodes[j])

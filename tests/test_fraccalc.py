@@ -7,9 +7,9 @@ from hilferbvp import specfun
 from hilferbvp.errors import DomainError
 from hilferbvp.fraccalc import (
     FracOrder,
+    KernelOperator,
     WeightedGrid,
     _derivative_profile,
-    _profile_tail,
     _profile_weighted,
     build_mesh,
     hilfer_derivative_num,
@@ -279,6 +279,53 @@ def test_convergence_order_sampled():
 
 
 # ---------------------------------------------------------------------------
+# kernel operator
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_base", [100, 257, 1024])
+def test_kernel_operator_boundary_row_is_last_row_of_full_build(n_base):
+    # the solver reads its boundary integral from a one-row build; the
+    # golden files rely on it matching the full build bit for bit
+    order = FracOrder(mu=1.0 / 3.0, nu=1.0 / 4.0)
+    mu, nu, gamma = order.mu, order.nu, order.gamma
+    m = build_mesh(0.0, 1.0, n_base, 2.0 / gamma, [0.3, 2.0 / 3.0])
+    last = len(m.nodes) - 1
+    for beta in (mu, 1.0 - gamma + mu, nu * (1.0 - mu), 1.0):
+        full = KernelOperator(m.nodes, beta)
+        row = KernelOperator(m.nodes, beta, targets=[last])
+        assert np.array_equal(row.M0, full.M0[-1:])
+        assert np.array_equal(row.M1, full.M1[-1:])
+
+
+@pytest.mark.parametrize("first", [None, ("const", 0.7), ("power", -0.25)])
+def test_kernel_operator_targets_agree_with_full_rows(first):
+    m = build_mesh(0.0, 2.0, 64, 2.0, [0.5])
+    phi = np.cos(m.nodes) + m.nodes
+    rows = [0, 1, 17, len(m.nodes) - 1]
+    full = KernelOperator(m.nodes, 0.4).apply(phi, first)
+    part = KernelOperator(m.nodes, 0.4, targets=rows).apply(phi, first)
+    assert part[0] == 0.0
+    assert np.allclose(part, full[rows], rtol=1e-14, atol=0.0)
+
+
+def test_kernel_operator_const_model_exact_for_constants():
+    # the one-point model is exact when phi is the same constant everywhere
+    beta = 0.6
+    m = build_mesh(0.0, 1.0, 32, 2.5, [])
+    op = KernelOperator(m.nodes, beta)
+    out = op.apply(np.full(len(m.nodes), 3.0), ("const", 3.0))
+    exact = 3.0 * m.nodes**beta / beta
+    assert np.allclose(out, exact, rtol=1e-13, atol=0.0)
+
+
+def test_kernel_operator_rejects_unknown_model():
+    m = uniform_mesh(8)
+    with pytest.raises(ValueError):
+        KernelOperator(m.nodes, 0.5).apply(np.ones(len(m.nodes)), ("linear", 1.0))
+
+
+# ---------------------------------------------------------------------------
 # fractional derivatives
 # ---------------------------------------------------------------------------
 
@@ -339,7 +386,7 @@ def test_hilfer_nu_one_matches_integral_of_derivative():
     dd = np.array(d)
     dd[0] = 0.0
     dd[-1] = 0.0
-    prof = _profile_tail(m.nodes, 1.0 - mu, dd, ("power", mu - 1.0))
+    prof = KernelOperator(m.nodes, 1.0 - mu).apply(dd, ("power", mu - 1.0))
     reference = prof / specfun.gamma(1.0 - mu)
     for j in (5, 30, 64, 120):
         t = float(m.nodes[j])

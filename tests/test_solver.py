@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hilferbvp import specfun
+from hilferbvp import fraccalc, specfun
 from hilferbvp.errors import DomainError, NoConvergenceError, SingularProblemError
 from hilferbvp.expr import parse
 from hilferbvp.fraccalc import FracOrder, WeightedGrid, weighted_norm
@@ -369,6 +369,27 @@ def test_verify_bc_detects_violation():
     w[0] = 1.0  # unconverged iterate with forced weighted endpoint value
     grid = WeightedGrid(mesh=mesh, gamma=params.gamma, w=w)
     assert verify_bc(spec, params, grid) > 0.0
+
+
+def test_dense_kernel_moments_built_once_per_order(monkeypatch):
+    # all-row builds: order mu for the solve and nu(1-mu) in verify_ode;
+    # the boundary integral, in the solve and in verify_bc, reads one row
+    builds = []
+    build = fraccalc._moment_matrices
+
+    def counting(nodes, beta, *rest):
+        M0, M1 = build(nodes, beta, *rest)
+        builds.append(len(M0) == len(nodes))
+        return M0, M1
+
+    monkeypatch.setattr(fraccalc, "_moment_matrices", counting)
+    spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),))
+    assert 0.0 < spec.order.nu < 1.0
+    report = solve_picard(spec, SolveConfig(n_base=64))
+    assert builds.count(True) == 2
+    builds.clear()
+    verify_bc(spec, derive_params(spec), report.solution)
+    assert builds == [False]
 
 
 def test_verify_ode_pure_power():
