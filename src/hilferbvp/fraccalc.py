@@ -191,42 +191,63 @@ def rl_integral_monomial(mu, delta, a, t) -> float:
 # xi = t - s (avoids cancellation near s = t):
 #   M0 = int_u^v (t-s)^{beta-1} ds           = (A0^beta - A1^beta)/beta
 #   M1 = int_u^v (s-u)(t-s)^{beta-1} ds      = A0*M0 - (A0^{b1} - A1^{b1})/b1
-# with A0 = t-u, A1 = t-v, b1 = beta+1.
+# with A0 = t-u, A1 = t-v, b1 = beta+1. Only the entries that are read,
+# subintervals left of the target node, are evaluated, and each by the one
+# branch of _pow_diffs that it takes. Rows are built in blocks of about
+# _BLOCK_ENTRIES entries, so the temporaries of a build stay small next to
+# its N x N outputs.
 # ---------------------------------------------------------------------------
 
+_BLOCK_ENTRIES = 1 << 14
 
-def _pow_diff(A0, A1, h, e):
-    """A0**e - A1**e for 0 <= A1 <= A0, A0 - A1 = h, without cancellation."""
-    A0 = np.asarray(A0, dtype=float)
-    A1 = np.asarray(A1, dtype=float)
-    h = np.asarray(h, dtype=float)
-    tiny = A1 <= 0.0
-    A1s = np.where(tiny, 1.0, A1)
-    ratio = h / A1s
-    small = (~tiny) & (ratio < 0.5)
-    with np.errstate(all="ignore"):
-        series = A1s**e * np.expm1(e * np.log1p(ratio))
-        direct = A0**e - A1**e
-        endpoint = A0**e
-    return np.where(tiny, endpoint, np.where(small, series, direct))
+
+def _pow_diffs(A0, A1, h, beta):
+    """A0**e - A1**e for e = beta and e = beta+1, elementwise over 1-D
+    arrays with 0 <= A1 <= A0 and A0 - A1 = h, without cancellation.
+
+    Each entry is evaluated by one branch: at the target (A1 = 0) by A0**e;
+    far from it (h/A1 < 0.5) by A1**e * expm1(e*log1p(h/A1)), with the
+    log1p shared by both exponents; near it by the direct difference."""
+    b1 = beta + 1.0
+    P = np.empty_like(A1)
+    Q = np.empty_like(A1)
+    end = A1 == 0.0
+    P[end] = A0[end] ** beta
+    Q[end] = A0[end] ** b1
+    k = np.flatnonzero(~end)
+    ratio = h[k] / A1[k]
+    far = ratio < 0.5
+    kf = k[far]
+    L = np.log1p(ratio[far])
+    a1 = A1[kf]
+    P[kf] = a1**beta * np.expm1(beta * L)
+    Q[kf] = a1**b1 * np.expm1(b1 * L)
+    kn = k[~far]
+    a0, a1 = A0[kn], A1[kn]
+    P[kn] = a0**beta - a1**beta
+    Q[kn] = a0**b1 - a1**b1
+    return P, Q
 
 
 def _moment_matrices(nodes: np.ndarray, beta: float, rows: np.ndarray):
     """Matrices M0[k, i], M1[k, i] of the plain kernel moments for
     subinterval [t_i, t_{i+1}] and target node t_j, j = rows[k] (zero
-    unless i < j)."""
+    unless i < j; only the entries with i < j are evaluated)."""
     t = nodes
-    A0 = t[rows, None] - t[None, :-1]     # t_j - t_i
-    A1 = t[rows, None] - t[None, 1:]      # t_j - t_{i+1}
-    h = np.diff(t)[None, :]
-    mask = np.arange(len(t) - 1)[None, :] < rows[:, None]
-    A0v = np.where(mask, A0, 1.0)
-    A1v = np.where(mask, np.maximum(A1, 0.0), 0.0)
-    hv = np.broadcast_to(h, A1.shape)
-    P = _pow_diff(A0v, A1v, hv, beta)
-    Q = _pow_diff(A0v, A1v, hv, beta + 1.0)
-    M0 = np.where(mask, P / beta, 0.0)
-    M1 = np.where(mask, A0v * M0 - Q / (beta + 1.0), 0.0)
+    h = np.diff(t)
+    M0 = np.zeros((len(rows), len(h)))
+    M1 = np.zeros(M0.shape)
+    step = max(1, _BLOCK_ENTRIES // len(t))
+    for k0 in range(0, len(rows), step):
+        j = rows[k0:k0 + step]
+        k, i = np.nonzero(np.arange(j.max()) < j[:, None])
+        tj = t[j[k]]
+        A0 = tj - t[i]                    # t_j - t_i
+        A1 = tj - t[i + 1]                # t_j - t_{i+1}
+        P, Q = _pow_diffs(A0, A1, h[i], beta)
+        m0 = P / beta
+        M0[k0 + k, i] = m0
+        M1[k0 + k, i] = A0 * m0 - Q / (beta + 1.0)
     return M0, M1
 
 
@@ -287,20 +308,36 @@ class KernelOperator:
 def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
     """Raw integrals int_a^{t_j} (t_j-s)^{beta-1} (s-a)^{eta} w(s) ds with w
     piecewise linear; both kernel factors are integrated in closed form on
-    every subinterval (exact for monomials, i.e. constant w)."""
+    every subinterval (exact for monomials, i.e. constant w).
+
+    In X = (s-a)/(t_j-a) the weights of a subinterval are differences of
+    the regularized incomplete Beta functions I_X(eta+1, beta) (for w) and
+    I_X(eta+2, beta) (for its slope). Only the first is a betainc call; the
+    second follows from the recurrence (DLMF 8.17.20)
+
+        I_X(eta+2, beta) = I_X(eta+1, beta)
+                           - X^{eta+1} (1-X)^beta / ((eta+1) B(eta+1, beta)).
+
+    Row j reads the nodes up to t_j only (beyond it X = 1 and both weights
+    vanish), and rows are built in blocks, as the kernel moments are."""
     n = len(nodes)
-    a = nodes[0]
-    out = np.zeros(n)
-    span = nodes[1:] - a                       # t_j - a for j >= 1
-    with np.errstate(all="ignore"):
-        X = np.clip((nodes[None, :] - a) / span[:, None], 0.0, 1.0)
+    x = nodes - nodes[0]                       # s - a at the nodes
     b1 = _beta_sp(eta + 1.0, beta)
     b2 = _beta_sp(eta + 2.0, beta)
-    C = _betainc_reg(eta + 1.0, beta, X)       # shape (n-1, n)
-    D = _betainc_reg(eta + 2.0, beta, X)
-    W0 = b1 * (span ** (beta + eta))[:, None] * np.diff(C, axis=1)
-    V = b2 * (span ** (beta + eta + 1.0))[:, None] * np.diff(D, axis=1)
-    W1 = V - (nodes[:-1] - a)[None, :] * W0
+    W0 = np.zeros((n - 1, n - 1))
+    W1 = np.zeros(W0.shape)
+    step = max(1, _BLOCK_ENTRIES // n)
+    for j0 in range(1, n, step):
+        span = x[j0:j0 + step, None]           # t_j - a
+        m = min(j0 + step, n)                  # nodes up to the block's last t_j
+        X = np.clip(x[:m] / span, 0.0, 1.0)
+        C = _betainc_reg(eta + 1.0, beta, X)
+        D = C - X ** (eta + 1.0) * (1.0 - X) ** beta / ((eta + 1.0) * b1)
+        W0j = b1 * span ** (beta + eta) * np.diff(C, axis=1)
+        V = b2 * span ** (beta + eta + 1.0) * np.diff(D, axis=1)
+        W0[j0 - 1:j0 - 1 + step, :m - 1] = W0j
+        W1[j0 - 1:j0 - 1 + step, :m - 1] = V - x[:m - 1] * W0j
+    out = np.zeros(n)
     sw = np.diff(w) / np.diff(nodes)
     out[1:] = W0 @ w[:-1] + W1 @ sw
     return out
@@ -361,9 +398,9 @@ def _derivative_profile(nodes: np.ndarray, F: np.ndarray) -> np.ndarray:
     # right-sided at the second node
     w = _three_point_weights(t[1], t[2], t[3], t[1])
     d[1] = w[0] * F[1] + w[1] * F[2] + w[2] * F[3]
-    for j in range(2, n - 2):
-        w = _three_point_weights(t[j - 1], t[j], t[j + 1], t[j])
-        d[j] = w[0] * F[j - 1] + w[1] * F[j] + w[2] * F[j + 1]
+    # centered at nodes 2..n-3
+    w = _three_point_weights(t[1:n - 3], t[2:n - 2], t[3:n - 1], t[2:n - 2])
+    d[2:n - 2] = w[0] * F[1:n - 3] + w[1] * F[2:n - 2] + w[2] * F[3:n - 1]
     # left-sided at the penultimate node
     w = _three_point_weights(t[n - 4], t[n - 3], t[n - 2], t[n - 2])
     d[n - 2] = w[0] * F[n - 4] + w[1] * F[n - 3] + w[2] * F[n - 2]

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import beta as beta_fn
+from scipy.special import betainc
 
 from hilferbvp import specfun
 from hilferbvp.errors import DomainError
@@ -10,7 +13,9 @@ from hilferbvp.fraccalc import (
     KernelOperator,
     WeightedGrid,
     _derivative_profile,
+    _moment_matrices,
     _profile_weighted,
+    _three_point_weights,
     build_mesh,
     hilfer_derivative_num,
     rl_derivative_num,
@@ -429,3 +434,148 @@ def test_weighted_profile_row_zero_is_zero():
     m = uniform_mesh(8)
     out = _profile_weighted(m.nodes, 0.5, -0.5, np.ones(len(m.nodes)))
     assert out[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# kernel weight builders against dense references
+#
+# The references are the dense formulas the builders replaced: every entry
+# of the N x N matrix by every branch, the branch picked afterwards, and two
+# betainc calls for the weighted profile.
+# ---------------------------------------------------------------------------
+
+
+def _dense_pow_diff(A0, A1, h, e):
+    tiny = A1 <= 0.0
+    A1s = np.where(tiny, 1.0, A1)
+    ratio = h / A1s
+    small = (~tiny) & (ratio < 0.5)
+    with np.errstate(all="ignore"):
+        series = A1s**e * np.expm1(e * np.log1p(ratio))
+        direct = A0**e - A1**e
+        endpoint = A0**e
+    return np.where(tiny, endpoint, np.where(small, series, direct))
+
+
+def _dense_moment_matrices(nodes, beta, rows):
+    t = nodes
+    A0 = t[rows, None] - t[None, :-1]
+    A1 = t[rows, None] - t[None, 1:]
+    h = np.diff(t)[None, :]
+    mask = np.arange(len(t) - 1)[None, :] < rows[:, None]
+    A0v = np.where(mask, A0, 1.0)
+    A1v = np.where(mask, np.maximum(A1, 0.0), 0.0)
+    hv = np.broadcast_to(h, A1.shape)
+    P = _dense_pow_diff(A0v, A1v, hv, beta)
+    Q = _dense_pow_diff(A0v, A1v, hv, beta + 1.0)
+    M0 = np.where(mask, P / beta, 0.0)
+    M1 = np.where(mask, A0v * M0 - Q / (beta + 1.0), 0.0)
+    return M0, M1
+
+
+def _two_betainc_profile(nodes, beta, eta, w):
+    n = len(nodes)
+    a = nodes[0]
+    out = np.zeros(n)
+    span = nodes[1:] - a
+    X = np.clip((nodes[None, :] - a) / span[:, None], 0.0, 1.0)
+    C = betainc(eta + 1.0, beta, X)
+    D = betainc(eta + 2.0, beta, X)
+    W0 = beta_fn(eta + 1.0, beta) * (span ** (beta + eta))[:, None] * np.diff(C, axis=1)
+    V = beta_fn(eta + 2.0, beta) * (span ** (beta + eta + 1.0))[:, None] * np.diff(D, axis=1)
+    W1 = V - (nodes[:-1] - a)[None, :] * W0
+    out[1:] = W0 @ w[:-1] + W1 @ (np.diff(w) / np.diff(nodes))
+    return out
+
+
+def _mesh_with_close_tau(n_base, r):
+    # tau just right of a grid node: a tiny subinterval, then a long one,
+    # so the target rows meet the far, near and endpoint branches
+    grid = build_mesh(0.0, 1.0, n_base, r, [])
+    tau = float(grid.nodes[(2 * n_base) // 3]) + 1e-9
+    return build_mesh(0.0, 1.0, n_base, r, [tau]), tau
+
+
+@pytest.mark.parametrize("graded", [False, True])
+@pytest.mark.parametrize("n_base", [16, 257, 1024])
+def test_moment_matrices_bit_identical_to_dense_reference(n_base, graded):
+    order = FracOrder(mu=1.0 / 3.0, nu=1.0 / 4.0)
+    r = 2.0 / order.gamma if graded else 1.0
+    m, tau = _mesh_with_close_tau(n_base, r)
+    n = len(m.nodes)
+    assert n == n_base + 2
+    everything = np.arange(n)
+    for beta in (0.3, order.mu, 1.0 - order.gamma + order.mu, 1.0):
+        got = _moment_matrices(m.nodes, beta, everything)
+        want = _dense_moment_matrices(m.nodes, beta, everything)
+        assert np.array_equal(got[0], want[0]), beta
+        assert np.array_equal(got[1], want[1]), beta
+        for j in (1, m.index_of(tau), m.index_of(tau) + 1, n - 1):
+            row = np.array([j])
+            got = _moment_matrices(m.nodes, beta, row)
+            assert np.array_equal(got[0], want[0][row]), (beta, j)
+            assert np.array_equal(got[1], want[1][row]), (beta, j)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("eta", [-0.9, -0.5, 0.0])
+def test_weighted_profile_recurrence_matches_two_betainc(eta, beta):
+    # eta = -0.5 is gamma - 1 for mu = 1/3, nu = 1/4
+    m, _ = _mesh_with_close_tau(512, 4.0)
+    w = 2.0 + np.cos(3.0 * m.nodes)
+    got = _profile_weighted(m.nodes, beta, eta, w)
+    want = _two_betainc_profile(m.nodes, beta, eta, w)
+    assert got[0] == 0.0
+    assert np.max(np.abs(got[1:] - want[1:]) / np.abs(want[1:])) <= 1e-14
+
+
+def _peak_arrays(build, n):
+    """tracemalloc peak of build() in units of float64 (n-1) x n arrays."""
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / ((n - 1) * n * 8)
+
+
+def test_moment_build_memory_is_bounded():
+    m, _ = _mesh_with_close_tau(511, 4.0)
+    n = len(m.nodes)
+    assert n == 513
+    rows = np.arange(n)
+    # the two outputs count; the temporaries may add at most two more
+    assert _peak_arrays(lambda: _moment_matrices(m.nodes, 0.3, rows), n) <= 4.0
+
+
+def test_weighted_profile_memory_is_bounded():
+    m, _ = _mesh_with_close_tau(511, 4.0)
+    n = len(m.nodes)
+    w = np.cos(m.nodes)
+    assert _peak_arrays(lambda: _profile_weighted(m.nodes, 0.3, -0.5, w), n) <= 4.0
+
+
+def _scalar_derivative_profile(nodes, F):
+    n = len(nodes)
+    d = np.full(n, np.nan)
+    t = nodes
+    w = _three_point_weights(t[1], t[2], t[3], t[1])
+    d[1] = w[0] * F[1] + w[1] * F[2] + w[2] * F[3]
+    for j in range(2, n - 2):
+        w = _three_point_weights(t[j - 1], t[j], t[j + 1], t[j])
+        d[j] = w[0] * F[j - 1] + w[1] * F[j] + w[2] * F[j + 1]
+    w = _three_point_weights(t[n - 4], t[n - 3], t[n - 2], t[n - 2])
+    d[n - 2] = w[0] * F[n - 4] + w[1] * F[n - 3] + w[2] * F[n - 2]
+    return d
+
+
+@pytest.mark.parametrize("n_base", [4, 5, 300])
+def test_derivative_profile_equals_scalar_stencil_loop(n_base):
+    m, _ = _mesh_with_close_tau(n_base, 3.0)
+    F = np.random.default_rng(n_base).standard_normal(len(m.nodes))
+    F[0] = np.nan  # never read
+    F[-1] = np.nan
+    got = _derivative_profile(m.nodes, F)
+    want = _scalar_derivative_profile(m.nodes, F)
+    assert np.array_equal(got, want, equal_nan=True)

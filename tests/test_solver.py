@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -390,6 +391,33 @@ def test_dense_kernel_moments_built_once_per_order(monkeypatch):
     builds.clear()
     verify_bc(spec, derive_params(spec), report.solution)
     assert builds == [False]
+
+
+# First 16 hex digits of one sha256 over the bytes of w followed by
+# (init_coeff, residual_bc, *history), for f = 0.5 sin z + t with mu = 1/3,
+# c = 1, d = 1/2, lambda = 0.3 at tau = 1/2. Recorded with the dense
+# all-branch moment formula (x86-64, numpy 2.4): the triangle-only,
+# one-branch build does the same floating-point operations on every entry
+# that is read, so no bit of a solve may move.
+SOLVE_DIGESTS = {
+    (0.0, 64): ("fb1ffcc7bb2a1bb6", 17),
+    (0.0, 256): ("9239e791a6949a7b", 17),
+    (0.25, 64): ("f19cd05dd6c2047b", 17),
+    (0.25, 256): ("acaa15ebbf17ef3f", 17),
+    (0.6, 64): ("0906ba0704ff75bb", 18),
+    (0.6, 256): ("6d2cdffed02c096a", 18),
+    (1.0, 64): ("148ef83f522af9ea", 18),
+    (1.0, 256): ("a3e05bd11c67ad94", 18),
+}
+
+
+@pytest.mark.parametrize("nu, n_base", sorted(SOLVE_DIGESTS))
+def test_solve_is_bit_identical_to_recorded_values(nu, n_base):
+    spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),), nu=nu)
+    report = solve_picard(spec, SolveConfig(n_base=n_base))
+    h = hashlib.sha256(report.solution.w.tobytes())
+    h.update(np.array([report.init_coeff, report.residual_bc, *report.history]).tobytes())
+    assert (h.hexdigest()[:16], report.iterations) == SOLVE_DIGESTS[(nu, n_base)]
 
 
 def test_verify_ode_pure_power():
