@@ -310,15 +310,18 @@ def solve_picard(spec: ProblemSpec, config: SolveConfig = SolveConfig()) -> Solv
     ws = _Workspace(spec, params, mesh)
     w0 = np.zeros(len(mesh.nodes))
     w, history, converged = _picard_loop(lambda v: ws.apply(v)[0], w0, config)
-    grid = WeightedGrid(mesh=mesh, gamma=params.gamma, w=w)
     samples = ws.f_samples(w)
     boundary = ws.boundary(samples)
+    init_coeff = ws.init_coeff(ws.running(samples), boundary)
+    residual_bc = ws.bc_residual(w, boundary)
+    del ws  # frees the N x N moments before verify_ode builds its own
+    grid = WeightedGrid(mesh=mesh, gamma=params.gamma, w=w)
     report = SolveReport(
         solution=grid,
-        init_coeff=ws.init_coeff(ws.running(samples), boundary),
+        init_coeff=init_coeff,
         iterations=len(history),
         history=tuple(history),
-        residual_bc=ws.bc_residual(w, boundary),
+        residual_bc=residual_bc,
         residual_ode=verify_ode(spec, grid),
         converged=converged,
     )

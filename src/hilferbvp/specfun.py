@@ -1,77 +1,28 @@
 """Real-valued Gamma, log-Gamma and Beta functions.
 
-All existence constants in this package are products and ratios of Gamma
-values, so these routines target ~13 significant digits in double
-precision. They are pure functions and safe to call from any thread.
+The values come from the C library (``math.gamma``, ``math.lgamma``); these
+wrappers add the package's DomainError, PoleError and OverflowError
+contract. They are pure functions and safe to call from any thread.
 """
 
 import math
-import sys
 
 from .errors import DomainError, PoleError
 
 __all__ = ["gamma", "log_gamma", "beta"]
 
-# Lanczos rational approximation, g = 7, 9 terms. Coefficients are the
-# widely published set computed by Paul Godfrey (also used by the GNU
-# Scientific Library); relative error < ~1e-13 over the positive reals.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _POLE_TOL = 1e-12
-# Largest x with Gamma(x) finite in IEEE double.
-_OVERFLOW_X = 171.624376956302725
-_MAX_LOG = math.log(sys.float_info.max)
-
-
-def _lanczos_series(z):
-    # z = x - 1 with x >= 0.5; the shifted sum of the rational terms.
-    s = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[k] / (z + k)
-    return s
 
 
 def _near_pole(x):
     return x <= 0.5 and abs(x - round(x)) <= _POLE_TOL and round(x) <= 0.0
 
 
-def _sinpi(x):
-    """sin(pi*x), accurate for large |x|."""
-    r = x - math.floor(x)  # fractional part in [0, 1)
-    n = int(math.floor(x)) & 1  # parity of the integer part
-    if r == 0.0:
-        return 0.0
-    if r <= 0.5:
-        s = math.sin(math.pi * r)
-    else:
-        s = math.sin(math.pi * (1.0 - r))
-    return -s if n else s
-
-
 def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for x > 0."""
     if not x > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    if x < 0.5:
-        # shift up once: log Gamma(x) = log Gamma(x+1) - log x
-        return log_gamma(x + 1.0) - math.log(x)
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    s = _lanczos_series(z)
-    return _LOG_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(s)
+    return math.lgamma(x)
 
 
 def gamma(x: float) -> float:
@@ -79,28 +30,13 @@ def gamma(x: float) -> float:
 
     Raises PoleError within 1e-12 of a non-positive integer and
     OverflowError when the result is not representable in double precision.
+    Results too small to represent underflow to a signed zero.
     """
     if math.isnan(x):
         raise DomainError("gamma of NaN")
     if _near_pole(x):
         raise PoleError(f"gamma pole at or near x = {x!r}")
-    if x >= 0.5:
-        if x > _OVERFLOW_X:
-            raise OverflowError(f"gamma({x!r}) exceeds double range")
-        if x <= 100.0:
-            z = x - 1.0
-            t = z + _LANCZOS_G + 0.5
-            return _SQRT_2PI * math.pow(t, z + 0.5) * math.exp(-t) * _lanczos_series(z)
-        lg = log_gamma(x)
-        if lg > _MAX_LOG:
-            raise OverflowError(f"gamma({x!r}) exceeds double range")
-        return math.exp(lg)
-    # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-    s = _sinpi(x)
-    denom = s * gamma(1.0 - x)
-    if denom == 0.0:
-        raise PoleError(f"gamma pole at or near x = {x!r}")
-    result = math.pi / denom
+    result = math.gamma(x)  # raises OverflowError for finite x past the range
     if math.isinf(result):
         raise OverflowError(f"gamma({x!r}) exceeds double range")
     return result

@@ -309,6 +309,16 @@ def test_console_script_runs():
     assert '"verdict": "satisfied"' in result.stdout
 
 
+def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
+    # scipy.integrate pulls in sparse, linalg and optimize: ~26 MB of RSS
+    # and ~0.2 s on every CLI start
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+    code = f"import sys, hilferbvp.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_solution_table_inf_cell():
     text = (DATA / "solve_constant_table.csv").read_text().splitlines()
     first_row = text[1].split(",")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -395,19 +396,18 @@ def test_dense_kernel_moments_built_once_per_order(monkeypatch):
 
 # First 16 hex digits of one sha256 over the bytes of w followed by
 # (init_coeff, residual_bc, *history), for f = 0.5 sin z + t with mu = 1/3,
-# c = 1, d = 1/2, lambda = 0.3 at tau = 1/2. Recorded with the dense
-# all-branch moment formula (x86-64, numpy 2.4): the triangle-only,
-# one-branch build does the same floating-point operations on every entry
-# that is read, so no bit of a solve may move.
+# c = 1, d = 1/2, lambda = 0.3 at tau = 1/2. Recorded with the C library's
+# Gamma (math.gamma, x86-64, glibc, numpy 2.4): a change to the Gamma
+# values or to the floating-point order of a solve moves these bits.
 SOLVE_DIGESTS = {
-    (0.0, 64): ("fb1ffcc7bb2a1bb6", 17),
-    (0.0, 256): ("9239e791a6949a7b", 17),
-    (0.25, 64): ("f19cd05dd6c2047b", 17),
-    (0.25, 256): ("acaa15ebbf17ef3f", 17),
-    (0.6, 64): ("0906ba0704ff75bb", 18),
-    (0.6, 256): ("6d2cdffed02c096a", 18),
-    (1.0, 64): ("148ef83f522af9ea", 18),
-    (1.0, 256): ("a3e05bd11c67ad94", 18),
+    (0.0, 64): ("25f0df7e3ff783a6", 17),
+    (0.0, 256): ("131a94651fc8101b", 17),
+    (0.25, 64): ("c2d12d7d36010cc4", 17),
+    (0.25, 256): ("6e569de3cd4d7fde", 17),
+    (0.6, 64): ("f480507f11fedb8f", 18),
+    (0.6, 256): ("9452c61151f3cbbe", 18),
+    (1.0, 64): ("0abb98740bc9e8e0", 18),
+    (1.0, 256): ("a4f5824940412d37", 18),
 }
 
 
@@ -418,6 +418,21 @@ def test_solve_is_bit_identical_to_recorded_values(nu, n_base):
     h = hashlib.sha256(report.solution.w.tobytes())
     h.update(np.array([report.init_coeff, report.residual_bc, *report.history]).tobytes())
     assert (h.hexdigest()[:16], report.iterations) == SOLVE_DIGESTS[(nu, n_base)]
+
+
+def test_solve_frees_its_moments_before_verify_ode():
+    # verify_ode builds N x N arrays of its own; the running operator's two
+    # moment arrays must be gone by then
+    spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),))
+    config = SolveConfig(n_base=512)
+    n = len(problem_mesh(spec, config).nodes)
+    tracemalloc.start()
+    try:
+        solve_picard(spec, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / ((n - 1) * n * 8) <= 4.0
 
 
 def test_verify_ode_pure_power():
