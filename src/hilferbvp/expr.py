@@ -210,9 +210,12 @@ def parse(source: str) -> Expr:
 def evaluate(e: Expr, t: float, z: float) -> float:
     """Evaluate the tree at (t, z).
 
-    Domain violations (division by zero, log/sqrt of a negative number,
-    non-integer powers of negatives, overflow) raise EvalError carrying the
-    node position instead of propagating NaN/inf.
+    These checks raise EvalError carrying the node position: division by
+    zero, log of a non-positive and sqrt of a negative value, sin and cos
+    of +-inf, overflow in exp, and a power that is a pole (0 to a negative
+    exponent), NaN (a negative base with a non-integer exponent) or an
+    overflow from finite operands. Nothing else is checked: overflow in
+    + - * and inf - inf pass through as inf and NaN.
     """
     if isinstance(e, Num):
         return e.value
@@ -242,6 +245,8 @@ def evaluate(e: Expr, t: float, z: float) -> float:
                 return math.sqrt(v)
         except OverflowError:
             raise EvalError(f"overflow in {op}({v!r})", e.pos) from None
+        except ValueError:  # sin/cos of +-inf
+            raise EvalError(f"{op} of {v!r} is undefined", e.pos) from None
         raise EvalError(f"unknown function {op!r}", e.pos)
     if isinstance(e, Binary):
         x = evaluate(e.lhs, t, z)

@@ -10,6 +10,8 @@ in closed form per subinterval.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,10 +197,40 @@ def rl_integral_monomial(mu, delta, a, t) -> float:
 # subintervals left of the target node, are evaluated, and each by the one
 # branch of _pow_diffs that it takes. Rows are built in blocks of about
 # _BLOCK_ENTRIES entries, so the temporaries of a build stay small next to
-# its N x N outputs.
+# its N x N outputs. The blocks are independent; _run_blocks spreads them
+# over the CPUs.
 # ---------------------------------------------------------------------------
 
 _BLOCK_ENTRIES = 1 << 14
+_BLOCKS_PER_THREAD = 16
+
+
+def _run_blocks(block, lo, hi, width):
+    """Call block(k0, k1) on consecutive row ranges [k0, k1) of about
+    _BLOCK_ENTRIES entries that cover [lo, hi), for rows of `width` entries.
+
+    Each block writes only its own rows of the preallocated outputs, so
+    the result is the same bits in any order. The blocks run on a thread
+    pool with one thread per CPU in the process's affinity mask, but at
+    most one per _BLOCKS_PER_THREAD blocks, so no more than about a 16th
+    of the rows are in flight and the temporaries stay small next to the
+    outputs whatever the CPU count. A build too small for two threads runs inline
+    and starts none. The pool is created for this build only: nothing
+    outlives it, so a forked child starts clean."""
+    step = max(1, _BLOCK_ENTRIES // width)
+    ranges = [(k0, min(k0 + step, hi)) for k0 in range(lo, hi, step)]
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(ranges) // _BLOCKS_PER_THREAD)
+    if workers < 2:
+        for k0, k1 in ranges:
+            block(k0, k1)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        # list() re-raises a block's exception
+        list(pool.map(lambda r: block(*r), ranges))
 
 
 def _pow_diffs(A0, A1, h, beta):
@@ -207,25 +239,26 @@ def _pow_diffs(A0, A1, h, beta):
 
     Each entry is evaluated by one branch: at the target (A1 = 0) by A0**e;
     far from it (h/A1 < 0.5) by A1**e * expm1(e*log1p(h/A1)), with the
-    log1p shared by both exponents; near it by the direct difference."""
+    log1p shared by both exponents; near it by the direct difference.
+    The branches are picked by boolean masks, whose gathers and scatters,
+    unlike integer-index ones, let other threads run."""
     b1 = beta + 1.0
     P = np.empty_like(A1)
     Q = np.empty_like(A1)
     end = A1 == 0.0
     P[end] = A0[end] ** beta
     Q[end] = A0[end] ** b1
-    k = np.flatnonzero(~end)
-    ratio = h[k] / A1[k]
+    with np.errstate(divide="ignore"):
+        ratio = h / A1                    # inf at the target: not far
     far = ratio < 0.5
-    kf = k[far]
     L = np.log1p(ratio[far])
-    a1 = A1[kf]
-    P[kf] = a1**beta * np.expm1(beta * L)
-    Q[kf] = a1**b1 * np.expm1(b1 * L)
-    kn = k[~far]
-    a0, a1 = A0[kn], A1[kn]
-    P[kn] = a0**beta - a1**beta
-    Q[kn] = a0**b1 - a1**b1
+    a1 = A1[far]
+    P[far] = a1**beta * np.expm1(beta * L)
+    Q[far] = a1**b1 * np.expm1(b1 * L)
+    near = ~(end | far)
+    a0, a1 = A0[near], A1[near]
+    P[near] = a0**beta - a1**beta
+    Q[near] = a0**b1 - a1**b1
     return P, Q
 
 
@@ -237,17 +270,21 @@ def _moment_matrices(nodes: np.ndarray, beta: float, rows: np.ndarray):
     h = np.diff(t)
     M0 = np.zeros((len(rows), len(h)))
     M1 = np.zeros(M0.shape)
-    step = max(1, _BLOCK_ENTRIES // len(t))
-    for k0 in range(0, len(rows), step):
-        j = rows[k0:k0 + step]
-        k, i = np.nonzero(np.arange(j.max()) < j[:, None])
-        tj = t[j[k]]
-        A0 = tj - t[i]                    # t_j - t_i
-        A1 = tj - t[i + 1]                # t_j - t_{i+1}
-        P, Q = _pow_diffs(A0, A1, h[i], beta)
+
+    def block(k0, k1):
+        j = rows[k0:k1]
+        m = j.max()                       # the block reads subintervals < m
+        inside = np.arange(m) < j[:, None]
+        tj = t[j, None]
+        A0 = (tj - t[:m])[inside]         # t_j - t_i
+        A1 = (tj - t[1:m + 1])[inside]    # t_j - t_{i+1}
+        hi = np.broadcast_to(h[:m], inside.shape)[inside]
+        P, Q = _pow_diffs(A0, A1, hi, beta)
         m0 = P / beta
-        M0[k0 + k, i] = m0
-        M1[k0 + k, i] = A0 * m0 - Q / (beta + 1.0)
+        M0[k0:k1, :m][inside] = m0
+        M1[k0:k1, :m][inside] = A0 * m0 - Q / (beta + 1.0)
+
+    _run_blocks(block, 0, len(rows), len(t))
     return M0, M1
 
 
@@ -326,17 +363,19 @@ def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
     b2 = _beta_sp(eta + 2.0, beta)
     W0 = np.zeros((n - 1, n - 1))
     W1 = np.zeros(W0.shape)
-    step = max(1, _BLOCK_ENTRIES // n)
-    for j0 in range(1, n, step):
-        span = x[j0:j0 + step, None]           # t_j - a
-        m = min(j0 + step, n)                  # nodes up to the block's last t_j
+
+    def block(j0, m):
+        span = x[j0:m, None]                   # t_j - a
+        # m - 1 is the block's last j: it reads the nodes up to t_{m-1}
         X = np.clip(x[:m] / span, 0.0, 1.0)
         C = _betainc_reg(eta + 1.0, beta, X)
         D = C - X ** (eta + 1.0) * (1.0 - X) ** beta / ((eta + 1.0) * b1)
         W0j = b1 * span ** (beta + eta) * np.diff(C, axis=1)
         V = b2 * span ** (beta + eta + 1.0) * np.diff(D, axis=1)
-        W0[j0 - 1:j0 - 1 + step, :m - 1] = W0j
-        W1[j0 - 1:j0 - 1 + step, :m - 1] = V - x[:m - 1] * W0j
+        W0[j0 - 1:m - 1, :m - 1] = W0j
+        W1[j0 - 1:m - 1, :m - 1] = V - x[:m - 1] * W0j
+
+    _run_blocks(block, 1, n, n)
     out = np.zeros(n)
     sw = np.diff(w) / np.diff(nodes)
     out[1:] = W0 @ w[:-1] + W1 @ sw

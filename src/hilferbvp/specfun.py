@@ -28,12 +28,13 @@ def log_gamma(x: float) -> float:
 def gamma(x: float) -> float:
     """Gamma(x) for real non-pole x.
 
-    Raises PoleError within 1e-12 of a non-positive integer and
-    OverflowError when the result is not representable in double precision.
+    Raises DomainError for NaN and -inf, PoleError within 1e-12 of a
+    non-positive integer, and OverflowError when the result is not
+    representable in double precision.
     Results too small to represent underflow to a signed zero.
     """
-    if math.isnan(x):
-        raise DomainError("gamma of NaN")
+    if math.isnan(x) or x == -math.inf:
+        raise DomainError(f"gamma of {x!r}")
     if _near_pole(x):
         raise PoleError(f"gamma pole at or near x = {x!r}")
     result = math.gamma(x)  # raises OverflowError for finite x past the range

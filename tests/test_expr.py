@@ -98,6 +98,16 @@ def test_eval_domain_errors():
         evaluate(parse("exp(t)"), 1e6, 0.0)
 
 
+@pytest.mark.parametrize("fn", ["sin", "cos"])
+def test_eval_trig_of_infinity_is_an_eval_error(fn):
+    # z*1e308*10 overflows to inf, which + - * let through unchecked
+    src = f"1+{fn}(z*1e308*10)"
+    for z in (1.0, -1.0):
+        with pytest.raises(EvalError) as err:
+            evaluate(parse(src), 0.0, z)
+        assert err.value.pos == 2
+
+
 def test_eval_error_carries_position():
     with pytest.raises(EvalError) as err:
         evaluate(parse("1+log(0-t)"), 1.0, 0.0)

@@ -101,6 +101,12 @@ def test_gamma_nan_rejected():
         gamma(float("nan"))
 
 
+def test_gamma_minus_inf_rejected():
+    # checked before the pole test, whose round(x) cannot take an infinity
+    with pytest.raises(DomainError):
+        gamma(-math.inf)
+
+
 def test_log_gamma_consistency():
     xs = np.linspace(0.5, 30.0, 400)
     for x in xs:
