@@ -327,7 +327,7 @@ def run_verify(path, table_path, args, bc_tol=_VERIFY_BC_TOL, ode_tol=_VERIFY_OD
         raise MeshMismatchError(
             f"table has {len(nodes)} nodes, problem mesh has {len(mesh.nodes)}"
         )
-    if np.max(np.abs(nodes - mesh.nodes)) > 1e-12:
+    if not np.all(np.abs(nodes - mesh.nodes) <= 1e-12):  # NaN fails too
         raise MeshMismatchError("table nodes do not match the problem mesh")
     grid = WeightedGrid(mesh=mesh, gamma=params.gamma, w=w)
     residual_bc = verify_bc(spec, params, grid)

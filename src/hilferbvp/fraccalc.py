@@ -87,9 +87,6 @@ class GradedMesh:
                 return j
         raise DomainError(f"t = {t!r} is not a mesh node")
 
-    def spacings(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
 
 def build_mesh(a, b, n_base, r, extra_nodes=()) -> GradedMesh:
     """Graded mesh with extra nodes merged in.
@@ -193,12 +190,14 @@ def rl_integral_monomial(mu, delta, a, t) -> float:
 # xi = t - s (avoids cancellation near s = t):
 #   M0 = int_u^v (t-s)^{beta-1} ds           = (A0^beta - A1^beta)/beta
 #   M1 = int_u^v (s-u)(t-s)^{beta-1} ds      = A0*M0 - (A0^{b1} - A1^{b1})/b1
-# with A0 = t-u, A1 = t-v, b1 = beta+1. Only the entries that are read,
-# subintervals left of the target node, are evaluated, and each by the one
-# branch of _pow_diffs that it takes. Rows are built in blocks of about
-# _BLOCK_ENTRIES entries, so the temporaries of a build stay small next to
-# its N x N outputs. The blocks are independent; _run_blocks spreads them
-# over the CPUs.
+# with A0 = t-u, A1 = t-v, b1 = beta+1. With phi linear on [u, v] the
+# subinterval contributes M0 phi(u) + M1 (phi(v) - phi(u))/(v-u), so the
+# moments fold into node weights: M0 - M1/h on node u, M1/h on node v.
+# Only the entries that are read, subintervals left of the target node,
+# are evaluated, and each by the one branch of _pow_diffs that it takes.
+# Rows are built in blocks of about _BLOCK_ENTRIES entries, so the
+# temporaries of a build stay small next to its N x N output. The blocks
+# are independent; _run_blocks spreads them over the CPUs.
 # ---------------------------------------------------------------------------
 
 _BLOCK_ENTRIES = 1 << 14
@@ -262,14 +261,17 @@ def _pow_diffs(A0, A1, h, beta):
     return P, Q
 
 
-def _moment_matrices(nodes: np.ndarray, beta: float, rows: np.ndarray):
-    """Matrices M0[k, i], M1[k, i] of the plain kernel moments for
-    subinterval [t_i, t_{i+1}] and target node t_j, j = rows[k] (zero
-    unless i < j; only the entries with i < j are evaluated)."""
+def _moment_matrices(nodes: np.ndarray, beta: float, rows: np.ndarray, sampled_first=True):
+    """Node weights W[k, i] of product integration against the plain
+    kernel at target node t_j, j = rows[k]: the moments of every
+    subinterval [t_i, t_{i+1}] with i < j, folded onto its two nodes.
+
+    With sampled_first false, the first subinterval puts only its M0 on
+    node 0 and nothing on node 1: the one-point rule for a phi[0] that
+    is not a sample."""
     t = nodes
     h = np.diff(t)
-    M0 = np.zeros((len(rows), len(h)))
-    M1 = np.zeros(M0.shape)
+    W = np.zeros((len(rows), len(t)))
 
     def block(k0, k1):
         j = rows[k0:k1]
@@ -281,65 +283,60 @@ def _moment_matrices(nodes: np.ndarray, beta: float, rows: np.ndarray):
         hi = np.broadcast_to(h[:m], inside.shape)[inside]
         P, Q = _pow_diffs(A0, A1, hi, beta)
         m0 = P / beta
-        M0[k0:k1, :m][inside] = m0
-        M1[k0:k1, :m][inside] = A0 * m0 - Q / (beta + 1.0)
+        W[k0:k1, :m][inside] = m0
+        G = np.zeros(inside.shape)        # the block's M1/h
+        G[inside] = (A0 * m0 - Q / (beta + 1.0)) / hi
+        if not sampled_first:
+            G[:, :1] = 0.0
+        W[k0:k1, :m] -= G
+        W[k0:k1, 1:m + 1] += G
 
     _run_blocks(block, 0, len(rows), len(t))
-    return M0, M1
+    return W
 
 
 class KernelOperator:
     """Product integration against the plain kernel (t_j-s)^{beta-1} on a
     fixed mesh.
 
-    The moments are built once, by the constructor, and only for the
+    The constructor builds one node-weight matrix W, and only for the
     target rows: every node by default, or the given node indices. apply
     returns the raw integrals int_a^{t_j} (t_j-s)^{beta-1} phi(s) ds at
-    those rows, with phi interpolated piecewise linearly between nodes.
-    The argument `first` models phi on the first subinterval [t_0, t_1]:
+    those rows as W @ phi, with phi interpolated piecewise linearly
+    between nodes. The argument `first` models phi on the first
+    subinterval [t_0, t_1]:
 
     None:           phi[0] is used as sampled;
-    ("const", v):   phi[0] is unusable; one-point product rule, v times
-                    the kernel moment of the subinterval;
+    "const":        phi[0] carries the model value v; one-point product
+                    rule, v times the kernel moment of the subinterval;
     ("power", eta): phi[0] is unusable; phi is modelled as C (s-a)^{eta}
                     with C matched to phi[1], and the mixed kernel is
                     integrated in closed form.
+
+    The model only changes the weights of nodes 0 and 1.
     """
 
-    def __init__(self, nodes: np.ndarray, beta: float, targets=None):
-        self.nodes = nodes
-        self.beta = beta
-        self.rows = np.arange(len(nodes)) if targets is None else np.asarray(targets)
-        self.M0, self.M1 = _moment_matrices(nodes, beta, self.rows)
+    def __init__(self, nodes: np.ndarray, beta: float, targets=None, first=None):
+        power = isinstance(first, tuple) and first[0] == "power"
+        if not power and first not in (None, "const"):
+            raise ValueError(f"unknown first-interval model {first!r}")
+        rows = np.arange(len(nodes)) if targets is None else np.asarray(targets)
+        self.W = _moment_matrices(nodes, beta, rows, first is None)
+        if power:
+            # int_a^{t_1} (t_j-s)^{beta-1} (s-a)^{eta} ds, times h_0^{-eta}
+            eta = first[1]
+            h0 = nodes[1] - nodes[0]
+            span = nodes[rows] - nodes[0]
+            with np.errstate(all="ignore"):
+                x1 = np.clip(h0 / span, 0.0, 1.0)
+                bfull = _beta_sp(eta + 1.0, beta)
+                m = span ** (beta + eta) * bfull * _betainc_reg(eta + 1.0, beta, x1)
+            self.W[:, 0] = 0.0
+            self.W[:, 1] += h0 ** (-eta) * np.where(rows > 0, m, 0.0)
 
-    def apply(self, phi: np.ndarray, first=None) -> np.ndarray:
+    def apply(self, phi: np.ndarray) -> np.ndarray:
         """Raw integrals of the node samples phi at the target rows."""
-        h = np.diff(self.nodes)
-        if first is None:
-            return self.M0 @ phi[:-1] + self.M1 @ (np.diff(phi) / h)
-        # drop the sampled first cell through phi0[0] = s[0] = 0; column 0
-        # of M0 stays intact, since it is the const model's moment
-        phi0 = np.array(phi, dtype=float)
-        phi0[0] = 0.0
-        s = np.diff(phi0) / h
-        s[0] = 0.0
-        out = self.M0 @ phi0[:-1] + self.M1 @ s
-        kind, value = first
-        if kind == "const":
-            return out + value * self.M0[:, 0]
-        if kind == "power":
-            return out + (phi0[1] * h[0] ** (-value)) * self._power_moment(value)
-        raise ValueError(f"unknown first-interval model {kind!r}")
-
-    def _power_moment(self, eta: float) -> np.ndarray:
-        """int_a^{t_1} (t_j-s)^{beta-1} (s-a)^{eta} ds at the target rows."""
-        t, beta = self.nodes, self.beta
-        span = t[self.rows] - t[0]
-        with np.errstate(all="ignore"):
-            x1 = np.clip((t[1] - t[0]) / span, 0.0, 1.0)
-            bfull = _beta_sp(eta + 1.0, beta)
-            m = span ** (beta + eta) * bfull * _betainc_reg(eta + 1.0, beta, x1)
-        return np.where(self.rows > 0, m, 0.0)
+        return self.W @ phi
 
 
 def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
@@ -356,13 +353,15 @@ def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
                            - X^{eta+1} (1-X)^beta / ((eta+1) B(eta+1, beta)).
 
     Row j reads the nodes up to t_j only (beyond it X = 1 and both weights
-    vanish), and rows are built in blocks, as the kernel moments are."""
+    vanish), and rows are built in blocks, as the kernel moments are. Each
+    block applies its weights to w and its slope at once, so no N x N
+    array is ever held."""
     n = len(nodes)
     x = nodes - nodes[0]                       # s - a at the nodes
     b1 = _beta_sp(eta + 1.0, beta)
     b2 = _beta_sp(eta + 2.0, beta)
-    W0 = np.zeros((n - 1, n - 1))
-    W1 = np.zeros(W0.shape)
+    sw = np.diff(w) / np.diff(nodes)
+    out = np.zeros(n)
 
     def block(j0, m):
         span = x[j0:m, None]                   # t_j - a
@@ -370,15 +369,12 @@ def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
         X = np.clip(x[:m] / span, 0.0, 1.0)
         C = _betainc_reg(eta + 1.0, beta, X)
         D = C - X ** (eta + 1.0) * (1.0 - X) ** beta / ((eta + 1.0) * b1)
-        W0j = b1 * span ** (beta + eta) * np.diff(C, axis=1)
-        V = b2 * span ** (beta + eta + 1.0) * np.diff(D, axis=1)
-        W0[j0 - 1:m - 1, :m - 1] = W0j
-        W1[j0 - 1:m - 1, :m - 1] = V - x[:m - 1] * W0j
+        # the block's weights of w and of its slope
+        B0 = b1 * span ** (beta + eta) * np.diff(C, axis=1)
+        B1 = b2 * span ** (beta + eta + 1.0) * np.diff(D, axis=1) - x[:m - 1] * B0
+        out[j0:m] = B0 @ w[:m - 1] + B1 @ sw[:m - 1]
 
     _run_blocks(block, 1, n, n)
-    out = np.zeros(n)
-    sw = np.diff(w) / np.diff(nodes)
-    out[1:] = W0 @ w[:-1] + W1 @ sw
     return out
 
 
@@ -446,15 +442,6 @@ def _derivative_profile(nodes: np.ndarray, F: np.ndarray) -> np.ndarray:
     return d
 
 
-def _rl_derivative_profile(g: WeightedGrid, mu: float) -> np.ndarray:
-    """Order-mu derivative D^mu g = d/dt I^{1-mu} g at nodes 1..n-2."""
-    if not 0.0 < mu < 1.0:
-        raise DomainError(f"derivative order must lie in (0, 1), got {mu!r}")
-    nodes = g.mesh.nodes
-    F = _profile_weighted(nodes, 1.0 - mu, g.gamma - 1.0, g.w) / specfun.gamma(1.0 - mu)
-    return _derivative_profile(nodes, F)
-
-
 def rl_derivative_num(g: WeightedGrid, mu: float, t: float) -> float:
     """Fractional derivative of order mu in (0,1) at a strictly interior
     mesh node: tabulate I^{1-mu} g at the nodes, then differentiate with
@@ -462,7 +449,7 @@ def rl_derivative_num(g: WeightedGrid, mu: float, t: float) -> float:
     j = g.mesh.index_of(t)
     if j == 0 or j == len(g.mesh.nodes) - 1:
         raise DomainError("derivative is not available at boundary nodes")
-    return float(_rl_derivative_profile(g, mu)[j])
+    return float(_hilfer_profile(g, FracOrder(mu, 0.0))[j])
 
 
 def _hilfer_profile(g: WeightedGrid, order: FracOrder) -> np.ndarray:
@@ -476,8 +463,6 @@ def _hilfer_profile(g: WeightedGrid, order: FracOrder) -> np.ndarray:
     inner = (1.0 - nu) * (1.0 - mu)
     outer = nu * (1.0 - mu)
     nodes = g.mesh.nodes
-    if outer == 0.0:
-        return _rl_derivative_profile(g, mu)
     if inner == 0.0:
         F = np.empty(len(nodes))
         F[1:] = (nodes[1:] - g.mesh.a) ** (g.gamma - 1.0) * g.w[1:]
@@ -485,13 +470,15 @@ def _hilfer_profile(g: WeightedGrid, order: FracOrder) -> np.ndarray:
     else:
         F = _profile_weighted(nodes, inner, g.gamma - 1.0, g.w) / specfun.gamma(inner)
     d = _derivative_profile(nodes, F)
+    if outer == 0.0:
+        return d
     # Outer integral of the derivative stage. The value at node 0 does not
     # exist; on [t_0, t_1] the integrand is modelled as C (s-a)^{mu-gamma},
     # the endpoint behaviour of the derivative stage for solution-like g.
     dd = np.array(d)
     dd[0] = 0.0
     dd[-1] = 0.0
-    prof = KernelOperator(nodes, outer).apply(dd, ("power", mu - order.gamma))
+    prof = KernelOperator(nodes, outer, first=("power", mu - order.gamma)).apply(dd)
     out = prof / specfun.gamma(outer)
     out[0] = np.nan
     out[-1] = np.nan

@@ -261,7 +261,7 @@ def test_criterion_6_property_suites(tmp_path):
     dd = np.array(d)
     dd[0] = 0.0
     dd[-1] = 0.0
-    caputo_ref = KernelOperator(m1.nodes, 1.0 - mu_c).apply(dd, ("power", mu_c - 1.0))
+    caputo_ref = KernelOperator(m1.nodes, 1.0 - mu_c, first=("power", mu_c - 1.0)).apply(dd)
     caputo_ref = caputo_ref / specfun.gamma(1.0 - mu_c)
     for j in (10, 60, 120):
         t = float(m1.nodes[j])

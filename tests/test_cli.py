@@ -191,6 +191,14 @@ def test_verify_mesh_mismatch(tmp_path):
     assert main(["solve", problem, "--out", str(table)]) == 0
     # different mesh size on the verify side
     assert main(["verify", problem, str(table), "--n", "32"]) == 1
+    # same size, but one node is NaN: no comparison with it may pass
+    example = tmp_path / "example.csv"
+    assert main(["solve", EXAMPLE, "--n", "64", "--out", str(example)]) == 0
+    lines = example.read_text().splitlines()
+    _, z, w = lines[5].split(",")
+    lines[5] = f"nan,{z},{w}"
+    example.write_text("\n".join(lines) + "\n")
+    assert main(["verify", EXAMPLE, str(example), "--n", "64"]) == 1
 
 
 def test_example_command(capsys):

@@ -295,6 +295,8 @@ def test_convergence_order_sampled():
 # kernel operator
 # ---------------------------------------------------------------------------
 
+FIRST_CELL_MODELS = (None, "const", ("power", -0.25))
+
 
 @pytest.mark.parametrize("n_base", [100, 257, 1024])
 def test_kernel_operator_boundary_row_is_last_row_of_full_build(n_base):
@@ -305,19 +307,21 @@ def test_kernel_operator_boundary_row_is_last_row_of_full_build(n_base):
     m = build_mesh(0.0, 1.0, n_base, 2.0 / gamma, [0.3, 2.0 / 3.0])
     last = len(m.nodes) - 1
     for beta in (mu, 1.0 - gamma + mu, nu * (1.0 - mu), 1.0):
-        full = KernelOperator(m.nodes, beta)
-        row = KernelOperator(m.nodes, beta, targets=[last])
-        assert np.array_equal(row.M0, full.M0[-1:])
-        assert np.array_equal(row.M1, full.M1[-1:])
+        for first in FIRST_CELL_MODELS:
+            full = KernelOperator(m.nodes, beta, first=first)
+            row = KernelOperator(m.nodes, beta, targets=[last], first=first)
+            assert np.array_equal(row.W, full.W[-1:]), (beta, first)
 
 
 @pytest.mark.parametrize("first", [None, ("const", 0.7), ("power", -0.25)])
 def test_kernel_operator_targets_agree_with_full_rows(first):
     m = build_mesh(0.0, 2.0, 64, 2.0, [0.5])
     phi = np.cos(m.nodes) + m.nodes
+    if first is not None and first[0] == "const":
+        phi[0], first = first[1], "const"   # the model value rides in phi[0]
     rows = [0, 1, 17, len(m.nodes) - 1]
-    full = KernelOperator(m.nodes, 0.4).apply(phi, first)
-    part = KernelOperator(m.nodes, 0.4, targets=rows).apply(phi, first)
+    full = KernelOperator(m.nodes, 0.4, first=first).apply(phi)
+    part = KernelOperator(m.nodes, 0.4, targets=rows, first=first).apply(phi)
     assert part[0] == 0.0
     assert np.allclose(part, full[rows], rtol=1e-14, atol=0.0)
 
@@ -326,16 +330,17 @@ def test_kernel_operator_const_model_exact_for_constants():
     # the one-point model is exact when phi is the same constant everywhere
     beta = 0.6
     m = build_mesh(0.0, 1.0, 32, 2.5, [])
-    op = KernelOperator(m.nodes, beta)
-    out = op.apply(np.full(len(m.nodes), 3.0), ("const", 3.0))
+    op = KernelOperator(m.nodes, beta, first="const")
+    out = op.apply(np.full(len(m.nodes), 3.0))
     exact = 3.0 * m.nodes**beta / beta
     assert np.allclose(out, exact, rtol=1e-13, atol=0.0)
 
 
 def test_kernel_operator_rejects_unknown_model():
     m = uniform_mesh(8)
-    with pytest.raises(ValueError):
-        KernelOperator(m.nodes, 0.5).apply(np.ones(len(m.nodes)), ("linear", 1.0))
+    for first in (("linear", 1.0), "power", ("const", 1.0)):
+        with pytest.raises(ValueError):
+            KernelOperator(m.nodes, 0.5, first=first)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +404,7 @@ def test_hilfer_nu_one_matches_integral_of_derivative():
     dd = np.array(d)
     dd[0] = 0.0
     dd[-1] = 0.0
-    prof = KernelOperator(m.nodes, 1.0 - mu).apply(dd, ("power", mu - 1.0))
+    prof = KernelOperator(m.nodes, 1.0 - mu, first=("power", mu - 1.0)).apply(dd)
     reference = prof / specfun.gamma(1.0 - mu)
     for j in (5, 30, 64, 120):
         t = float(m.nodes[j])
@@ -481,6 +486,29 @@ def _dense_moment_matrices(nodes, beta, rows):
     return M0, M1
 
 
+def _folded_reference(nodes, beta, rows, first):
+    """Node weights from the dense moments, folded in the builder's
+    order (M0 - M1/h on node i, then M1/h added on node i+1), with the
+    first-cell model applied."""
+    M0, M1 = _dense_moment_matrices(nodes, beta, rows)
+    G = M1 / np.diff(nodes)
+    if first is not None:
+        G[:, 0] = 0.0
+    W = np.zeros((len(rows), len(nodes)))
+    W[:, :-1] = M0 - G
+    W[:, 1:] += G
+    if isinstance(first, tuple):
+        eta = first[1]
+        h0 = nodes[1] - nodes[0]
+        span = nodes[rows] - nodes[0]
+        with np.errstate(all="ignore"):
+            x1 = np.clip(h0 / span, 0.0, 1.0)
+            m = span ** (beta + eta) * beta_fn(eta + 1.0, beta) * betainc(eta + 1.0, beta, x1)
+        W[:, 0] = 0.0
+        W[:, 1] += h0 ** (-eta) * np.where(rows > 0, m, 0.0)
+    return W
+
+
 def _two_betainc_profile(nodes, beta, eta, w):
     n = len(nodes)
     a = nodes[0]
@@ -514,15 +542,13 @@ def test_moment_matrices_bit_identical_to_dense_reference(n_base, graded):
     assert n == n_base + 2
     everything = np.arange(n)
     for beta in (0.3, order.mu, 1.0 - order.gamma + order.mu, 1.0):
-        got = _moment_matrices(m.nodes, beta, everything)
-        want = _dense_moment_matrices(m.nodes, beta, everything)
-        assert np.array_equal(got[0], want[0]), beta
-        assert np.array_equal(got[1], want[1]), beta
-        for j in (1, m.index_of(tau), m.index_of(tau) + 1, n - 1):
-            row = np.array([j])
-            got = _moment_matrices(m.nodes, beta, row)
-            assert np.array_equal(got[0], want[0][row]), (beta, j)
-            assert np.array_equal(got[1], want[1][row]), (beta, j)
+        for first in FIRST_CELL_MODELS:
+            got = KernelOperator(m.nodes, beta, first=first).W
+            want = _folded_reference(m.nodes, beta, everything, first)
+            assert np.array_equal(got, want), (beta, first)
+            for j in (1, m.index_of(tau), m.index_of(tau) + 1, n - 1):
+                got = KernelOperator(m.nodes, beta, targets=[j], first=first).W
+                assert np.array_equal(got, want[[j]]), (beta, first, j)
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0])
@@ -553,15 +579,16 @@ def test_moment_build_memory_is_bounded():
     n = len(m.nodes)
     assert n == 513
     rows = np.arange(n)
-    # the two outputs count; the temporaries may add at most two more
-    assert _peak_arrays(lambda: _moment_matrices(m.nodes, 0.3, rows), n) <= 4.0
+    # the output counts; the temporaries may add at most one more array
+    assert _peak_arrays(lambda: _moment_matrices(m.nodes, 0.3, rows), n) <= 2.0
 
 
 def test_weighted_profile_memory_is_bounded():
     m, _ = _mesh_with_close_tau(511, 4.0)
     n = len(m.nodes)
     w = np.cos(m.nodes)
-    assert _peak_arrays(lambda: _profile_weighted(m.nodes, 0.3, -0.5, w), n) <= 4.0
+    # no N x N array is held: only block temporaries
+    assert _peak_arrays(lambda: _profile_weighted(m.nodes, 0.3, -0.5, w), n) <= 1.0
 
 
 def _scalar_derivative_profile(nodes, F):
@@ -604,7 +631,8 @@ class _CountingPool(ThreadPoolExecutor):
 
 def _build_both(nodes, beta, eta):
     w = 2.0 + np.cos(3.0 * nodes)
-    return _moment_matrices(nodes, beta, np.arange(len(nodes))) + (
+    return (
+        _moment_matrices(nodes, beta, np.arange(len(nodes))),
         _profile_weighted(nodes, beta, eta, w),
     )
 
@@ -701,11 +729,13 @@ def test_builder_memory_is_bounded_on_many_cpus(n_base, build):
     n = len(m.nodes)
     if build == "moments":
         run = lambda: _moment_matrices(m.nodes, 0.3, np.arange(n))  # noqa: E731
+        bound = 2.0
     else:
         run = lambda: _profile_weighted(m.nodes, 0.3, -0.5, np.cos(m.nodes))  # noqa: E731
+        bound = 1.0
     peak, pools = _pool_starts(lambda: _peak_arrays(run, n), range(16))
     assert pools == (1 if n_base > 1024 else 0)
-    assert peak <= 4.0
+    assert peak <= bound
 
 
 def test_pooled_build_finishes_in_a_forked_child(monkeypatch):

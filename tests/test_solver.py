@@ -380,9 +380,9 @@ def test_dense_kernel_moments_built_once_per_order(monkeypatch):
     build = fraccalc._moment_matrices
 
     def counting(nodes, beta, *rest):
-        M0, M1 = build(nodes, beta, *rest)
-        builds.append(len(M0) == len(nodes))
-        return M0, M1
+        W = build(nodes, beta, *rest)
+        builds.append(len(W) == len(nodes))
+        return W
 
     monkeypatch.setattr(fraccalc, "_moment_matrices", counting)
     spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),))
@@ -397,17 +397,18 @@ def test_dense_kernel_moments_built_once_per_order(monkeypatch):
 # First 16 hex digits of one sha256 over the bytes of w followed by
 # (init_coeff, residual_bc, *history), for f = 0.5 sin z + t with mu = 1/3,
 # c = 1, d = 1/2, lambda = 0.3 at tau = 1/2. Recorded with the C library's
-# Gamma (math.gamma, x86-64, glibc, numpy 2.4): a change to the Gamma
-# values or to the floating-point order of a solve moves these bits.
+# Gamma (math.gamma, x86-64, glibc, numpy 2.4) and the kernel moments
+# folded into one node-weight matrix: a change to the Gamma values or to
+# the floating-point order of a solve moves these bits.
 SOLVE_DIGESTS = {
-    (0.0, 64): ("25f0df7e3ff783a6", 17),
-    (0.0, 256): ("131a94651fc8101b", 17),
-    (0.25, 64): ("c2d12d7d36010cc4", 17),
-    (0.25, 256): ("6e569de3cd4d7fde", 17),
-    (0.6, 64): ("f480507f11fedb8f", 18),
-    (0.6, 256): ("9452c61151f3cbbe", 18),
-    (1.0, 64): ("0abb98740bc9e8e0", 18),
-    (1.0, 256): ("a4f5824940412d37", 18),
+    (0.0, 64): ("ec784e517ff3ec9c", 17),
+    (0.0, 256): ("7dbe6d4b0ee8049d", 17),
+    (0.25, 64): ("cd168bb26ee05ea7", 17),
+    (0.25, 256): ("0dd139cb5f8d0959", 17),
+    (0.6, 64): ("d53ff708f1fab0cf", 18),
+    (0.6, 256): ("e70f501c0cbfd53e", 18),
+    (1.0, 64): ("aba51406d656e463", 18),
+    (1.0, 256): ("faa9737f9960a110", 18),
 }
 
 
@@ -421,8 +422,8 @@ def test_solve_is_bit_identical_to_recorded_values(nu, n_base):
 
 
 def test_solve_frees_its_moments_before_verify_ode():
-    # verify_ode builds N x N arrays of its own; the running operator's two
-    # moment arrays must be gone by then
+    # verify_ode builds an N x N weight matrix of its own; the running
+    # operator's must be gone by then
     spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),))
     config = SolveConfig(n_base=512)
     n = len(problem_mesh(spec, config).nodes)
@@ -432,7 +433,7 @@ def test_solve_frees_its_moments_before_verify_ode():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / ((n - 1) * n * 8) <= 4.0
+    assert peak / ((n - 1) * n * 8) <= 2.0
 
 
 def test_verify_ode_pure_power():
