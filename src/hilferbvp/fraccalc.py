@@ -455,38 +455,60 @@ def rl_derivative_num(g: WeightedGrid, mu: float, t: float) -> float:
 def _hilfer_profile(g: WeightedGrid, order: FracOrder) -> np.ndarray:
     """Two-parameter derivative of g at nodes 1..n-2 (NaN elsewhere).
 
-    Composition I^{nu(1-mu)} d/dt I^{(1-nu)(1-mu)}; inner/outer integrals
-    of order zero are skipped exactly so the nu = 0 and nu = 1 endpoint
-    reductions hold by construction.
+    For nu < 1 by the Riemann-Liouville identity: with theta = nu(1-mu),
+
+        D^{mu,nu} z = d/dt [ I^{1-mu} z - z_a (t-a)^theta / Gamma(theta+1) ],
+
+    where z_a = I^{1-gamma} z(a+) and gamma = mu + theta, so one
+    weighted profile and the stencils give the derivative. z_a is
+    Gamma(gamma) w(a) when g carries the order's gamma, and 0 when g's
+    gamma is larger (then the result is the Riemann-Liouville derivative
+    of order mu, bit for bit). A smaller gamma leaves I^{1-gamma} z
+    unbounded at a, and the derivative does not exist for nu > 0. At
+    nu = 0, theta = 0 and nothing is subtracted.
+
+    For nu = 1 (Caputo) by the composition I^{1-mu} d/dt: the stencils of
+    z, then one product integral.
     """
     mu, nu = order.mu, order.nu
-    inner = (1.0 - nu) * (1.0 - mu)
-    outer = nu * (1.0 - mu)
+    theta = nu * (1.0 - mu)
     nodes = g.mesh.nodes
-    if inner == 0.0:
-        F = np.empty(len(nodes))
-        F[1:] = (nodes[1:] - g.mesh.a) ** (g.gamma - 1.0) * g.w[1:]
-        F[0] = np.nan  # never read by the stencils
-    else:
+    if nu < 1.0:
+        inner = 1.0 - mu
         F = _profile_weighted(nodes, inner, g.gamma - 1.0, g.w) / specfun.gamma(inner)
+        if theta > 0.0:
+            if g.gamma < order.gamma:
+                raise DomainError(
+                    f"grid gamma {g.gamma!r} is below the order's gamma "
+                    f"{order.gamma!r}: I^(1-gamma) z is unbounded at a"
+                )
+            za = specfun.gamma(g.gamma) * g.w[0] if g.gamma == order.gamma else 0.0
+            F -= za * (nodes - g.mesh.a) ** theta / specfun.gamma(theta + 1.0)
+        return _derivative_profile(nodes, F)
+    F = np.empty(len(nodes))
+    F[1:] = (nodes[1:] - g.mesh.a) ** (g.gamma - 1.0) * g.w[1:]
+    F[0] = np.nan  # never read by the stencils
     d = _derivative_profile(nodes, F)
-    if outer == 0.0:
-        return d
-    # Outer integral of the derivative stage. The value at node 0 does not
+    # Integral of the derivative stage. The value at node 0 does not
     # exist; on [t_0, t_1] the integrand is modelled as C (s-a)^{mu-gamma},
     # the endpoint behaviour of the derivative stage for solution-like g.
-    dd = np.array(d)
-    dd[0] = 0.0
-    dd[-1] = 0.0
-    prof = KernelOperator(nodes, outer, first=("power", mu - order.gamma)).apply(dd)
-    out = prof / specfun.gamma(outer)
+    d[0] = 0.0
+    d[-1] = 0.0
+    prof = KernelOperator(nodes, theta, first=("power", mu - order.gamma)).apply(d)
+    out = prof / specfun.gamma(theta)
     out[0] = np.nan
     out[-1] = np.nan
     return out
 
 
 def hilfer_derivative_num(g: WeightedGrid, order: FracOrder, t: float) -> float:
-    """Two-parameter fractional derivative at a strictly interior mesh node."""
+    """Two-parameter fractional derivative at a strictly interior mesh node.
+
+    For nu < 1 it is d/dt [I^{1-mu} z - z_a (t-a)^theta / Gamma(theta+1)]
+    with theta = nu(1-mu) and z_a = I^{1-gamma} z(a+): Gamma(gamma) w(a)
+    when g's gamma is the order's, 0 when it is larger; for 0 < nu < 1 a
+    smaller one raises DomainError. For nu = 1 it is I^{1-mu} of the
+    mesh derivative of z."""
     j = g.mesh.index_of(t)
     if j == 0 or j == len(g.mesh.nodes) - 1:
         raise DomainError("derivative is not available at boundary nodes")

@@ -318,7 +318,7 @@ def solve_picard(spec: ProblemSpec, config: SolveConfig = SolveConfig()) -> Solv
     boundary = ws.boundary(samples)
     init_coeff = ws.init_coeff(ws.running(samples), boundary)
     residual_bc = ws.bc_residual(w, boundary)
-    del ws  # frees the N x N weights before verify_ode builds its own
+    del ws  # frees the N x N weights: for nu = 1 verify_ode builds its own
     grid = WeightedGrid(mesh=mesh, gamma=params.gamma, w=w)
     report = SolveReport(
         solution=grid,
@@ -381,9 +381,10 @@ def verify_ode(spec: ProblemSpec, z: WeightedGrid, check_nodes=None) -> float:
 
         max |D^{mu,nu} z(t) - f(t, z(t))| * (t-a)^{1-gamma}.
 
-    The finite-difference stage of the composition loses accuracy next to
+    The finite-difference stage of the derivative loses accuracy next to
     the singular endpoint, so the default check set skips the first eighth
-    of the base index range."""
+    of the base index range. A NaN residual at any checked node makes the
+    result NaN."""
     mesh = z.mesh
     n = len(mesh.nodes)
     if check_nodes is None:
@@ -395,11 +396,11 @@ def verify_ode(spec: ProblemSpec, z: WeightedGrid, check_nodes=None) -> float:
             raise DomainError("check nodes must be strictly interior")
     profile = _hilfer_profile(z, spec.order)
     zvals = z.z_values()
-    worst = 0.0
     a = mesh.a
     gamma = z.gamma
-    for j in check_nodes:
-        t = mesh.nodes[j]
-        resid = abs(profile[j] - evaluate(spec.f, t, zvals[j]))
-        worst = max(worst, resid * (t - a) ** (1.0 - gamma))
-    return float(worst)
+    resid = [
+        abs(profile[j] - evaluate(spec.f, mesh.nodes[j], zvals[j]))
+        * (mesh.nodes[j] - a) ** (1.0 - gamma)
+        for j in check_nodes
+    ]
+    return float(np.max(resid, initial=0.0))  # a NaN residual propagates

@@ -443,6 +443,48 @@ def test_hilfer_of_known_power_function():
         assert got == pytest.approx(1.0, abs=1e-2)
 
 
+@pytest.mark.parametrize("nu", [0.25, 0.6])
+def test_hilfer_rejects_a_grid_gamma_below_the_order_gamma(nu):
+    # I^{1-gamma} z is unbounded at a, so the outer integral diverges
+    order = FracOrder(mu=0.4, nu=nu)
+    m = build_mesh(0.0, 1.0, 64, 2.0, [])
+    g = WeightedGrid(mesh=m, gamma=order.gamma - 0.1, w=np.ones(len(m.nodes)))
+    with pytest.raises(DomainError):
+        hilfer_derivative_num(g, order, float(m.nodes[32]))
+
+
+@pytest.mark.parametrize("gamma", [0.9, 1.0])
+def test_hilfer_of_a_grid_with_larger_gamma_is_the_rl_derivative(gamma):
+    # I^{1-gamma} z(a+) = 0 there, so D^{mu,nu} z = D^mu z
+    order = FracOrder(mu=0.4, nu=0.5)
+    assert gamma > order.gamma
+    m = build_mesh(0.0, 1.0, 128, 2.0, [0.3])
+    g = WeightedGrid(mesh=m, gamma=gamma, w=np.cos(m.nodes) + 0.5)
+    nodes = [float(t) for t in m.nodes[1:-1]]
+    got = np.array([hilfer_derivative_num(g, order, t) for t in nodes])
+    want = np.array([rl_derivative_num(g, order.mu, t) for t in nodes])
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.7, 1.0])
+def test_hilfer_endpoint_profiles_are_their_single_stages(gamma):
+    # nu = 0: the stencils of I^{1-mu} z; nu = 1: I^{1-mu} of the stencils
+    # of z, with the power model on the first subinterval. Bit for bit.
+    mu = 0.4
+    m = build_mesh(0.0, 1.0, 128, 2.0, [0.3])
+    g = WeightedGrid(mesh=m, gamma=gamma, w=np.sin(m.nodes) + 2.0)
+    F = _profile_weighted(m.nodes, 1.0 - mu, gamma - 1.0, g.w) / specfun.gamma(1.0 - mu)
+    want = _derivative_profile(m.nodes, F)
+    assert np.array_equal(fraccalc._hilfer_profile(g, FracOrder(mu, 0.0)), want, equal_nan=True)
+    d = _derivative_profile(m.nodes, g.z_values())
+    d[0] = d[-1] = 0.0
+    order = FracOrder(mu, 1.0)
+    op = KernelOperator(m.nodes, 1.0 - mu, first=("power", mu - order.gamma))
+    want = op.apply(d) / specfun.gamma(1.0 - mu)
+    want[0] = want[-1] = np.nan
+    assert np.array_equal(fraccalc._hilfer_profile(g, order), want, equal_nan=True)
+
+
 def test_weighted_profile_row_zero_is_zero():
     m = uniform_mesh(8)
     out = _profile_weighted(m.nodes, 0.5, -0.5, np.ones(len(m.nodes)))

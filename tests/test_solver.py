@@ -374,8 +374,9 @@ def test_verify_bc_detects_violation():
 
 
 def test_dense_kernel_moments_built_once_per_order(monkeypatch):
-    # all-row builds: order mu for the solve and nu(1-mu) in verify_ode;
-    # the boundary integral, in the solve and in verify_bc, reads one row
+    # one all-row build, order mu for the solve: for nu < 1 verify_ode
+    # needs none; the boundary integral, in the solve and in verify_bc,
+    # reads one row
     builds = []
     build = fraccalc._moment_matrices
 
@@ -388,7 +389,7 @@ def test_dense_kernel_moments_built_once_per_order(monkeypatch):
     spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),))
     assert 0.0 < spec.order.nu < 1.0
     report = solve_picard(spec, SolveConfig(n_base=64))
-    assert builds.count(True) == 2
+    assert builds.count(True) == 1
     builds.clear()
     verify_bc(spec, derive_params(spec), report.solution)
     assert builds == [False]
@@ -422,8 +423,9 @@ def test_solve_is_bit_identical_to_recorded_values(nu, n_base):
 
 
 def test_solve_frees_its_moments_before_verify_ode():
-    # verify_ode builds an N x N weight matrix of its own; the running
-    # operator's must be gone by then
+    # for nu = 1 verify_ode builds an N x N weight matrix of its own, so
+    # the running operator's is dropped before it runs; at this nu it
+    # builds none
     spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),))
     config = SolveConfig(n_base=512)
     n = len(problem_mesh(spec, config).nodes)
@@ -471,3 +473,47 @@ def test_verify_ode_nontrivial():
     report = solve_picard(spec, SolveConfig(n_base=512))
     assert report.residual_ode <= 5e-2
     assert report.residual_bc <= 1e-6
+
+
+def test_verify_ode_propagates_nan():
+    spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),))
+    report = solve_picard(spec, SolveConfig(n_base=64))
+    assert 0.0 < report.residual_ode < 1e-2
+    w = report.solution.w.copy()
+    w[40] = math.nan
+    grid = WeightedGrid(mesh=report.solution.mesh, gamma=report.solution.gamma, w=w)
+    assert math.isnan(verify_ode(spec, grid))
+
+
+def test_verify_ode_residual_is_second_order_on_the_exact_solution():
+    # z* = 0.8 t^{gamma-1} + 0.6 t^{delta-1}; tau = b, so no node is
+    # inserted inside the mesh
+    order = FracOrder(mu=1.0 / 3.0, nu=1.0 / 4.0)
+    gamma, mu = order.gamma, order.mu
+    delta = gamma + 0.45
+    coef = 0.6 * math.gamma(delta) / math.gamma(delta - mu)
+    spec = ProblemSpec(
+        order=order, a=0.0, b=1.0, c=1.0, d=0.5, nonlocal_terms=((0.3, 1.0),),
+        f=parse(f"{coef!r}*t^{delta - mu - 1.0!r}"), rho=parse("t/16"), p=4.0,
+    )
+    residuals = []
+    for n_base in (256, 512, 1024):
+        mesh = problem_mesh(spec, SolveConfig(n_base=n_base))
+        w = 0.8 + 0.6 * mesh.nodes ** (delta - gamma)
+        residuals.append(verify_ode(spec, WeightedGrid(mesh=mesh, gamma=gamma, w=w)))
+    orders = [math.log2(residuals[k] / residuals[k + 1]) for k in range(2)]
+    assert min(orders) >= 1.9, (residuals, orders)
+
+
+def test_verify_ode_holds_no_square_array():
+    spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),))
+    assert 0.0 < spec.order.nu < 1.0
+    report = solve_picard(spec, SolveConfig(n_base=511))
+    n = len(report.solution.mesh.nodes)
+    tracemalloc.start()
+    try:
+        verify_ode(spec, report.solution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / ((n - 1) * n * 8) <= 1.0
