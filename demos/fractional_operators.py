@@ -64,8 +64,8 @@ want = 0.5 ** (-mu) / gamma(1.0 - mu)
 print(f"D^{mu} of 1 at t=0.5: {got:.8f}  (closed form {want:.8f})")
 
 # The two-parameter derivative D^{mu,nu} interpolates between the
-# one-parameter derivative (nu=0) and its integral-then-differentiate
-# counterpart (nu=1); for the order pair below gamma = 1/2 and the
+# Riemann-Liouville derivative (nu=0) and the Caputo derivative
+# D^mu [z - z(a)] (nu=1); for the order pair below gamma = 1/2 and the
 # derivative annihilates t^{gamma-1}.
 order = FracOrder(mu=1.0 / 3.0, nu=1.0 / 4.0)
 print(f"\norder pair mu={order.mu:.4f}, nu={order.nu}, gamma={order.gamma}")

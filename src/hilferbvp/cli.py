@@ -305,16 +305,14 @@ def _solve_report_doc(report) -> dict:
 def run_solve(path, args) -> int:
     spec, config, _ = load_problem_document(path)
     config = _apply_flag_overrides(config, args)
+    code = EXIT_OK
     try:
         report = solve_picard(spec, config)
     except NoConvergenceError as exc:
-        report = exc.report
-        _write(format_table(report.solution), args.out)
-        _write(dumps_report(_solve_report_doc(report)), args.report)
-        return EXIT_NO_CONVERGENCE
+        report, code = exc.report, EXIT_NO_CONVERGENCE
     _write(format_table(report.solution), args.out)
     _write(dumps_report(_solve_report_doc(report)), args.report)
-    return EXIT_OK
+    return code
 
 
 def run_verify(path, table_path, args, bc_tol=_VERIFY_BC_TOL, ode_tol=_VERIFY_ODE_TOL) -> int:

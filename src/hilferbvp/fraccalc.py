@@ -306,33 +306,18 @@ class KernelOperator:
     between nodes. The argument `first` models phi on the first
     subinterval [t_0, t_1]:
 
-    None:           phi[0] is used as sampled;
-    "const":        phi[0] carries the model value v; one-point product
-                    rule, v times the kernel moment of the subinterval;
-    ("power", eta): phi[0] is unusable; phi is modelled as C (s-a)^{eta}
-                    with C matched to phi[1], and the mixed kernel is
-                    integrated in closed form.
+    None:    phi[0] is used as sampled;
+    "const": phi[0] carries the model value v; one-point product rule,
+             v times the kernel moment of the subinterval.
 
     The model only changes the weights of nodes 0 and 1.
     """
 
     def __init__(self, nodes: np.ndarray, beta: float, targets=None, first=None):
-        power = isinstance(first, tuple) and first[0] == "power"
-        if not power and first not in (None, "const"):
+        if first not in (None, "const"):
             raise ValueError(f"unknown first-interval model {first!r}")
         rows = np.arange(len(nodes)) if targets is None else np.asarray(targets)
         self.W = _moment_matrices(nodes, beta, rows, first is None)
-        if power:
-            # int_a^{t_1} (t_j-s)^{beta-1} (s-a)^{eta} ds, times h_0^{-eta}
-            eta = first[1]
-            h0 = nodes[1] - nodes[0]
-            span = nodes[rows] - nodes[0]
-            with np.errstate(all="ignore"):
-                x1 = np.clip(h0 / span, 0.0, 1.0)
-                bfull = _beta_sp(eta + 1.0, beta)
-                m = span ** (beta + eta) * bfull * _betainc_reg(eta + 1.0, beta, x1)
-            self.W[:, 0] = 0.0
-            self.W[:, 1] += h0 ** (-eta) * np.where(rows > 0, m, 0.0)
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
         """Raw integrals of the node samples phi at the target rows."""
@@ -446,16 +431,13 @@ def rl_derivative_num(g: WeightedGrid, mu: float, t: float) -> float:
     """Fractional derivative of order mu in (0,1) at a strictly interior
     mesh node: tabulate I^{1-mu} g at the nodes, then differentiate with
     the three-point stencils."""
-    j = g.mesh.index_of(t)
-    if j == 0 or j == len(g.mesh.nodes) - 1:
-        raise DomainError("derivative is not available at boundary nodes")
-    return float(_hilfer_profile(g, FracOrder(mu, 0.0))[j])
+    return hilfer_derivative_num(g, FracOrder(mu, 0.0), t)
 
 
 def _hilfer_profile(g: WeightedGrid, order: FracOrder) -> np.ndarray:
-    """Two-parameter derivative of g at nodes 1..n-2 (NaN elsewhere).
-
-    For nu < 1 by the Riemann-Liouville identity: with theta = nu(1-mu),
+    """Two-parameter derivative of g at nodes 1..n-2 (NaN elsewhere), for
+    every 0 <= nu <= 1 by the Riemann-Liouville identity: with
+    theta = nu(1-mu),
 
         D^{mu,nu} z = d/dt [ I^{1-mu} z - z_a (t-a)^theta / Gamma(theta+1) ],
 
@@ -465,50 +447,33 @@ def _hilfer_profile(g: WeightedGrid, order: FracOrder) -> np.ndarray:
     gamma is larger (then the result is the Riemann-Liouville derivative
     of order mu, bit for bit). A smaller gamma leaves I^{1-gamma} z
     unbounded at a, and the derivative does not exist for nu > 0. At
-    nu = 0, theta = 0 and nothing is subtracted.
-
-    For nu = 1 (Caputo) by the composition I^{1-mu} d/dt: the stencils of
-    z, then one product integral.
+    nu = 0, theta = 0 and nothing is subtracted. At nu = 1, gamma = 1 and
+    z_a = z(a), so this is the Caputo derivative D^mu [z - z(a)].
     """
-    mu, nu = order.mu, order.nu
-    theta = nu * (1.0 - mu)
+    mu = order.mu
+    theta = order.nu * (1.0 - mu)
     nodes = g.mesh.nodes
-    if nu < 1.0:
-        inner = 1.0 - mu
-        F = _profile_weighted(nodes, inner, g.gamma - 1.0, g.w) / specfun.gamma(inner)
-        if theta > 0.0:
-            if g.gamma < order.gamma:
-                raise DomainError(
-                    f"grid gamma {g.gamma!r} is below the order's gamma "
-                    f"{order.gamma!r}: I^(1-gamma) z is unbounded at a"
-                )
-            za = specfun.gamma(g.gamma) * g.w[0] if g.gamma == order.gamma else 0.0
-            F -= za * (nodes - g.mesh.a) ** theta / specfun.gamma(theta + 1.0)
-        return _derivative_profile(nodes, F)
-    F = np.empty(len(nodes))
-    F[1:] = (nodes[1:] - g.mesh.a) ** (g.gamma - 1.0) * g.w[1:]
-    F[0] = np.nan  # never read by the stencils
-    d = _derivative_profile(nodes, F)
-    # Integral of the derivative stage. The value at node 0 does not
-    # exist; on [t_0, t_1] the integrand is modelled as C (s-a)^{mu-gamma},
-    # the endpoint behaviour of the derivative stage for solution-like g.
-    d[0] = 0.0
-    d[-1] = 0.0
-    prof = KernelOperator(nodes, theta, first=("power", mu - order.gamma)).apply(d)
-    out = prof / specfun.gamma(theta)
-    out[0] = np.nan
-    out[-1] = np.nan
-    return out
+    inner = 1.0 - mu
+    F = _profile_weighted(nodes, inner, g.gamma - 1.0, g.w) / specfun.gamma(inner)
+    if theta > 0.0:
+        if g.gamma < order.gamma:
+            raise DomainError(
+                f"grid gamma {g.gamma!r} is below the order's gamma "
+                f"{order.gamma!r}: I^(1-gamma) z is unbounded at a"
+            )
+        za = specfun.gamma(g.gamma) * g.w[0] if g.gamma == order.gamma else 0.0
+        F -= za * (nodes - g.mesh.a) ** theta / specfun.gamma(theta + 1.0)
+    return _derivative_profile(nodes, F)
 
 
 def hilfer_derivative_num(g: WeightedGrid, order: FracOrder, t: float) -> float:
     """Two-parameter fractional derivative at a strictly interior mesh node.
 
-    For nu < 1 it is d/dt [I^{1-mu} z - z_a (t-a)^theta / Gamma(theta+1)]
-    with theta = nu(1-mu) and z_a = I^{1-gamma} z(a+): Gamma(gamma) w(a)
-    when g's gamma is the order's, 0 when it is larger; for 0 < nu < 1 a
-    smaller one raises DomainError. For nu = 1 it is I^{1-mu} of the
-    mesh derivative of z."""
+    For every 0 <= nu <= 1 it is d/dt [I^{1-mu} z - z_a (t-a)^theta /
+    Gamma(theta+1)] with theta = nu(1-mu) and z_a = I^{1-gamma} z(a+):
+    Gamma(gamma) w(a) when g's gamma is the order's, 0 when it is larger;
+    for nu > 0 a smaller one raises DomainError. At nu = 1, z_a = z(a)
+    and this is the Caputo derivative D^mu [z - z(a)]."""
     j = g.mesh.index_of(t)
     if j == 0 or j == len(g.mesh.nodes) - 1:
         raise DomainError("derivative is not available at boundary nodes")

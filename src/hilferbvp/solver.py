@@ -318,7 +318,7 @@ def solve_picard(spec: ProblemSpec, config: SolveConfig = SolveConfig()) -> Solv
     boundary = ws.boundary(samples)
     init_coeff = ws.init_coeff(ws.running(samples), boundary)
     residual_bc = ws.bc_residual(w, boundary)
-    del ws  # frees the N x N weights: for nu = 1 verify_ode builds its own
+    del ws  # frees the N x N weights before verify_ode adds its temporaries
     grid = WeightedGrid(mesh=mesh, gamma=params.gamma, w=w)
     report = SolveReport(
         solution=grid,

@@ -16,9 +16,7 @@ from hilferbvp.existence import certificate, certificate_at, sweep_certificates
 from hilferbvp.expr import parse, pretty
 from hilferbvp.fraccalc import (
     FracOrder,
-    KernelOperator,
     WeightedGrid,
-    _derivative_profile,
     build_mesh,
     hilfer_derivative_num,
     rl_derivative_num,
@@ -254,19 +252,15 @@ def test_criterion_6_property_suites(tmp_path):
         d_h0 = hilfer_derivative_num(g, FracOrder(mu=0.4, nu=0.0), t)
         if abs(d_rl - d_h0) > 1e-10:
             failures.append(f"nu=0 reduction at node {j}")
+    # nu = 1 is the Caputo derivative D^mu [z - z(a)]
     mu_c = 0.4
     m1 = build_mesh(0.0, 1.0, 128, 1.0, [])
     g1 = WeightedGrid(mesh=m1, gamma=1.0, w=np.sin(m1.nodes) + 2.0)
-    d = _derivative_profile(m1.nodes, g1.w.copy())
-    dd = np.array(d)
-    dd[0] = 0.0
-    dd[-1] = 0.0
-    caputo_ref = KernelOperator(m1.nodes, 1.0 - mu_c, first=("power", mu_c - 1.0)).apply(dd)
-    caputo_ref = caputo_ref / specfun.gamma(1.0 - mu_c)
+    shifted = WeightedGrid(mesh=m1, gamma=1.0, w=g1.w - g1.w[0])
     for j in (10, 60, 120):
         t = float(m1.nodes[j])
         got = hilfer_derivative_num(g1, FracOrder(mu=mu_c, nu=1.0), t)
-        if abs(got - float(caputo_ref[j])) > 1e-10:
+        if abs(got - rl_derivative_num(shifted, mu_c, t)) > 1e-10:
             failures.append(f"nu=1 reduction at node {j}")
 
     # certificate scaling linearity at 1e-12 relative

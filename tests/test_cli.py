@@ -156,9 +156,13 @@ def test_solve_zero_rhs_table(tmp_path):
 
 def test_verify_round_trip(tmp_path):
     table = tmp_path / "table.csv"
-    problem = str(DATA / "nontrivial.json")
-    assert main(["solve", problem, "--out", str(table)]) == 0
-    assert main(["verify", problem, str(table)]) == 0
+    rep = tmp_path / "rep.json"
+    # caputo.json is nontrivial.json at nu = 1
+    for name in ("nontrivial.json", "caputo.json"):
+        problem = str(DATA / name)
+        assert main(["solve", problem, "--out", str(table)]) == 0
+        assert main(["verify", problem, str(table), "--report", str(rep)]) == 0
+        assert json.loads(rep.read_text())["residual_ode"] <= 1e-4, name
 
 
 def test_verify_detects_perturbation(tmp_path):

@@ -295,7 +295,7 @@ def test_convergence_order_sampled():
 # kernel operator
 # ---------------------------------------------------------------------------
 
-FIRST_CELL_MODELS = (None, "const", ("power", -0.25))
+FIRST_CELL_MODELS = (None, "const")
 
 
 @pytest.mark.parametrize("n_base", [100, 257, 1024])
@@ -313,11 +313,11 @@ def test_kernel_operator_boundary_row_is_last_row_of_full_build(n_base):
             assert np.array_equal(row.W, full.W[-1:]), (beta, first)
 
 
-@pytest.mark.parametrize("first", [None, ("const", 0.7), ("power", -0.25)])
+@pytest.mark.parametrize("first", [None, ("const", 0.7)])
 def test_kernel_operator_targets_agree_with_full_rows(first):
     m = build_mesh(0.0, 2.0, 64, 2.0, [0.5])
     phi = np.cos(m.nodes) + m.nodes
-    if first is not None and first[0] == "const":
+    if first is not None:
         phi[0], first = first[1], "const"   # the model value rides in phi[0]
     rows = [0, 1, 17, len(m.nodes) - 1]
     full = KernelOperator(m.nodes, 0.4, first=first).apply(phi)
@@ -338,7 +338,7 @@ def test_kernel_operator_const_model_exact_for_constants():
 
 def test_kernel_operator_rejects_unknown_model():
     m = uniform_mesh(8)
-    for first in (("linear", 1.0), "power", ("const", 1.0)):
+    for first in (("linear", 1.0), "power", ("power", -0.25), ("const", 1.0)):
         with pytest.raises(ValueError):
             KernelOperator(m.nodes, 0.5, first=first)
 
@@ -395,22 +395,36 @@ def test_hilfer_nu_zero_matches_rl():
 
 
 def test_hilfer_nu_one_matches_integral_of_derivative():
-    # Caputo endpoint: I^{1-mu} applied to the mesh derivative of g
+    # Caputo endpoint, I^{1-mu} z' = D^mu [z - z(a)] (Diethelm 2010, 3.1):
+    # the Riemann-Liouville derivative of g - g(a)
     mu = 0.4
     m = build_mesh(0.0, 1.0, 128, 1.0, [])
     g = WeightedGrid(mesh=m, gamma=1.0, w=np.sin(m.nodes) + 2.0)
+    shifted = WeightedGrid(mesh=m, gamma=1.0, w=g.w - g.w[0])
     order = FracOrder(mu=mu, nu=1.0)
-    d = _derivative_profile(m.nodes, g.w.copy())
-    dd = np.array(d)
-    dd[0] = 0.0
-    dd[-1] = 0.0
-    prof = KernelOperator(m.nodes, 1.0 - mu, first=("power", mu - 1.0)).apply(dd)
-    reference = prof / specfun.gamma(1.0 - mu)
     for j in (5, 30, 64, 120):
         t = float(m.nodes[j])
         assert hilfer_derivative_num(g, order, t) == pytest.approx(
-            float(reference[j]), abs=1e-10
+            rl_derivative_num(shifted, mu, t), abs=1e-10
         )
+
+
+@pytest.mark.parametrize("mu", [0.3, 0.6])
+def test_hilfer_nu_one_is_second_order_on_a_singular_solution(mu):
+    # Caputo derivative of z = 1 + t^delta is
+    # Gamma(delta+1)/Gamma(delta+1-mu) t^{delta-mu}
+    delta = 0.7
+    order = FracOrder(mu=mu, nu=1.0)
+    errors = []
+    for n_base in (128, 512, 2048):
+        m = build_mesh(0.0, 1.0, n_base, 2.0, [])
+        g = WeightedGrid(mesh=m, gamma=1.0, w=1.0 + m.nodes**delta)
+        t = m.nodes[n_base // 8:-1]
+        exact = math.gamma(delta + 1.0) / math.gamma(delta + 1.0 - mu) * t ** (delta - mu)
+        got = fraccalc._hilfer_profile(g, order)[n_base // 8:-1]
+        errors.append(np.max(np.abs(got - exact)))
+    orders = [math.log(errors[k] / errors[k + 1], 4.0) for k in range(2)]
+    assert min(orders) >= 1.9, (errors, orders)
 
 
 def test_hilfer_annihilates_endpoint_power():
@@ -443,9 +457,9 @@ def test_hilfer_of_known_power_function():
         assert got == pytest.approx(1.0, abs=1e-2)
 
 
-@pytest.mark.parametrize("nu", [0.25, 0.6])
+@pytest.mark.parametrize("nu", [0.25, 0.6, 1.0])
 def test_hilfer_rejects_a_grid_gamma_below_the_order_gamma(nu):
-    # I^{1-gamma} z is unbounded at a, so the outer integral diverges
+    # I^{1-gamma} z is unbounded at a, so z_a does not exist
     order = FracOrder(mu=0.4, nu=nu)
     m = build_mesh(0.0, 1.0, 64, 2.0, [])
     g = WeightedGrid(mesh=m, gamma=order.gamma - 0.1, w=np.ones(len(m.nodes)))
@@ -468,21 +482,19 @@ def test_hilfer_of_a_grid_with_larger_gamma_is_the_rl_derivative(gamma):
 
 @pytest.mark.parametrize("gamma", [0.5, 0.7, 1.0])
 def test_hilfer_endpoint_profiles_are_their_single_stages(gamma):
-    # nu = 0: the stencils of I^{1-mu} z; nu = 1: I^{1-mu} of the stencils
-    # of z, with the power model on the first subinterval. Bit for bit.
+    # nu = 0: the stencils of I^{1-mu} z; nu = 1 (gamma = 1 grids only,
+    # smaller ones raise): the stencils of I^{1-mu} z - z(a) (t-a)^{1-mu}
+    # / Gamma(2-mu). Bit for bit.
     mu = 0.4
     m = build_mesh(0.0, 1.0, 128, 2.0, [0.3])
     g = WeightedGrid(mesh=m, gamma=gamma, w=np.sin(m.nodes) + 2.0)
     F = _profile_weighted(m.nodes, 1.0 - mu, gamma - 1.0, g.w) / specfun.gamma(1.0 - mu)
     want = _derivative_profile(m.nodes, F)
     assert np.array_equal(fraccalc._hilfer_profile(g, FracOrder(mu, 0.0)), want, equal_nan=True)
-    d = _derivative_profile(m.nodes, g.z_values())
-    d[0] = d[-1] = 0.0
-    order = FracOrder(mu, 1.0)
-    op = KernelOperator(m.nodes, 1.0 - mu, first=("power", mu - order.gamma))
-    want = op.apply(d) / specfun.gamma(1.0 - mu)
-    want[0] = want[-1] = np.nan
-    assert np.array_equal(fraccalc._hilfer_profile(g, order), want, equal_nan=True)
+    if gamma == 1.0:
+        F -= g.w[0] * m.nodes ** (1.0 - mu) / specfun.gamma(2.0 - mu)
+        want = _derivative_profile(m.nodes, F)
+        assert np.array_equal(fraccalc._hilfer_profile(g, FracOrder(mu, 1.0)), want, equal_nan=True)
 
 
 def test_weighted_profile_row_zero_is_zero():
@@ -539,15 +551,6 @@ def _folded_reference(nodes, beta, rows, first):
     W = np.zeros((len(rows), len(nodes)))
     W[:, :-1] = M0 - G
     W[:, 1:] += G
-    if isinstance(first, tuple):
-        eta = first[1]
-        h0 = nodes[1] - nodes[0]
-        span = nodes[rows] - nodes[0]
-        with np.errstate(all="ignore"):
-            x1 = np.clip(h0 / span, 0.0, 1.0)
-            m = span ** (beta + eta) * beta_fn(eta + 1.0, beta) * betainc(eta + 1.0, beta, x1)
-        W[:, 0] = 0.0
-        W[:, 1] += h0 ** (-eta) * np.where(rows > 0, m, 0.0)
     return W
 
 

@@ -374,9 +374,9 @@ def test_verify_bc_detects_violation():
 
 
 def test_dense_kernel_moments_built_once_per_order(monkeypatch):
-    # one all-row build, order mu for the solve: for nu < 1 verify_ode
-    # needs none; the boundary integral, in the solve and in verify_bc,
-    # reads one row
+    # one all-row build, order mu for the solve: verify_ode needs none at
+    # any nu; the boundary integral, in the solve and in verify_bc, reads
+    # one row
     builds = []
     build = fraccalc._moment_matrices
 
@@ -386,13 +386,14 @@ def test_dense_kernel_moments_built_once_per_order(monkeypatch):
         return W
 
     monkeypatch.setattr(fraccalc, "_moment_matrices", counting)
-    spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),))
-    assert 0.0 < spec.order.nu < 1.0
-    report = solve_picard(spec, SolveConfig(n_base=64))
-    assert builds.count(True) == 1
-    builds.clear()
-    verify_bc(spec, derive_params(spec), report.solution)
-    assert builds == [False]
+    for nu in (0.25, 1.0):
+        spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),), nu=nu)
+        builds.clear()
+        report = solve_picard(spec, SolveConfig(n_base=64))
+        assert builds.count(True) == 1, nu
+        builds.clear()
+        verify_bc(spec, derive_params(spec), report.solution)
+        assert builds == [False], nu
 
 
 # First 16 hex digits of one sha256 over the bytes of w followed by
@@ -423,9 +424,8 @@ def test_solve_is_bit_identical_to_recorded_values(nu, n_base):
 
 
 def test_solve_frees_its_moments_before_verify_ode():
-    # for nu = 1 verify_ode builds an N x N weight matrix of its own, so
-    # the running operator's is dropped before it runs; at this nu it
-    # builds none
+    # the running operator's N x N weight matrix is dropped before
+    # verify_ode runs, which builds none
     spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),))
     config = SolveConfig(n_base=512)
     n = len(problem_mesh(spec, config).nodes)
@@ -505,9 +505,9 @@ def test_verify_ode_residual_is_second_order_on_the_exact_solution():
     assert min(orders) >= 1.9, (residuals, orders)
 
 
-def test_verify_ode_holds_no_square_array():
-    spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),))
-    assert 0.0 < spec.order.nu < 1.0
+@pytest.mark.parametrize("nu", [0.25, 1.0])
+def test_verify_ode_holds_no_square_array(nu):
+    spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),), nu=nu)
     report = solve_picard(spec, SolveConfig(n_base=511))
     n = len(report.solution.mesh.nodes)
     tracemalloc.start()
