@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .errors import (
     NoConvergenceError,
     ParseError,
     SchemaError,
-    SingularProblemError,
 )
 from .existence import certificate, sweep_certificates
 from .expr import evaluate as _eval_expr, parse as _parse_expr
@@ -162,18 +161,8 @@ def parse_table(path):
 
 
 def _apply_flag_overrides(config, args):
-    overrides = {}
-    if args.n is not None:
-        overrides["n_base"] = args.n
-    if args.grade is not None:
-        overrides["grading"] = args.grade
-    if args.tol is not None:
-        overrides["tol"] = args.tol
-    if args.max_iter is not None:
-        overrides["max_iter"] = args.max_iter
-    if args.damping is not None:
-        overrides["damping"] = args.damping
-    return replace(config, **overrides) if overrides else config
+    given = {f.name: getattr(args, f.name, None) for f in fields(config)}
+    return replace(config, **{k: v for k, v in given.items() if v is not None})
 
 
 def _report_from_certificate(params, rep, notes, sweep_rows):
@@ -315,7 +304,7 @@ def run_solve(path, args) -> int:
     return code
 
 
-def run_verify(path, table_path, args, bc_tol=_VERIFY_BC_TOL, ode_tol=_VERIFY_ODE_TOL) -> int:
+def run_verify(path, table_path, args) -> int:
     spec, config, _ = load_problem_document(path)
     config = _apply_flag_overrides(config, args)
     params = derive_params(spec)
@@ -330,12 +319,12 @@ def run_verify(path, table_path, args, bc_tol=_VERIFY_BC_TOL, ode_tol=_VERIFY_OD
     grid = WeightedGrid(mesh=mesh, gamma=params.gamma, w=w)
     residual_bc = verify_bc(spec, params, grid)
     residual_ode = verify_ode(spec, grid)
-    ok = bool(residual_bc <= bc_tol and residual_ode <= ode_tol)
+    ok = bool(residual_bc <= _VERIFY_BC_TOL and residual_ode <= _VERIFY_ODE_TOL)
     doc = {
         "residual_bc": residual_bc,
         "residual_ode": residual_ode,
-        "bc_tol": bc_tol,
-        "ode_tol": ode_tol,
+        "bc_tol": _VERIFY_BC_TOL,
+        "ode_tol": _VERIFY_ODE_TOL,
         "ok": ok,
     }
     _write(dumps_report(doc), args.report)
@@ -344,9 +333,7 @@ def run_verify(path, table_path, args, bc_tol=_VERIFY_BC_TOL, ode_tol=_VERIFY_OD
 
 def run_example(args) -> int:
     path = str(example_problem_path())
-    check_args = argparse.Namespace(
-        sweep_p=True, paper_literal=False, report=None, out=None
-    )
+    check_args = argparse.Namespace(sweep_p=True, paper_literal=False, report=None)
     code = run_check(path, check_args)
     if code != EXIT_OK:
         return code
@@ -367,14 +354,21 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--n", type=int, default=None, help="graded mesh size")
-    sub.add_argument("--grade", type=float, default=None, help="grading exponent")
-    sub.add_argument("--tol", type=float, default=None, help="iteration stopping tolerance")
-    sub.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    sub.add_argument("--damping", type=float, default=None)
-    sub.add_argument("--out", default=None, help="solution table destination")
-    sub.add_argument("--report", default=None, help="report document destination")
+_REPORT_HELP = "report document destination"
+
+
+def _add_config_flags(sub, iteration):
+    """--n and --grade, with iteration also --tol, --max-iter, --damping and
+    --out, then --report. Each dest is the SolveConfig field the flag sets."""
+    sub.add_argument("--n", type=int, dest="n_base", metavar="N", help="graded mesh size")
+    sub.add_argument("--grade", type=float, dest="grading", metavar="GRADE",
+                     help="grading exponent")
+    if iteration:
+        sub.add_argument("--tol", type=float, help="iteration stopping tolerance")
+        sub.add_argument("--max-iter", type=int)
+        sub.add_argument("--damping", type=float)
+        sub.add_argument("--out", help="solution table destination")
+    sub.add_argument("--report", help=_REPORT_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,19 +383,19 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--paper-literal", action="store_true", dest="paper_literal",
                       help="use the file's p verbatim and compare against its "
                            "declared reference values")
-    _add_common_flags(check)
+    check.add_argument("--report", help=_REPORT_HELP)
 
     solve = subs.add_parser("solve", help="solve by fixed-point iteration")
     solve.add_argument("problem", help="problem file (JSON)")
-    _add_common_flags(solve)
+    _add_config_flags(solve, iteration=True)
 
     verify = subs.add_parser("verify", help="check residuals of a solution table")
     verify.add_argument("problem", help="problem file (JSON)")
     verify.add_argument("table", help="solution table produced by solve")
-    _add_common_flags(verify)
+    _add_config_flags(verify, iteration=False)
 
     example = subs.add_parser("example", help="run check and solve on the bundled problem")
-    _add_common_flags(example)
+    _add_config_flags(example, iteration=True)
     return parser
 
 
@@ -421,17 +415,11 @@ def main(argv=None) -> int:
             return run_solve(args.problem, args)
         if args.command == "verify":
             return run_verify(args.problem, args.table, args)
-        if args.command == "example":
-            return run_example(args)
-        print(f"error: unknown command {args.command!r}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SchemaError, ParseError, MeshMismatchError, SingularProblemError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return run_example(args)
     except NoConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except HilferError as exc:
+    except (HilferError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

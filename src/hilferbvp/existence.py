@@ -210,10 +210,10 @@ def certificate_at(spec: ProblemSpec, params: DerivedParams, p: float) -> Existe
     return certificate(replace(spec, p=float(p)), params)
 
 
-def sweep_certificates(spec: ProblemSpec, params: DerivedParams, exponents=_SWEEP_EXPONENTS):
+def sweep_certificates(spec: ProblemSpec, params: DerivedParams):
     """Certificates over a fixed set of admissible exponents, plus the one
     whose binding constant max(G, L*) is smallest."""
-    reports = [certificate_at(spec, params, p) for p in exponents]
+    reports = [certificate_at(spec, params, p) for p in _SWEEP_EXPONENTS]
     scored = [r for r in reports if r.G is not None]
     best = min(scored, key=lambda r: max(r.G, r.L_star)) if scored else reports[0]
     return reports, best

@@ -371,6 +371,11 @@ def rl_integral_quad(phi, mu: float, t: float, mesh: GradedMesh = None) -> float
     integrated in closed form together with the kernel) or an array of node
     values (then mesh is required and phi is interpolated piecewise
     linearly as-is).
+
+    Each call builds the whole O(N^2) profile to return one entry, so a
+    loop over nodes is O(N^3); solve_picard and verify_ode compute all
+    nodes at once. A one-row build waits for a perfbench change, as its
+    moments.* and profile.weighted_s probes time this call.
     """
     if not 0.0 < mu <= 1.0:
         raise DomainError(f"kernel order must lie in (0, 1], got {mu!r}")
@@ -430,7 +435,12 @@ def _derivative_profile(nodes: np.ndarray, F: np.ndarray) -> np.ndarray:
 def rl_derivative_num(g: WeightedGrid, mu: float, t: float) -> float:
     """Fractional derivative of order mu in (0,1) at a strictly interior
     mesh node: tabulate I^{1-mu} g at the nodes, then differentiate with
-    the three-point stencils."""
+    the three-point stencils.
+
+    Each call builds the whole O(N^2) profile to return one entry, so a
+    loop over nodes is O(N^3); solve_picard and verify_ode compute all
+    nodes at once. A one-row build waits for a perfbench change, as its
+    profile.hilfer_s probe times hilfer_derivative_num, which this calls."""
     return hilfer_derivative_num(g, FracOrder(mu, 0.0), t)
 
 
@@ -473,7 +483,12 @@ def hilfer_derivative_num(g: WeightedGrid, order: FracOrder, t: float) -> float:
     Gamma(theta+1)] with theta = nu(1-mu) and z_a = I^{1-gamma} z(a+):
     Gamma(gamma) w(a) when g's gamma is the order's, 0 when it is larger;
     for nu > 0 a smaller one raises DomainError. At nu = 1, z_a = z(a)
-    and this is the Caputo derivative D^mu [z - z(a)]."""
+    and this is the Caputo derivative D^mu [z - z(a)].
+
+    Each call builds the whole O(N^2) profile to return one entry, so a
+    loop over nodes is O(N^3); solve_picard and verify_ode compute all
+    nodes at once. A one-row build waits for a perfbench change, as its
+    profile.hilfer_s probe times this call."""
     j = g.mesh.index_of(t)
     if j == 0 or j == len(g.mesh.nodes) - 1:
         raise DomainError("derivative is not available at boundary nodes")

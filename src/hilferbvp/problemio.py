@@ -22,6 +22,7 @@ check command compares against in paper-literal mode.
 """
 
 import json
+from dataclasses import fields
 from importlib import resources
 
 from .errors import ParseError, SchemaError
@@ -85,21 +86,18 @@ def _solver_config(block) -> SolveConfig:
         return SolveConfig()
     if not isinstance(block, dict):
         raise SchemaError("solver", "expected an object")
-    known = {"n_base", "grading", "tol", "max_iter", "damping"}
-    unknown = set(block) - known
+    types = {f.name: f.type for f in fields(SolveConfig)}
+    unknown = set(block) - set(types)
     if unknown:
         raise SchemaError("solver", f"unknown keys {sorted(unknown)}")
     kwargs = {}
-    for key in known & set(block):
-        value = block[key]
-        if key in ("n_base", "max_iter"):
+    for key, value in block.items():
+        if types[key] is int:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise SchemaError(f"solver.{key}", f"expected an integer, got {value!r}")
-            kwargs[key] = value
-        else:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise SchemaError(f"solver.{key}", f"expected a number, got {value!r}")
-            kwargs[key] = float(value)
+        elif not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise SchemaError(f"solver.{key}", f"expected a number, got {value!r}")
+        kwargs[key] = types[key](value)
     try:
         return SolveConfig(**kwargs)
     except Exception as exc:

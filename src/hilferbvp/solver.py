@@ -95,6 +95,10 @@ class DerivedParams:
 class SolveConfig:
     """Discretization and iteration settings.
 
+    The fields are the keys of a problem file's "solver" block and the
+    settings of the solve and example commands (--n sets n_base, --grade
+    grading; --tol, --max-iter and --damping their fields).
+
     grading = None means the default exponent r = max(1, 2/gamma). The
     solver interpolates w, which behaves like w(a) + C (t-a)^sigma near a,
     and the w-error order is min(r*sigma, 2): measured 2.00 on a problem
@@ -376,24 +380,16 @@ def verify_bc(spec: ProblemSpec, params: DerivedParams, z: WeightedGrid) -> floa
     return ws.bc_residual(z.w, ws.boundary(ws.f_samples(z.w)))
 
 
-def verify_ode(spec: ProblemSpec, z: WeightedGrid, check_nodes=None) -> float:
+def verify_ode(spec: ProblemSpec, z: WeightedGrid) -> float:
     """Weighted residual of the differential equation at interior nodes:
 
         max |D^{mu,nu} z(t) - f(t, z(t))| * (t-a)^{1-gamma}.
 
     The finite-difference stage of the derivative loses accuracy next to
-    the singular endpoint, so the default check set skips the first eighth
-    of the base index range. A NaN residual at any checked node makes the
-    result NaN."""
+    the singular endpoint, so the check skips the first eighth of the base
+    index range. A NaN residual at any checked node makes the result NaN."""
     mesh = z.mesh
-    n = len(mesh.nodes)
-    if check_nodes is None:
-        lo = max(1, mesh.n_base // 8)
-        check_nodes = range(lo, n - 1)
-    else:
-        check_nodes = [mesh.index_of(t) for t in check_nodes]
-        if any(j <= 0 or j >= n - 1 for j in check_nodes):
-            raise DomainError("check nodes must be strictly interior")
+    check_nodes = range(max(1, mesh.n_base // 8), len(mesh.nodes) - 1)
     profile = _hilfer_profile(z, spec.order)
     zvals = z.z_values()
     a = mesh.a

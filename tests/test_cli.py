@@ -2,17 +2,20 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from hilferbvp.cli import main
+from hilferbvp.cli import _apply_flag_overrides, build_parser, main
 from hilferbvp.errors import SchemaError
 from hilferbvp.problemio import (
     example_problem_path,
     load_problem,
+    load_problem_document,
     serialize_spec,
 )
+from hilferbvp.solver import SolveConfig
 
 DATA = Path(__file__).parent / "data"
 EXAMPLE = str(example_problem_path())
@@ -256,10 +259,38 @@ def test_exit_code_matrix(tmp_path):
         (["check", violated], 2),
         (["check", EXAMPLE, "--paper-literal"], 3),
         (["solve", problem, "--max-iter", "1"], 4),
-        (["verify", problem, str(table), "--tol", "1e-10"], 0),
+        (["verify", problem, str(table)], 0),
     ]
     for argv, expected in matrix:
         assert main(argv) == expected, argv
+
+
+def test_check_and_verify_reject_flags_they_do_not_read(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    problem = str(DATA / "nontrivial.json")
+    assert main(["solve", problem, "--out", str(table)]) == 0
+    out = ["--out", str(tmp_path / "unused.csv")]
+    iteration = [["--tol", "1e-10"], ["--max-iter", "5"], ["--damping", "0.5"], out]
+    rejected = [
+        ["check", EXAMPLE, "--sweep-p"] + flag
+        for flag in [["--n", "64"], ["--grade", "2"]] + iteration
+    ]
+    rejected += [["verify", problem, str(table)] + flag for flag in iteration]
+    for argv in rejected:
+        assert main(argv) == 1, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+
+
+def test_solver_flags_and_solver_block_give_the_same_config(tmp_path):
+    flags = {"--n": 64, "--grade": 2.5, "--tol": 1e-9, "--max-iter": 7, "--damping": 0.5}
+    block = dict(zip((f.name for f in fields(SolveConfig)), flags.values(), strict=True))
+    path = write_problem(tmp_path, solver=block)
+    argv = ["solve", path] + [str(x) for item in flags.items() for x in item]
+    args = build_parser().parse_args(argv)
+    # every SolveConfig field is the dest of its solve flag
+    assert {name: getattr(args, name) for name in block} == block
+    _, from_file, _ = load_problem_document(path)
+    assert _apply_flag_overrides(SolveConfig(), args) == from_file == SolveConfig(**block)
 
 
 # ---------------------------------------------------------------------------

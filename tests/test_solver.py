@@ -222,6 +222,16 @@ def test_picard_divergence_raises():
     assert report.iterations == 30
 
 
+def test_damping_halving_rescues_a_growing_iteration():
+    # plain Picard on f = -4z + 1 has not converged after 100 iterations;
+    # halving the damping after five growing differences brings it home
+    spec = spec_with("-4*z + 1", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),))
+    report = solve_picard(spec, SolveConfig(n_base=32))
+    assert report.converged
+    h = report.history
+    assert any(all(h[k + i] > h[k + i - 1] for i in range(1, 5)) for k in range(len(h) - 4))
+
+
 def test_picard_max_iter_one():
     spec = spec_with("(1/16)*t*sin(abs(z)) + 1/4")
     with pytest.raises(NoConvergenceError):
@@ -456,13 +466,6 @@ def test_verify_ode_example():
     spec = example_spec()
     report = solve_picard(spec, SolveConfig(n_base=512))
     assert report.residual_ode <= 1e-2
-
-
-def test_verify_ode_rejects_boundary_check_nodes():
-    spec = spec_with("1")
-    report = solve_picard(spec, SolveConfig(n_base=64))
-    with pytest.raises(DomainError):
-        verify_ode(spec, report.solution, check_nodes=[0.0])
 
 
 def test_verify_ode_nontrivial():
