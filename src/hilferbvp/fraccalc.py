@@ -6,7 +6,10 @@ weighted form w(t) = (t-a)^{1-gamma} z(t): w is continuous up to t = a
 even when z blows up. All quadrature is product integration: only the
 smooth factor of an integrand is interpolated (piecewise linearly); the
 singular kernel factors (t-s)^{mu-1} and (s-a)^{gamma-1} are integrated
-in closed form per subinterval.
+in closed form on every subinterval where they are singular or nearly
+so. The weighted profile integrates its cells that lie at least 16 of
+their widths from both singularities by 4-point Gauss-Legendre instead,
+which moves it by at most 9e-16 relative (see _profile_weighted).
 """
 
 import math
@@ -324,18 +327,43 @@ class KernelOperator:
         return self.W @ phi
 
 
+# the far field of the weighted profile (see _profile_weighted): cells at
+# least _FAR_WIDTHS of their widths from both singularities take a
+# _FAR_GAUSS-point Gauss-Legendre rule
+_FAR_WIDTHS = 16
+_FAR_GAUSS = 4
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_FAR_GAUSS)
+_GAUSS_X, _GAUSS_W = 0.5 * (_GAUSS_X + 1.0), 0.5 * _GAUSS_W   # on [0, 1]
+
+
 def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
     """Raw integrals int_a^{t_j} (t_j-s)^{beta-1} (s-a)^{eta} w(s) ds with w
-    piecewise linear; both kernel factors are integrated in closed form on
-    every subinterval (exact for monomials, i.e. constant w).
+    piecewise linear.
 
-    In X = (s-a)/(t_j-a) the weights of a subinterval are differences of
-    the regularized incomplete Beta functions I_X(eta+1, beta) (for w) and
-    I_X(eta+2, beta) (for its slope). Only the first is a betainc call; the
-    second follows from the recurrence (DLMF 8.17.20)
+    Near cells, those within K = _FAR_WIDTHS of their own widths h_i of
+    either singularity, are integrated in closed form. In
+    X = (s-a)/(t_j-a) their weights are differences of the regularized
+    incomplete Beta functions I_X(eta+1, beta) (for w) and
+    I_X(eta+2, beta) (for its slope). Only the first is a betainc call,
+    one per node; the second follows from the recurrence (DLMF 8.17.20)
 
         I_X(eta+2, beta) = I_X(eta+1, beta)
                            - X^{eta+1} (1-X)^beta / ((eta+1) B(eta+1, beta)).
+
+    A far cell, with x = s - a, has x_i >= K h_i and x_j - x_{i+1} >= K h_i,
+    so both factors are smooth on it, and it takes the _FAR_GAUSS-point
+    Gauss-Legendre rule: row j adds sum_q (x_j - s_q)^{beta-1} c_q with
+    c_q = h_i omega_q s_q^eta w(s_q) fixed per call. The far cells of a
+    row are one range [c0, f): c0 is right of the last cell that fails the
+    first condition, and f is the first cell that fails the second for the
+    smallest row of a block, so every far cell meets both, also next to
+    an inserted node. So only O(N K) entries need betainc and the O(N^2)
+    rest is powers. Against two betainc calls per entry the rule moves
+    the profile by at most 9e-16 relative (nine (beta, eta) pairs at
+    n_base 512), and it meets a 30-digit reference to 6e-16 (the closed
+    form on every cell: 4e-16). Where far cells exist, constant w is
+    integrated exactly only up to that rounding; a mesh without any
+    (small N) gets the closed form throughout.
 
     Row j reads the nodes up to t_j only (beyond it X = 1 and both weights
     vanish), and rows are built in blocks, as the kernel moments are. Each
@@ -343,21 +371,39 @@ def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
     array is ever held."""
     n = len(nodes)
     x = nodes - nodes[0]                       # s - a at the nodes
+    h = np.diff(nodes)
     b1 = _beta_sp(eta + 1.0, beta)
     b2 = _beta_sp(eta + 2.0, beta)
-    sw = np.diff(w) / np.diff(nodes)
+    dw = np.diff(w)
+    sw = dw / h
     out = np.zeros(n)
+    # cell 0 always fails x_i >= K h_i
+    c0 = 1 + np.flatnonzero(x[:-1] < _FAR_WIDTHS * h)[-1]
+    g = _GAUSS_X[:, None]
+    S = x[:-1] + h * g                         # s_q - a of every cell
+    c = _GAUSS_W[:, None] * h * S**eta * (w[:-1] + g * dw)
 
-    def block(j0, m):
-        span = x[j0:m, None]                   # t_j - a
-        # m - 1 is the block's last j: it reads the nodes up to t_{m-1}
-        X = np.clip(x[:m] / span, 0.0, 1.0)
+    def near(span, lo, hi):
+        # closed-form weights of the cells [lo, hi - 1), applied to w
+        X = np.clip(x[lo:hi] / span, 0.0, 1.0)
         C = _betainc_reg(eta + 1.0, beta, X)
         D = C - X ** (eta + 1.0) * (1.0 - X) ** beta / ((eta + 1.0) * b1)
-        # the block's weights of w and of its slope
         B0 = b1 * span ** (beta + eta) * np.diff(C, axis=1)
-        B1 = b2 * span ** (beta + eta + 1.0) * np.diff(D, axis=1) - x[:m - 1] * B0
-        out[j0:m] = B0 @ w[:m - 1] + B1 @ sw[:m - 1]
+        B1 = b2 * span ** (beta + eta + 1.0) * np.diff(D, axis=1) - x[lo:hi - 1] * B0
+        return B0 @ w[lo:hi - 1] + B1 @ sw[lo:hi - 1]
+
+    def block(j0, m):
+        # m - 1 is the block's last j: it reads the nodes up to t_{m-1}
+        span = x[j0:m, None]                   # t_j - a
+        # cell j0 - 1 ends at t_{j0}, so some cell fails
+        f = int(np.argmax(x[j0] - x[1:j0 + 1] < _FAR_WIDTHS * h[:j0]))
+        if f <= c0:
+            out[j0:m] = near(span, 0, m)
+            return
+        acc = near(span, 0, c0 + 1)
+        for q in range(_FAR_GAUSS):
+            acc += (span - S[q, c0:f]) ** (beta - 1.0) @ c[q, c0:f]
+        out[j0:m] = acc + near(span, f, m)
 
     _run_blocks(block, 1, n, n)
     return out

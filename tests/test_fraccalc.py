@@ -608,6 +608,53 @@ def test_weighted_profile_recurrence_matches_two_betainc(eta, beta):
     assert np.max(np.abs(got[1:] - want[1:]) / np.abs(want[1:])) <= 1e-14
 
 
+def test_weighted_profile_calls_betainc_only_in_the_near_field(monkeypatch):
+    # the far cells take Gauss points, so incomplete-Beta entries grow as
+    # N times the near-field width, not as the N^2 / 2 of the whole triangle
+    m, _ = _mesh_with_close_tau(2047, 4.0)
+    n = len(m.nodes)
+    entries = []
+
+    def counting(a, b, X):
+        entries.append(np.size(X))
+        return betainc(a, b, X)
+
+    monkeypatch.setattr(fraccalc, "_betainc_reg", counting)
+    _profile_weighted(m.nodes, 0.3, -0.5, np.cos(m.nodes))
+    assert sum(entries) <= 0.1 * n * n
+
+
+def _mp_profile_row(mp, x, beta, eta, w, j):
+    """int_0^{x_j} (x_j - s)^{beta-1} s^eta w(s) ds, w linear on each
+    cell, as incomplete Beta integrals in X = s / x_j at mp's precision."""
+    xj, p, q = mp.mpf(x[j]), mp.mpf(eta) + 1, mp.mpf(beta)
+    total = mp.mpf(0)
+    for i in range(j):
+        x0, x1, w0, w1 = (mp.mpf(v) for v in (x[i], x[i + 1], w[i], w[i + 1]))
+        # w(s) = (w0 (x1 - s) + w1 (s - x0)) / (x1 - x0), s = xj X
+        m0 = mp.betainc(p, q, x0 / xj, x1 / xj)
+        m1 = mp.betainc(p + 1, q, x0 / xj, x1 / xj)
+        total += ((w0 * x1 - w1 * x0) * m0 + (w1 - w0) * xj * m1) / (x1 - x0)
+    return total * xj ** (p + q - 1)
+
+
+def test_weighted_profile_matches_a_30_digit_reference():
+    # independent of scipy's betainc; mu = 1/3, nu = 1/4 on its default
+    # grading, the rows at and right of both tau nodes and t = b
+    mp = pytest.importorskip("mpmath")
+    order = FracOrder(mu=1.0 / 3.0, nu=1.0 / 4.0)
+    m = build_mesh(0.0, 1.0, 256, 2.0 / order.gamma, [0.45, 0.55])
+    x = m.nodes
+    w = 2.0 + np.cos(3.0 * x)
+    beta, eta = 1.0 - order.mu, order.gamma - 1.0
+    got = _profile_weighted(x, beta, eta, w)
+    rows = [m.index_of(0.45), m.index_of(0.45) + 1, m.index_of(0.55), m.index_of(0.55) + 1]
+    for j in rows + [len(x) - 1]:
+        with mp.workdps(30):
+            want = _mp_profile_row(mp, x, beta, eta, w, j)
+            assert abs(float((mp.mpf(got[j]) - want) / want)) <= 1e-15, j
+
+
 def _peak_arrays(build, n):
     """tracemalloc peak of build() in units of float64 (n-1) x n arrays."""
     tracemalloc.start()
