@@ -13,8 +13,6 @@ which moves it by at most 9e-16 relative (see _profile_weighted).
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,40 +197,10 @@ def rl_integral_monomial(mu, delta, a, t) -> float:
 # Only the entries that are read, subintervals left of the target node,
 # are evaluated, and each by the one branch of _pow_diffs that it takes.
 # Rows are built in blocks of about _BLOCK_ENTRIES entries, so the
-# temporaries of a build stay small next to its N x N output. The blocks
-# are independent; _run_blocks spreads them over the CPUs.
+# temporaries of a build stay small next to its N x N output.
 # ---------------------------------------------------------------------------
 
 _BLOCK_ENTRIES = 1 << 14
-_BLOCKS_PER_THREAD = 16
-
-
-def _run_blocks(block, lo, hi, width):
-    """Call block(k0, k1) on consecutive row ranges [k0, k1) of about
-    _BLOCK_ENTRIES entries that cover [lo, hi), for rows of `width` entries.
-
-    Each block writes only its own rows of the preallocated outputs, so
-    the result is the same bits in any order. The blocks run on a thread
-    pool with one thread per CPU in the process's affinity mask, but at
-    most one per _BLOCKS_PER_THREAD blocks, so no more than about a 16th
-    of the rows are in flight and the temporaries stay small next to the
-    outputs whatever the CPU count. A build too small for two threads runs inline
-    and starts none. The pool is created for this build only: nothing
-    outlives it, so a forked child starts clean."""
-    step = max(1, _BLOCK_ENTRIES // width)
-    ranges = [(k0, min(k0 + step, hi)) for k0 in range(lo, hi, step)]
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    workers = min(cpus, len(ranges) // _BLOCKS_PER_THREAD)
-    if workers < 2:
-        for k0, k1 in ranges:
-            block(k0, k1)
-        return
-    with ThreadPoolExecutor(workers) as pool:
-        # list() re-raises a block's exception
-        list(pool.map(lambda r: block(*r), ranges))
 
 
 def _pow_diffs(A0, A1, h, beta):
@@ -241,9 +209,7 @@ def _pow_diffs(A0, A1, h, beta):
 
     Each entry is evaluated by one branch: at the target (A1 = 0) by A0**e;
     far from it (h/A1 < 0.5) by A1**e * expm1(e*log1p(h/A1)), with the
-    log1p shared by both exponents; near it by the direct difference.
-    The branches are picked by boolean masks, whose gathers and scatters,
-    unlike integer-index ones, let other threads run."""
+    log1p shared by both exponents; near it by the direct difference."""
     b1 = beta + 1.0
     P = np.empty_like(A1)
     Q = np.empty_like(A1)
@@ -275,8 +241,9 @@ def _moment_matrices(nodes: np.ndarray, beta: float, rows: np.ndarray, sampled_f
     t = nodes
     h = np.diff(t)
     W = np.zeros((len(rows), len(t)))
-
-    def block(k0, k1):
+    step = max(1, _BLOCK_ENTRIES // len(t))
+    for k0 in range(0, len(rows), step):
+        k1 = min(k0 + step, len(rows))
         j = rows[k0:k1]
         m = j.max()                       # the block reads subintervals < m
         inside = np.arange(m) < j[:, None]
@@ -293,8 +260,6 @@ def _moment_matrices(nodes: np.ndarray, beta: float, rows: np.ndarray, sampled_f
             G[:, :1] = 0.0
         W[k0:k1, :m] -= G
         W[k0:k1, 1:m + 1] += G
-
-    _run_blocks(block, 0, len(rows), len(t))
     return W
 
 
@@ -392,20 +357,20 @@ def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
         B1 = b2 * span ** (beta + eta + 1.0) * np.diff(D, axis=1) - x[lo:hi - 1] * B0
         return B0 @ w[lo:hi - 1] + B1 @ sw[lo:hi - 1]
 
-    def block(j0, m):
+    step = max(1, _BLOCK_ENTRIES // n)
+    for j0 in range(1, n, step):
         # m - 1 is the block's last j: it reads the nodes up to t_{m-1}
+        m = min(j0 + step, n)
         span = x[j0:m, None]                   # t_j - a
         # cell j0 - 1 ends at t_{j0}, so some cell fails
         f = int(np.argmax(x[j0] - x[1:j0 + 1] < _FAR_WIDTHS * h[:j0]))
         if f <= c0:
             out[j0:m] = near(span, 0, m)
-            return
+            continue
         acc = near(span, 0, c0 + 1)
         for q in range(_FAR_GAUSS):
             acc += (span - S[q, c0:f]) ** (beta - 1.0) @ c[q, c0:f]
         out[j0:m] = acc + near(span, f, m)
-
-    _run_blocks(block, 1, n, n)
     return out
 
 

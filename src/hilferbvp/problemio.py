@@ -17,8 +17,9 @@ variables t or z. Example:
     }
 
 The optional "solver" block overrides SolveConfig defaults; the optional
-"reference" block declares externally claimed certificate values that the
-check command compares against in paper-literal mode.
+"reference" block declares externally claimed certificate values (finite
+numbers or expression strings) that the check command compares against
+in paper-literal mode.
 """
 
 import json
@@ -40,25 +41,41 @@ __all__ = [
 _SCALAR_KEYS = ("mu", "nu", "a", "b", "c", "d")
 
 
-def _scalar(doc, key, allowed_vars=()):
+def _scalar(doc, key, path=None):
+    """The finite value of doc[key]; errors name `path` (default: key)."""
+    path = path or key
     if key not in doc:
-        raise SchemaError(key, "missing required key")
+        raise SchemaError(path, "missing required key")
     raw = doc[key]
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return float(raw)
     if not isinstance(raw, str):
-        raise SchemaError(key, f"expected a number or expression string, got {raw!r}")
+        value = _number(raw)
+        if value is None:
+            raise SchemaError(path, f"expected a finite number or expression string, got {raw!r}")
+        return value
     try:
         tree = parse(raw)
     except ParseError as exc:
-        raise SchemaError(key, f"expression error: {exc}") from exc
+        raise SchemaError(path, f"expression error: {exc}") from exc
     used = variables_used(tree)
-    if used - set(allowed_vars):
-        raise SchemaError(key, f"expression must not reference {sorted(used)}")
+    if used:
+        raise SchemaError(path, f"expression must not reference {sorted(used)}")
     value = evaluate(tree, 0.0, 0.0)
     if not _finite(value):
-        raise SchemaError(key, f"expression evaluates to non-finite value {value!r}")
+        raise SchemaError(path, f"expression evaluates to non-finite value {value!r}")
     return value
+
+
+def _number(raw):
+    """raw as a float if it is a finite JSON number, else None. Python's
+    json reads the tokens NaN and Infinity and integers past the float
+    range, so those give None, as do booleans."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        return None
+    try:
+        value = float(raw)
+    except OverflowError:
+        return None
+    return value if _finite(value) else None
 
 
 def _finite(x):
@@ -95,8 +112,8 @@ def _solver_config(block) -> SolveConfig:
         if types[key] is int:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise SchemaError(f"solver.{key}", f"expected an integer, got {value!r}")
-        elif not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaError(f"solver.{key}", f"expected a number, got {value!r}")
+        elif _number(value) is None:
+            raise SchemaError(f"solver.{key}", f"expected a finite number, got {value!r}")
         kwargs[key] = types[key](value)
     try:
         return SolveConfig(**kwargs)
@@ -114,7 +131,7 @@ def load_problem_document(path):
             doc = json.load(fh)
     except OSError as exc:
         raise SchemaError(str(path), f"cannot read file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise SchemaError(str(path), f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(str(path), "top level must be an object")
@@ -135,8 +152,8 @@ def load_problem_document(path):
     for k, item in enumerate(raw_terms):
         if not isinstance(item, dict):
             raise SchemaError(f"nonlocal[{k}]", "expected a {lambda, tau} object")
-        lam = _scalar(item, "lambda")
-        tau = _scalar(item, "tau")
+        lam = _scalar(item, "lambda", f"nonlocal[{k}].lambda")
+        tau = _scalar(item, "tau", f"nonlocal[{k}].tau")
         if not (a < tau <= b):
             raise SchemaError(f"nonlocal[{k}].tau", f"tau = {tau!r} outside (a, b]")
         nonlocal_terms.append((lam, tau))
@@ -162,6 +179,11 @@ def load_problem_document(path):
     reference = doc.get("reference", {})
     if not isinstance(reference, dict):
         raise SchemaError("reference", "expected an object")
+    for key, raw in reference.items():
+        if not isinstance(raw, str) and _number(raw) is None:
+            raise SchemaError(
+                f"reference.{key}", f"expected a finite number or expression string, got {raw!r}"
+            )
     return spec, config, reference
 
 

@@ -71,6 +71,33 @@ def test_load_tau_out_of_range(tmp_path):
     assert err.value.key == "nonlocal[0].tau"
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "key", ["mu", "nu", "a", "b", "c", "d", "p", "nonlocal[0].lambda", "nonlocal[0].tau"]
+)
+def test_load_rejects_non_finite_numbers(tmp_path, key, value):
+    # json writes and reads the tokens NaN, Infinity and -Infinity
+    if key.startswith("nonlocal"):
+        term = {"lambda": "2/5", "tau": "2/3", key.split(".")[1]: value}
+        path = write_problem(tmp_path, **{"nonlocal": [term]})
+    else:
+        path = write_problem(tmp_path, **{key: value})
+    with pytest.raises(SchemaError) as err:
+        load_problem(path)
+    assert err.value.key == key
+
+
+@pytest.mark.parametrize(
+    "value", [[1], {"x": 1}, True, math.nan, 10**400], ids=["list", "object", "true", "nan", "10**400"]
+)
+def test_load_rejects_malformed_reference_values(tmp_path, value):
+    path = write_problem(tmp_path, reference={"q": "1/2", "G": value})
+    with pytest.raises(SchemaError) as err:
+        load_problem_document(path)
+    assert err.value.key == "reference.G"
+    assert main(["check", path, "--paper-literal"]) == 1
+
+
 def test_load_rejects_variables_in_scalars(tmp_path):
     path = write_problem(tmp_path, c="t+1")
     with pytest.raises(SchemaError) as err:
@@ -92,6 +119,10 @@ def test_load_rejects_bad_solver_block(tmp_path):
     path = write_problem(tmp_path, solver={"whatever": 3})
     with pytest.raises(SchemaError):
         load_problem(path)
+    path = write_problem(tmp_path, solver={"tol": math.inf})
+    with pytest.raises(SchemaError) as err:
+        load_problem(path)
+    assert err.value.key == "solver.tol"
 
 
 def test_load_rejects_expression_error(tmp_path):
@@ -229,6 +260,9 @@ def test_usage_errors(tmp_path):
     assert main(["check", EXAMPLE, "--sweep-p", "--paper-literal"]) == 1
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    assert main(["check", str(bad)]) == 1
+    assert main(["solve", write_problem(tmp_path, c=math.nan)]) == 1
+    bad.write_text('{"c": ' + "1" * 5000 + "}")  # past Python's int-parsing limit
     assert main(["check", str(bad)]) == 1
 
 

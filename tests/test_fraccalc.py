@@ -1,16 +1,8 @@
 import math
-import multiprocessing
-import os
-import sys
-import threading
-import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
@@ -666,17 +658,19 @@ def _peak_arrays(build, n):
     return peak / ((n - 1) * n * 8)
 
 
-def test_moment_build_memory_is_bounded():
-    m, _ = _mesh_with_close_tau(511, 4.0)
+@pytest.mark.parametrize("n_base", [511, 2047])
+def test_moment_build_memory_is_bounded(n_base):
+    m, _ = _mesh_with_close_tau(n_base, 4.0)
     n = len(m.nodes)
-    assert n == 513
+    assert n == n_base + 2
     rows = np.arange(n)
     # the output counts; the temporaries may add at most one more array
     assert _peak_arrays(lambda: _moment_matrices(m.nodes, 0.3, rows), n) <= 2.0
 
 
-def test_weighted_profile_memory_is_bounded():
-    m, _ = _mesh_with_close_tau(511, 4.0)
+@pytest.mark.parametrize("n_base", [511, 2047])
+def test_weighted_profile_memory_is_bounded(n_base):
+    m, _ = _mesh_with_close_tau(n_base, 4.0)
     n = len(m.nodes)
     w = np.cos(m.nodes)
     # no N x N array is held: only block temporaries
@@ -706,142 +700,3 @@ def test_derivative_profile_equals_scalar_stencil_loop(n_base):
     got = _derivative_profile(m.nodes, F)
     want = _scalar_derivative_profile(m.nodes, F)
     assert np.array_equal(got, want, equal_nan=True)
-
-
-# ---------------------------------------------------------------------------
-# row blocks on a thread pool
-# ---------------------------------------------------------------------------
-
-
-class _CountingPool(ThreadPoolExecutor):
-    started = 0
-
-    def __init__(self, *args, **kwargs):
-        type(self).started += 1
-        super().__init__(*args, **kwargs)
-
-
-def _build_both(nodes, beta, eta):
-    w = 2.0 + np.cos(3.0 * nodes)
-    return (
-        _moment_matrices(nodes, beta, np.arange(len(nodes))),
-        _profile_weighted(nodes, beta, eta, w),
-    )
-
-
-def _pool_starts(build, cpus, **sizes):
-    """Run build() with the given CPU set and block sizes (fraccalc module
-    constants); return its result and the number of thread pools it
-    started."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
-        for name, value in sizes.items():
-            mp.setattr(fraccalc, name, value)
-        mp.setattr(fraccalc, "ThreadPoolExecutor", _CountingPool)
-        before = _CountingPool.started
-        out = build()
-        return out, _CountingPool.started - before
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    n_base=st.integers(16, 700),
-    r=st.floats(1.0, 4.0),
-    where=st.floats(0.25, 0.99),
-    beta=st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False),
-    eta=st.floats(-1.0, 0.0, exclude_min=True),
-)
-def test_threaded_builds_equal_serial_builds(n_base, r, where, beta, eta):
-    # a tau 1e-9 right of a node in the coarse part of the mesh, where the
-    # spacing is far above 1e-9 for every r
-    grid = build_mesh(0.0, 1.0, n_base, r, [])
-    tau = float(grid.nodes[int(where * n_base)]) + 1e-9
-    nodes = build_mesh(0.0, 1.0, n_base, r, [tau]).nodes
-    # small blocks, so even the smallest mesh has several; both runs cut
-    # the same blocks and differ only in how they are scheduled
-    small = {"_BLOCK_ENTRIES": 1 << 8}
-    serial, pools = _pool_starts(lambda: _build_both(nodes, beta, eta), {0}, **small)
-    assert pools == 0
-    # more workers than cores, a thread for every block and frequent
-    # thread switches, so the blocks run interleaved
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threaded, pools = _pool_starts(
-            lambda: _build_both(nodes, beta, eta), range(4), _BLOCKS_PER_THREAD=1, **small
-        )
-    finally:
-        sys.setswitchinterval(interval)
-    assert pools == 2
-    for got, want in zip(threaded, serial):
-        assert np.array_equal(got, want, equal_nan=True)
-
-
-def test_small_builds_start_no_thread_and_large_ones_do():
-    for n_base, pools in ((256, 0), (1024, 2)):
-        nodes = build_mesh(0.0, 1.0, n_base, 2.0, []).nodes
-        serial, _ = _pool_starts(lambda: _build_both(nodes, 0.5, -0.5), {0})
-        got, started = _pool_starts(lambda: _build_both(nodes, 0.5, -0.5), range(2))
-        assert started == pools, n_base
-        for g, want in zip(got, serial):
-            assert np.array_equal(g, want), n_base
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3, 16, 64])
-@pytest.mark.parametrize("rows, width", [(17, 1000), (512, 513), (2050, 2051), (40, 20000)])
-def test_run_blocks_covers_the_rows_with_a_16th_in_flight(rows, width, cpus, monkeypatch):
-    # the temporaries of a build scale with the rows in flight; they must
-    # not grow with the CPU count
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    lock = threading.Lock()
-    seen, now, most = [], [0], [0]
-
-    def block(k0, k1):
-        with lock:
-            seen.append((k0, k1))
-            now[0] += k1 - k0
-            most[0] = max(most[0], now[0])
-        time.sleep(1e-3)
-        with lock:
-            now[0] -= k1 - k0
-
-    fraccalc._run_blocks(block, 1, rows + 1, width)
-    covered = sorted(k for k0, k1 in seen for k in range(k0, k1))
-    assert covered == list(range(1, rows + 1))
-    step = max(1, fraccalc._BLOCK_ENTRIES // width)
-    assert most[0] <= max(step, (rows + step) / 16)
-
-
-@pytest.mark.parametrize("build", ["moments", "profile"])
-@pytest.mark.parametrize("n_base", [511, 2047])
-def test_builder_memory_is_bounded_on_many_cpus(n_base, build):
-    # as the two bounds above, with sixteen CPUs in the affinity mask; at
-    # n_base 2047 the build runs pooled on sixteen threads
-    m, _ = _mesh_with_close_tau(n_base, 4.0)
-    n = len(m.nodes)
-    if build == "moments":
-        run = lambda: _moment_matrices(m.nodes, 0.3, np.arange(n))  # noqa: E731
-        bound = 2.0
-    else:
-        run = lambda: _profile_weighted(m.nodes, 0.3, -0.5, np.cos(m.nodes))  # noqa: E731
-        bound = 1.0
-    peak, pools = _pool_starts(lambda: _peak_arrays(run, n), range(16))
-    assert pools == (1 if n_base > 1024 else 0)
-    assert peak <= bound
-
-
-def test_pooled_build_finishes_in_a_forked_child(monkeypatch):
-    # the pool lives for one build only; a pool kept from the parent would
-    # have no threads in the child and its build would never finish
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    m, _ = _mesh_with_close_tau(1024, 4.0)
-    _build_both(m.nodes, 0.3, -0.5)
-    child = multiprocessing.get_context("fork").Process(
-        target=_build_both, args=(m.nodes, 0.3, -0.5)
-    )
-    child.start()
-    child.join(timeout=60)
-    if child.exitcode is None:
-        child.kill()
-        child.join()
-    assert child.exitcode == 0

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -446,6 +447,17 @@ def test_solve_frees_its_moments_before_verify_ode():
     finally:
         tracemalloc.stop()
     assert peak / ((n - 1) * n * 8) <= 2.0
+
+
+def test_solve_starts_no_thread(monkeypatch):
+    # n_base 1024: large enough that every build has dozens of row blocks,
+    # which all run in the calling thread
+    def refuse(self):
+        raise AssertionError(f"thread {self.name!r} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),))
+    assert solve_picard(spec, SolveConfig(n_base=1024)).converged
 
 
 def test_verify_ode_pure_power():
