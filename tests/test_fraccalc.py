@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -658,23 +660,44 @@ def _peak_arrays(build, n):
     return peak / ((n - 1) * n * 8)
 
 
-@pytest.mark.parametrize("n_base", [511, 2047])
-def test_moment_build_memory_is_bounded(n_base):
-    m, _ = _mesh_with_close_tau(n_base, 4.0)
+def test_moment_build_memory_is_bounded():
+    m, _ = _mesh_with_close_tau(511, 4.0)
     n = len(m.nodes)
-    assert n == n_base + 2
+    assert n == 513
     rows = np.arange(n)
     # the output counts; the temporaries may add at most one more array
     assert _peak_arrays(lambda: _moment_matrices(m.nodes, 0.3, rows), n) <= 2.0
 
 
-@pytest.mark.parametrize("n_base", [511, 2047])
-def test_weighted_profile_memory_is_bounded(n_base):
-    m, _ = _mesh_with_close_tau(n_base, 4.0)
+def test_weighted_profile_memory_is_bounded():
+    m, _ = _mesh_with_close_tau(511, 4.0)
     n = len(m.nodes)
     w = np.cos(m.nodes)
     # no N x N array is held: only block temporaries
     assert _peak_arrays(lambda: _profile_weighted(m.nodes, 0.3, -0.5, w), n) <= 1.0
+
+
+@pytest.mark.parametrize("build", ["moments", "profile"])
+@pytest.mark.parametrize("n_base", [511, 2047])
+def test_builder_memory_is_bounded_on_many_cpus(n_base, build, monkeypatch):
+    # as the two bounds above, with sixteen CPUs in the affinity mask: the
+    # builds run in the calling thread, so neither their memory nor their
+    # thread count grows with the CPUs the host reports
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+
+    def refuse(self):
+        raise AssertionError(f"thread {self.name!r} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    m, _ = _mesh_with_close_tau(n_base, 4.0)
+    n = len(m.nodes)
+    if build == "moments":
+        run = lambda: _moment_matrices(m.nodes, 0.3, np.arange(n))  # noqa: E731
+        bound = 2.0
+    else:
+        run = lambda: _profile_weighted(m.nodes, 0.3, -0.5, np.cos(m.nodes))  # noqa: E731
+        bound = 1.0
+    assert _peak_arrays(run, n) <= bound
 
 
 def _scalar_derivative_profile(nodes, F):
