@@ -21,15 +21,12 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .errors import (
-    EvalError,
     HilferError,
     MeshMismatchError,
     NoConvergenceError,
-    ParseError,
     SchemaError,
 )
 from .existence import certificate, sweep_certificates
-from .expr import evaluate as _eval_expr, parse as _parse_expr
 from .fraccalc import WeightedGrid
 from .problemio import example_problem_path, load_problem_document
 from .solver import derive_params, problem_mesh, solve_picard, verify_bc, verify_ode
@@ -207,18 +204,7 @@ def _reference_notes(spec, rep, reference):
     if not reference:
         return notes
 
-    def declared(key):
-        raw = reference.get(key)
-        if raw is None:
-            return None, None
-        if isinstance(raw, str):
-            try:
-                return float(_eval_expr(_parse_expr(raw), 0.0, 0.0)), raw
-            except (ParseError, EvalError):
-                return None, raw
-        return float(raw), repr(raw)
-
-    q_ref, q_raw = declared("q")
+    q_ref, q_raw = reference.get("q", (None, None))
     if q_ref is not None:
         conjugate_ok = (
             math.isfinite(rep.q) and abs(1.0 / rep.p + 1.0 / q_ref - 1.0) <= 1e-12
@@ -231,14 +217,14 @@ def _reference_notes(spec, rep, reference):
                 f"of p = {rep.p:.12g} (p/(p-1) = {rep.q:.12g}); the pair p = q = "
                 f"{rep.p:.12g} does not satisfy 1/p + 1/q = 1"
             )
-    rho_ref, rho_raw = declared("rho_norm")
+    rho_ref, rho_raw = reference.get("rho_norm", (None, None))
     if rho_ref is not None and not _close(rho_ref, rep.rho_norm):
         notes.append(
             f"declared rho_norm = {rho_raw} = {rho_ref:.12g} differs from the "
             f"computed (int |rho|^p)^(1/p) = {rep.rho_norm:.12g} at p = {rep.p:.12g}"
         )
     for key, computed in (("G", rep.G), ("L_star", rep.L_star)):
-        ref_val, ref_raw = declared(key)
+        ref_val, ref_raw = reference.get(key, (None, None))
         if ref_val is None:
             continue
         if computed is None or not _close(ref_val, computed, 0.05):

@@ -25,9 +25,9 @@ from .errors import DomainError
 __all__ = [
     "FracOrder",
     "GradedMesh",
-    "KernelOperator",
     "WeightedGrid",
     "build_mesh",
+    "kernel_weights",
     "rl_integral_monomial",
     "rl_integral_quad",
     "rl_derivative_num",
@@ -194,6 +194,8 @@ def rl_integral_monomial(mu, delta, a, t) -> float:
 # with A0 = t-u, A1 = t-v, b1 = beta+1. With phi linear on [u, v] the
 # subinterval contributes M0 phi(u) + M1 (phi(v) - phi(u))/(v-u), so the
 # moments fold into node weights: M0 - M1/h on node u, M1/h on node v.
+# kernel_weights returns them as one matrix W, one row per target node;
+# callers keep W and multiply it into every integrand on the same mesh.
 # Only the entries that are read, subintervals left of the target node,
 # are evaluated, and each by the one branch of _pow_diffs that it takes.
 # Rows are built in blocks of about _BLOCK_ENTRIES entries, so the
@@ -230,15 +232,19 @@ def _pow_diffs(A0, A1, h, beta):
     return P, Q
 
 
-def _moment_matrices(nodes: np.ndarray, beta: float, rows: np.ndarray, sampled_first=True):
+def kernel_weights(nodes: np.ndarray, beta: float, rows=None, sampled_first=True) -> np.ndarray:
     """Node weights W[k, i] of product integration against the plain
-    kernel at target node t_j, j = rows[k]: the moments of every
-    subinterval [t_i, t_{i+1}] with i < j, folded onto its two nodes.
+    kernel (t_j-s)^{beta-1} at target node t_j, j = rows[k] (default:
+    every node): the moments of every subinterval [t_i, t_{i+1}] with
+    i < j, folded onto its two nodes. W @ phi gives the raw integrals
+    int_a^{t_j} (t_j-s)^{beta-1} phi(s) ds, with phi interpolated
+    piecewise linearly between nodes.
 
     With sampled_first false, the first subinterval puts only its M0 on
     node 0 and nothing on node 1: the one-point rule for a phi[0] that
     is not a sample."""
     t = nodes
+    rows = np.arange(len(t)) if rows is None else np.asarray(rows)
     h = np.diff(t)
     W = np.zeros((len(rows), len(t)))
     step = max(1, _BLOCK_ENTRIES // len(t))
@@ -261,35 +267,6 @@ def _moment_matrices(nodes: np.ndarray, beta: float, rows: np.ndarray, sampled_f
         W[k0:k1, :m] -= G
         W[k0:k1, 1:m + 1] += G
     return W
-
-
-class KernelOperator:
-    """Product integration against the plain kernel (t_j-s)^{beta-1} on a
-    fixed mesh.
-
-    The constructor builds one node-weight matrix W, and only for the
-    target rows: every node by default, or the given node indices. apply
-    returns the raw integrals int_a^{t_j} (t_j-s)^{beta-1} phi(s) ds at
-    those rows as W @ phi, with phi interpolated piecewise linearly
-    between nodes. The argument `first` models phi on the first
-    subinterval [t_0, t_1]:
-
-    None:    phi[0] is used as sampled;
-    "const": phi[0] carries the model value v; one-point product rule,
-             v times the kernel moment of the subinterval.
-
-    The model only changes the weights of nodes 0 and 1.
-    """
-
-    def __init__(self, nodes: np.ndarray, beta: float, targets=None, first=None):
-        if first not in (None, "const"):
-            raise ValueError(f"unknown first-interval model {first!r}")
-        rows = np.arange(len(nodes)) if targets is None else np.asarray(targets)
-        self.W = _moment_matrices(nodes, beta, rows, first is None)
-
-    def apply(self, phi: np.ndarray) -> np.ndarray:
-        """Raw integrals of the node samples phi at the target rows."""
-        return self.W @ phi
 
 
 # the far field of the weighted profile (see _profile_weighted): cells at
@@ -401,7 +378,7 @@ def rl_integral_quad(phi, mu: float, t: float, mesh: GradedMesh = None) -> float
         if len(values) != len(mesh.nodes):
             raise DomainError("sampled integrand length does not match mesh")
         j = mesh.index_of(t)
-        prof = KernelOperator(mesh.nodes, mu).apply(values)
+        prof = kernel_weights(mesh.nodes, mu) @ values
     return float(prof[j]) / specfun.gamma(mu)
 
 
@@ -410,36 +387,18 @@ def rl_integral_quad(phi, mu: float, t: float, mesh: GradedMesh = None) -> float
 # ---------------------------------------------------------------------------
 
 
-def _three_point_weights(x0, x1, x2, xe):
-    """Weights of the derivative of the quadratic through (x0, x1, x2) at xe."""
-    w0 = (2.0 * xe - x1 - x2) / ((x0 - x1) * (x0 - x2))
-    w1 = (2.0 * xe - x0 - x2) / ((x1 - x0) * (x1 - x2))
-    w2 = (2.0 * xe - x0 - x1) / ((x2 - x0) * (x2 - x1))
-    return w0, w1, w2
-
-
 def _derivative_profile(nodes: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Derivative of F at nodes 1..n-2 from values of F at nodes 1..n-2.
 
-    Three-point stencils, exact for quadratics on the non-uniform mesh:
-    centered in the interior, one-sided at the first and last usable node
-    (node 0 and node n-1 are never touched). Entries 0 and n-1 of the
-    result are NaN.
+    np.gradient with edge_order=2: three-point stencils, exact for
+    quadratics on the non-uniform mesh, centered in the interior and
+    one-sided at the first and last usable node (node 0 and node n-1 are
+    never touched). Entries 0 and n-1 of the result are NaN.
     """
-    n = len(nodes)
-    if n < 5:
+    if len(nodes) < 5:
         raise DomainError("derivative stencils need at least 4 subintervals")
-    d = np.full(n, np.nan)
-    t = nodes
-    # right-sided at the second node
-    w = _three_point_weights(t[1], t[2], t[3], t[1])
-    d[1] = w[0] * F[1] + w[1] * F[2] + w[2] * F[3]
-    # centered at nodes 2..n-3
-    w = _three_point_weights(t[1:n - 3], t[2:n - 2], t[3:n - 1], t[2:n - 2])
-    d[2:n - 2] = w[0] * F[1:n - 3] + w[1] * F[2:n - 2] + w[2] * F[3:n - 1]
-    # left-sided at the penultimate node
-    w = _three_point_weights(t[n - 4], t[n - 3], t[n - 2], t[n - 2])
-    d[n - 2] = w[0] * F[n - 4] + w[1] * F[n - 3] + w[2] * F[n - 2]
+    d = np.full(len(nodes), np.nan)
+    d[1:-1] = np.gradient(F[1:-1], nodes[1:-1], edge_order=2)
     return d
 
 

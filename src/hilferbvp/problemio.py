@@ -17,16 +17,16 @@ variables t or z. Example:
     }
 
 The optional "solver" block overrides SolveConfig defaults; the optional
-"reference" block declares externally claimed certificate values (finite
-numbers or expression strings) that the check command compares against
-in paper-literal mode.
+"reference" block declares externally claimed certificate values, read
+by the scalar rules, that the check command compares against in
+paper-literal mode.
 """
 
 import json
 from dataclasses import fields
 from importlib import resources
 
-from .errors import ParseError, SchemaError
+from .errors import EvalError, ParseError, SchemaError
 from .expr import evaluate, parse, pretty, variables_used
 from .fraccalc import FracOrder
 from .solver import ProblemSpec, SolveConfig
@@ -59,7 +59,10 @@ def _scalar(doc, key, path=None):
     used = variables_used(tree)
     if used:
         raise SchemaError(path, f"expression must not reference {sorted(used)}")
-    value = evaluate(tree, 0.0, 0.0)
+    try:
+        value = evaluate(tree, 0.0, 0.0)
+    except EvalError as exc:
+        raise SchemaError(path, f"evaluation error: {exc}") from exc
     if not _finite(value):
         raise SchemaError(path, f"expression evaluates to non-finite value {value!r}")
     return value
@@ -124,8 +127,8 @@ def _solver_config(block) -> SolveConfig:
 def load_problem_document(path):
     """Parse and validate a problem file; returns (spec, config, reference).
 
-    reference is the optional dict of externally claimed values (may be
-    empty)."""
+    reference maps each key of the optional reference block (may be
+    empty) to its value and its text as written."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -176,14 +179,13 @@ def load_problem_document(path):
         p=p,
     )
     config = _solver_config(doc.get("solver"))
-    reference = doc.get("reference", {})
-    if not isinstance(reference, dict):
+    block = doc.get("reference", {})
+    if not isinstance(block, dict):
         raise SchemaError("reference", "expected an object")
-    for key, raw in reference.items():
-        if not isinstance(raw, str) and _number(raw) is None:
-            raise SchemaError(
-                f"reference.{key}", f"expected a finite number or expression string, got {raw!r}"
-            )
+    reference = {
+        key: (_scalar(block, key, f"reference.{key}"), raw if isinstance(raw, str) else repr(raw))
+        for key, raw in block.items()
+    }
     return spec, config, reference
 
 

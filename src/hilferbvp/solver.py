@@ -27,13 +27,12 @@ from functools import cached_property
 
 import numpy as np
 
-from . import specfun
+from . import fraccalc, specfun
 from .errors import DomainError, NoConvergenceError, SingularProblemError
 from .expr import Expr, evaluate
 from .fraccalc import (
     FracOrder,
     GradedMesh,
-    KernelOperator,
     WeightedGrid,
     _hilfer_profile,
     build_mesh,
@@ -171,15 +170,15 @@ def problem_mesh(spec: ProblemSpec, config: SolveConfig) -> GradedMesh:
 
 
 class _Workspace:
-    """Kernel operators and f samples for one (mesh, order) pair.
+    """Kernel weights and f samples for one (mesh, order) pair.
 
     The running integral of order mu is read at every node, the boundary
-    integral of order 1-gamma+mu only at t = b, so the first operator holds
-    every row and the second only the last one. Each is built on first use
-    and then serves every iteration, the final coefficient and the
-    boundary residual. Both integrate the same f samples, with the first
-    subinterval under the one-point "const" model: sample 0 holds f
-    evaluated with the limiting weighted value w(a)."""
+    integral of order 1-gamma+mu only at t = b, so the first weight matrix
+    holds every row and the second only the last one. Each is built on
+    first use and then serves every iteration, the final coefficient and
+    the boundary residual. Both integrate the same f samples, with the
+    first subinterval under the one-point rule (sampled_first false):
+    sample 0 holds f evaluated with the limiting weighted value w(a)."""
 
     def __init__(self, spec: ProblemSpec, params: DerivedParams, mesh: GradedMesh):
         self.spec = spec
@@ -199,13 +198,14 @@ class _Workspace:
         self.weight_down[1:] = (nodes[1:] - nodes[0]) ** (gamma - 1.0)
 
     @cached_property
-    def running_op(self) -> KernelOperator:
-        return KernelOperator(self.nodes, self.spec.order.mu, first="const")
+    def running_weights(self) -> np.ndarray:
+        return fraccalc.kernel_weights(self.nodes, self.spec.order.mu, sampled_first=False)
 
     @cached_property
-    def boundary_op(self) -> KernelOperator:
+    def boundary_weights(self) -> np.ndarray:
         beta = 1.0 - self.params.gamma + self.spec.order.mu
-        return KernelOperator(self.nodes, beta, targets=[len(self.nodes) - 1], first="const")
+        last = [len(self.nodes) - 1]
+        return fraccalc.kernel_weights(self.nodes, beta, last, sampled_first=False)
 
     def f_samples(self, w: np.ndarray) -> np.ndarray:
         """f at the nodes (index >= 1); entry 0 holds the first-interval
@@ -220,11 +220,11 @@ class _Workspace:
 
     def running(self, samples) -> np.ndarray:
         """(1/Gamma(mu)) int_a^{t_j} (t_j-s)^{mu-1} f ds at every node."""
-        return self.running_op.apply(samples) / self.gamma_mu
+        return self.running_weights @ samples / self.gamma_mu
 
     def boundary(self, samples) -> float:
         """(1/Gamma(1-gamma+mu)) int_a^b (b-s)^{mu-gamma} f ds."""
-        return float(self.boundary_op.apply(samples)[0]) / self.gamma_bc
+        return float((self.boundary_weights @ samples)[0]) / self.gamma_bc
 
     def init_coeff(self, running, boundary) -> float:
         acc = sum(

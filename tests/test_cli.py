@@ -87,8 +87,23 @@ def test_load_rejects_non_finite_numbers(tmp_path, key, value):
     assert err.value.key == key
 
 
+@pytest.mark.parametrize("value", ["1/0", "log(0)", "exp(1000)"])
+@pytest.mark.parametrize("key", ["c", "nonlocal[0].tau"])
+def test_load_names_the_key_of_an_evaluation_error(tmp_path, key, value):
+    if key.startswith("nonlocal"):
+        path = write_problem(tmp_path, **{"nonlocal": [{"lambda": "2/5", "tau": value}]})
+    else:
+        path = write_problem(tmp_path, **{key: value})
+    with pytest.raises(SchemaError) as err:
+        load_problem(path)
+    assert err.value.key == key
+    assert main(["check", path]) == 1
+
+
 @pytest.mark.parametrize(
-    "value", [[1], {"x": 1}, True, math.nan, 10**400], ids=["list", "object", "true", "nan", "10**400"]
+    "value",
+    [[1], {"x": 1}, True, math.nan, 10**400, "sin(", "1/0", "t"],
+    ids=["list", "object", "true", "nan", "10**400", "sin(", "1/0", "t"],
 )
 def test_load_rejects_malformed_reference_values(tmp_path, value):
     path = write_problem(tmp_path, reference={"q": "1/2", "G": value})

@@ -12,14 +12,12 @@ from hilferbvp import fraccalc, specfun
 from hilferbvp.errors import DomainError
 from hilferbvp.fraccalc import (
     FracOrder,
-    KernelOperator,
     WeightedGrid,
     _derivative_profile,
-    _moment_matrices,
     _profile_weighted,
-    _three_point_weights,
     build_mesh,
     hilfer_derivative_num,
+    kernel_weights,
     rl_derivative_num,
     rl_integral_monomial,
     rl_integral_quad,
@@ -286,10 +284,10 @@ def test_convergence_order_sampled():
 
 
 # ---------------------------------------------------------------------------
-# kernel operator
+# kernel weights
 # ---------------------------------------------------------------------------
 
-FIRST_CELL_MODELS = (None, "const")
+FIRST_CELL_MODELS = (True, False)   # sampled_first
 
 
 @pytest.mark.parametrize("n_base", [100, 257, 1024])
@@ -301,40 +299,34 @@ def test_kernel_operator_boundary_row_is_last_row_of_full_build(n_base):
     m = build_mesh(0.0, 1.0, n_base, 2.0 / gamma, [0.3, 2.0 / 3.0])
     last = len(m.nodes) - 1
     for beta in (mu, 1.0 - gamma + mu, nu * (1.0 - mu), 1.0):
-        for first in FIRST_CELL_MODELS:
-            full = KernelOperator(m.nodes, beta, first=first)
-            row = KernelOperator(m.nodes, beta, targets=[last], first=first)
-            assert np.array_equal(row.W, full.W[-1:]), (beta, first)
+        for sampled in FIRST_CELL_MODELS:
+            full = kernel_weights(m.nodes, beta, sampled_first=sampled)
+            row = kernel_weights(m.nodes, beta, [last], sampled_first=sampled)
+            assert np.array_equal(row, full[-1:]), (beta, sampled)
 
 
-@pytest.mark.parametrize("first", [None, ("const", 0.7)])
+@pytest.mark.parametrize("first", [None, 0.7], ids=["None", "first1"])
 def test_kernel_operator_targets_agree_with_full_rows(first):
     m = build_mesh(0.0, 2.0, 64, 2.0, [0.5])
     phi = np.cos(m.nodes) + m.nodes
     if first is not None:
-        phi[0], first = first[1], "const"   # the model value rides in phi[0]
+        phi[0] = first   # the one-point rule's value rides in phi[0]
+    sampled = first is None
     rows = [0, 1, 17, len(m.nodes) - 1]
-    full = KernelOperator(m.nodes, 0.4, first=first).apply(phi)
-    part = KernelOperator(m.nodes, 0.4, targets=rows, first=first).apply(phi)
+    full = kernel_weights(m.nodes, 0.4, sampled_first=sampled) @ phi
+    part = kernel_weights(m.nodes, 0.4, rows, sampled_first=sampled) @ phi
     assert part[0] == 0.0
     assert np.allclose(part, full[rows], rtol=1e-14, atol=0.0)
 
 
 def test_kernel_operator_const_model_exact_for_constants():
-    # the one-point model is exact when phi is the same constant everywhere
+    # the one-point rule is exact when phi is the same constant everywhere
     beta = 0.6
     m = build_mesh(0.0, 1.0, 32, 2.5, [])
-    op = KernelOperator(m.nodes, beta, first="const")
-    out = op.apply(np.full(len(m.nodes), 3.0))
+    W = kernel_weights(m.nodes, beta, sampled_first=False)
+    out = W @ np.full(len(m.nodes), 3.0)
     exact = 3.0 * m.nodes**beta / beta
     assert np.allclose(out, exact, rtol=1e-13, atol=0.0)
-
-
-def test_kernel_operator_rejects_unknown_model():
-    m = uniform_mesh(8)
-    for first in (("linear", 1.0), "power", ("power", -0.25), ("const", 1.0)):
-        with pytest.raises(ValueError):
-            KernelOperator(m.nodes, 0.5, first=first)
 
 
 # ---------------------------------------------------------------------------
@@ -534,13 +526,13 @@ def _dense_moment_matrices(nodes, beta, rows):
     return M0, M1
 
 
-def _folded_reference(nodes, beta, rows, first):
+def _folded_reference(nodes, beta, rows, sampled_first):
     """Node weights from the dense moments, folded in the builder's
     order (M0 - M1/h on node i, then M1/h added on node i+1), with the
-    first-cell model applied."""
+    first-cell rule applied."""
     M0, M1 = _dense_moment_matrices(nodes, beta, rows)
     G = M1 / np.diff(nodes)
-    if first is not None:
+    if not sampled_first:
         G[:, 0] = 0.0
     W = np.zeros((len(rows), len(nodes)))
     W[:, :-1] = M0 - G
@@ -581,13 +573,13 @@ def test_moment_matrices_bit_identical_to_dense_reference(n_base, graded):
     assert n == n_base + 2
     everything = np.arange(n)
     for beta in (0.3, order.mu, 1.0 - order.gamma + order.mu, 1.0):
-        for first in FIRST_CELL_MODELS:
-            got = KernelOperator(m.nodes, beta, first=first).W
-            want = _folded_reference(m.nodes, beta, everything, first)
-            assert np.array_equal(got, want), (beta, first)
+        for sampled in FIRST_CELL_MODELS:
+            got = kernel_weights(m.nodes, beta, sampled_first=sampled)
+            want = _folded_reference(m.nodes, beta, everything, sampled)
+            assert np.array_equal(got, want), (beta, sampled)
             for j in (1, m.index_of(tau), m.index_of(tau) + 1, n - 1):
-                got = KernelOperator(m.nodes, beta, targets=[j], first=first).W
-                assert np.array_equal(got, want[[j]]), (beta, first, j)
+                got = kernel_weights(m.nodes, beta, [j], sampled_first=sampled)
+                assert np.array_equal(got, want[[j]]), (beta, sampled, j)
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0])
@@ -666,7 +658,7 @@ def test_moment_build_memory_is_bounded():
     assert n == 513
     rows = np.arange(n)
     # the output counts; the temporaries may add at most one more array
-    assert _peak_arrays(lambda: _moment_matrices(m.nodes, 0.3, rows), n) <= 2.0
+    assert _peak_arrays(lambda: kernel_weights(m.nodes, 0.3, rows), n) <= 2.0
 
 
 def test_weighted_profile_memory_is_bounded():
@@ -692,12 +684,20 @@ def test_builder_memory_is_bounded_on_many_cpus(n_base, build, monkeypatch):
     m, _ = _mesh_with_close_tau(n_base, 4.0)
     n = len(m.nodes)
     if build == "moments":
-        run = lambda: _moment_matrices(m.nodes, 0.3, np.arange(n))  # noqa: E731
+        run = lambda: kernel_weights(m.nodes, 0.3)  # noqa: E731
         bound = 2.0
     else:
         run = lambda: _profile_weighted(m.nodes, 0.3, -0.5, np.cos(m.nodes))  # noqa: E731
         bound = 1.0
     assert _peak_arrays(run, n) <= bound
+
+
+def _three_point_weights(x0, x1, x2, xe):
+    """Weights of the derivative of the quadratic through (x0, x1, x2) at xe."""
+    w0 = (2.0 * xe - x1 - x2) / ((x0 - x1) * (x0 - x2))
+    w1 = (2.0 * xe - x0 - x2) / ((x1 - x0) * (x1 - x2))
+    w2 = (2.0 * xe - x0 - x1) / ((x2 - x0) * (x2 - x1))
+    return w0, w1, w2
 
 
 def _scalar_derivative_profile(nodes, F):
@@ -716,10 +716,17 @@ def _scalar_derivative_profile(nodes, F):
 
 @pytest.mark.parametrize("n_base", [4, 5, 300])
 def test_derivative_profile_equals_scalar_stencil_loop(n_base):
+    # np.gradient sums the same stencils in another order: equal up to
+    # rounding, and five nodes (four subintervals) are the fewest it takes
     m, _ = _mesh_with_close_tau(n_base, 3.0)
     F = np.random.default_rng(n_base).standard_normal(len(m.nodes))
     F[0] = np.nan  # never read
     F[-1] = np.nan
-    got = _derivative_profile(m.nodes, F)
-    want = _scalar_derivative_profile(m.nodes, F)
-    assert np.array_equal(got, want, equal_nan=True)
+    for k in (5, len(m.nodes)):
+        got = _derivative_profile(m.nodes[:k], F[:k])
+        want = _scalar_derivative_profile(m.nodes[:k], F[:k])
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        gap = np.nanmax(np.abs(got - want))
+        assert gap <= 1e-13 * np.nanmax(np.abs(want)), (k, gap)
+    with pytest.raises(DomainError):
+        _derivative_profile(m.nodes[:4], F[:4])

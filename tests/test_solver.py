@@ -389,14 +389,14 @@ def test_dense_kernel_moments_built_once_per_order(monkeypatch):
     # any nu; the boundary integral, in the solve and in verify_bc, reads
     # one row
     builds = []
-    build = fraccalc._moment_matrices
+    build = fraccalc.kernel_weights
 
-    def counting(nodes, beta, *rest):
-        W = build(nodes, beta, *rest)
+    def counting(nodes, beta, *rest, **kw):
+        W = build(nodes, beta, *rest, **kw)
         builds.append(len(W) == len(nodes))
         return W
 
-    monkeypatch.setattr(fraccalc, "_moment_matrices", counting)
+    monkeypatch.setattr(fraccalc, "kernel_weights", counting)
     for nu in (0.25, 1.0):
         spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),), nu=nu)
         builds.clear()
@@ -435,7 +435,7 @@ def test_solve_is_bit_identical_to_recorded_values(nu, n_base):
 
 
 def test_solve_frees_its_moments_before_verify_ode():
-    # the running operator's N x N weight matrix is dropped before
+    # the running integral's N x N weight matrix is dropped before
     # verify_ode runs, which builds none
     spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),))
     config = SolveConfig(n_base=512)
