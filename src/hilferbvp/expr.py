@@ -10,11 +10,14 @@ resulting trees in double precision. Grammar:
     base   := number | 't' | 'z' | ident '(' expr ')' | '(' expr ')' | '-' base
 
 Unary minus binds tighter than the base of '^', so "-2^2" is (-2)^2.
-Numbers accept decimal and scientific notation. Known functions:
-sin, cos, abs, exp, log, sqrt.
+Known functions: sin, cos, abs, exp, log, sqrt. The tokens come from one
+regular expression, _TOKEN: a number (1, 1., .5, 1e-3, 2.5E+2), a name,
+or any other single character, each after optional whitespace, so
+whitespace may appear between any two tokens but not inside one.
 """
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from .errors import EvalError, ParseError
@@ -56,136 +59,84 @@ class Binary(Expr):
     rhs: Expr = None
 
 
+# One token after optional whitespace: a number, a name, any other single
+# character, or the end of input (no group matches). A '.' that starts no
+# number is an "op" token, which parse_base reports as "expected a number".
+_TOKEN = re.compile(
+    r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<name>[^\W\d]\w*)|(?P<op>\S)|\Z)"
+)
+
+
 class _Parser:
+    """Recursive descent over the tokens of _TOKEN; `kind`, `text` and
+    `start` describe the current token (None, "" and the end offset at
+    the end of input)."""
+
     def __init__(self, source: str):
-        self.src = source
-        self.pos = 0
+        self.src, self.end = source, 0
+        self.advance()
+
+    def advance(self):
+        m = _TOKEN.match(self.src, self.end)
+        self.kind, self.end = m.lastgroup, m.end()
+        self.text = m[self.kind] if self.kind else ""
+        self.start = self.end - len(self.text)
 
     def error(self, expected):
-        raise ParseError(f"expected {expected}", self.pos, expected)
-
-    def skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.src[self.pos] if self.pos < len(self.src) else ""
-
-    def accept(self, ch):
-        if self.peek() == ch:
-            self.pos += 1
-            return True
-        return False
+        raise ParseError(f"expected {expected}", self.start, expected)
 
     def expect(self, ch):
-        if not self.accept(ch):
+        if self.text != ch:
             self.error(f"'{ch}'")
+        self.advance()
+
+    def chain(self, ops, operand):
+        """Left-associative operand (op operand)* for op in ops."""
+        node = operand()
+        while self.text in ops:
+            op, here = self.text, self.start
+            self.advance()
+            node = Binary(op=op, lhs=node, rhs=operand(), pos=here)
+        return node
 
     def parse_expr(self):
-        node = self.parse_term()
-        while True:
-            here = self.pos
-            c = self.peek()
-            if c == "+" or c == "-":
-                self.pos += 1
-                rhs = self.parse_term()
-                node = Binary(op=c, lhs=node, rhs=rhs, pos=here)
-            else:
-                return node
+        return self.chain(("+", "-"), self.parse_term)
 
     def parse_term(self):
-        node = self.parse_factor()
-        while True:
-            here = self.pos
-            c = self.peek()
-            if c == "*" or c == "/":
-                self.pos += 1
-                rhs = self.parse_factor()
-                node = Binary(op=c, lhs=node, rhs=rhs, pos=here)
-            else:
-                return node
+        return self.chain(("*", "/"), self.parse_factor)
 
     def parse_factor(self):
         node = self.parse_base()
-        here = self.pos
-        if self.peek() == "^":
-            self.pos += 1
-            exponent = self.parse_factor()  # right-associative
-            node = Binary(op="^", lhs=node, rhs=exponent, pos=here)
-        return node
+        if self.text != "^":
+            return node
+        here = self.start
+        self.advance()
+        return Binary(op="^", lhs=node, rhs=self.parse_factor(), pos=here)  # right-associative
 
     def parse_base(self):
-        c = self.peek()
-        here = self.pos
-        if c == "-":
-            self.pos += 1
+        kind, text, here = self.kind, self.text, self.start
+        if kind == "name" and text not in _VARIABLES + _FUNCTIONS:
+            raise ParseError(
+                f"unknown identifier '{text}' (variables are t, z; functions are "
+                f"{', '.join(_FUNCTIONS)})", here, "identifier"
+            )
+        if kind not in ("number", "name") and text not in ("-", "("):
+            self.error("a number" if text == "." else "a number, variable, function call or '('")
+        self.advance()
+        if kind == "number":
+            return Num(value=float(text), pos=here)
+        if text in _VARIABLES:
+            return Var(name=text, pos=here)
+        if text == "-":
             return Unary(op="neg", arg=self.parse_base(), pos=here)
-        if c == "(":
-            self.pos += 1
+        if text == "(":
             node = self.parse_expr()
             self.expect(")")
             return node
-        if c.isdigit() or c == ".":
-            return self.parse_number()
-        if c.isalpha() or c == "_":
-            return self.parse_ident()
-        self.error("a number, variable, function call or '('")
-
-    def parse_number(self):
-        start = self.pos
-        src = self.src
-        n = len(src)
-        i = start
-        while i < n and src[i].isdigit():
-            i += 1
-        if i < n and src[i] == ".":
-            i += 1
-            while i < n and src[i].isdigit():
-                i += 1
-        if i == start or src[start:i] == ".":
-            self.pos = start
-            self.error("a number")
-        if i < n and src[i] in "eE":
-            j = i + 1
-            if j < n and src[j] in "+-":
-                j += 1
-            k = j
-            while k < n and src[k].isdigit():
-                k += 1
-            if k > j:
-                i = k
-        text = src[start:i]
-        self.pos = i
-        try:
-            value = float(text)
-        except ValueError:
-            self.pos = start
-            self.error("a number")
-        return Num(value=value, pos=start)
-
-    def parse_ident(self):
-        start = self.pos
-        src = self.src
-        i = start
-        while i < len(src) and (src[i].isalnum() or src[i] == "_"):
-            i += 1
-        name = src[start:i]
-        self.pos = i
-        if name in _VARIABLES:
-            return Var(name=name, pos=start)
-        if name in _FUNCTIONS:
-            self.expect("(")
-            arg = self.parse_expr()
-            self.expect(")")
-            return Unary(op=name, arg=arg, pos=start)
-        self.pos = start
-        raise ParseError(
-            f"unknown identifier '{name}' (variables are t, z; functions are "
-            + ", ".join(_FUNCTIONS) + ")",
-            start,
-            "identifier",
-        )
+        self.expect("(")
+        arg = self.parse_expr()
+        self.expect(")")
+        return Unary(op=text, arg=arg, pos=here)
 
 
 def parse(source: str) -> Expr:
@@ -197,13 +148,11 @@ def parse(source: str) -> Expr:
     if not isinstance(source, str):
         raise ParseError("source must be a string", 0)
     p = _Parser(source)
-    p.skip_ws()
-    if p.pos >= len(source):
-        raise ParseError("empty input", p.pos, "an expression")
+    if p.kind is None:
+        raise ParseError("empty input", p.start, "an expression")
     node = p.parse_expr()
-    p.skip_ws()
-    if p.pos != len(source):
-        raise ParseError(f"trailing garbage {source[p.pos:]!r}", p.pos, "end of input")
+    if p.kind is not None:
+        raise ParseError(f"trailing garbage {source[p.start:]!r}", p.start, "end of input")
     return node
 
 

@@ -17,12 +17,14 @@ variables t or z. Example:
     }
 
 The optional "solver" block overrides SolveConfig defaults; the optional
-"reference" block declares externally claimed certificate values, read
-by the scalar rules, that the check command compares against in
-paper-literal mode.
+"reference" block declares externally claimed certificate values (q,
+rho_norm, G, L_star), read by the scalar rules, that the check command
+compares against in paper-literal mode. An unknown key at any level is a
+SchemaError naming its path, e.g. "nonlocal[0].tua".
 """
 
 import json
+import math
 from dataclasses import fields
 from importlib import resources
 
@@ -39,6 +41,14 @@ __all__ = [
 ]
 
 _SCALAR_KEYS = ("mu", "nu", "a", "b", "c", "d")
+_TOP_KEYS = _SCALAR_KEYS + ("nonlocal", "f", "rho", "p", "solver", "reference")
+_REFERENCE_KEYS = ("q", "rho_norm", "G", "L_star")
+
+
+def _reject_unknown(block, known, prefix=""):
+    for key in block:
+        if key not in known:
+            raise SchemaError(prefix + key, f"unknown key; expected one of {', '.join(known)}")
 
 
 def _scalar(doc, key, path=None):
@@ -63,7 +73,7 @@ def _scalar(doc, key, path=None):
         value = evaluate(tree, 0.0, 0.0)
     except EvalError as exc:
         raise SchemaError(path, f"evaluation error: {exc}") from exc
-    if not _finite(value):
+    if not math.isfinite(value):
         raise SchemaError(path, f"expression evaluates to non-finite value {value!r}")
     return value
 
@@ -78,11 +88,7 @@ def _number(raw):
         value = float(raw)
     except OverflowError:
         return None
-    return value if _finite(value) else None
-
-
-def _finite(x):
-    return x == x and abs(x) != float("inf")
+    return value if math.isfinite(value) else None
 
 
 def _expression(doc, key, allowed_vars):
@@ -107,9 +113,7 @@ def _solver_config(block) -> SolveConfig:
     if not isinstance(block, dict):
         raise SchemaError("solver", "expected an object")
     types = {f.name: f.type for f in fields(SolveConfig)}
-    unknown = set(block) - set(types)
-    if unknown:
-        raise SchemaError("solver", f"unknown keys {sorted(unknown)}")
+    _reject_unknown(block, types, "solver.")
     kwargs = {}
     for key, value in block.items():
         if types[key] is int:
@@ -138,6 +142,7 @@ def load_problem_document(path):
         raise SchemaError(str(path), f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(str(path), "top level must be an object")
+    _reject_unknown(doc, _TOP_KEYS)
 
     scalars = {key: _scalar(doc, key) for key in _SCALAR_KEYS}
     try:
@@ -155,6 +160,7 @@ def load_problem_document(path):
     for k, item in enumerate(raw_terms):
         if not isinstance(item, dict):
             raise SchemaError(f"nonlocal[{k}]", "expected a {lambda, tau} object")
+        _reject_unknown(item, ("lambda", "tau"), f"nonlocal[{k}].")
         lam = _scalar(item, "lambda", f"nonlocal[{k}].lambda")
         tau = _scalar(item, "tau", f"nonlocal[{k}].tau")
         if not (a < tau <= b):
@@ -182,6 +188,7 @@ def load_problem_document(path):
     block = doc.get("reference", {})
     if not isinstance(block, dict):
         raise SchemaError("reference", "expected an object")
+    _reject_unknown(block, _REFERENCE_KEYS, "reference.")
     reference = {
         key: (_scalar(block, key, f"reference.{key}"), raw if isinstance(raw, str) else repr(raw))
         for key, raw in block.items()

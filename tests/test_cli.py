@@ -113,6 +113,24 @@ def test_load_rejects_malformed_reference_values(tmp_path, value):
     assert main(["check", path, "--paper-literal"]) == 1
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"solvr": {"n_base": 64}}, "solvr"),
+        ({"nonlocal": [{"lambda": "2/5", "tau": "2/3", "tua": "1/2"}]}, "nonlocal[0].tua"),
+        ({"reference": {"q": "1/2", "Lstar": 0.14}}, "reference.Lstar"),
+        ({"solver": {"n_base": 64, "whatever": 3}}, "solver.whatever"),
+    ],
+    ids=["top", "nonlocal", "reference", "solver"],
+)
+def test_load_rejects_unknown_keys(tmp_path, overrides, key):
+    path = write_problem(tmp_path, **overrides)
+    with pytest.raises(SchemaError) as err:
+        load_problem_document(path)
+    assert err.value.key == key
+    assert main(["check", path, "--paper-literal"]) == 1
+
+
 def test_load_rejects_variables_in_scalars(tmp_path):
     path = write_problem(tmp_path, c="t+1")
     with pytest.raises(SchemaError) as err:

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilferbvp.errors import EvalError, ParseError
 from hilferbvp.expr import (
@@ -114,6 +116,15 @@ def test_eval_error_carries_position():
     assert err.value.pos == 2
 
 
+def test_power_node_points_at_the_caret():
+    # like + - * /, a '^' node carries the offset of its operator, not
+    # the end of its base (which is the space here)
+    assert parse("(-2) ^ 0.5").pos == 5
+    with pytest.raises(EvalError) as err:
+        evaluate(parse("(-2) ^ 0.5"), 0.0, 0.0)
+    assert err.value.pos == 5
+
+
 ROUND_TRIP_CORPUS = [
     "1",
     "t",
@@ -167,3 +178,126 @@ def test_eval_is_pure_bitwise():
 def test_variables_used():
     assert variables_used(parse("sin(t)*z")) == {"t", "z"}
     assert variables_used(parse("1/3")) == set()
+
+
+def _positions(e):
+    """Node offsets in pre-order."""
+    if isinstance(e, Binary):
+        return [e.pos] + _positions(e.lhs) + _positions(e.rhs)
+    if isinstance(e, Unary):
+        return [e.pos] + _positions(e.arg)
+    return [e.pos]
+
+
+# offsets of every node, recorded with the character-scanning parser
+NODE_POSITIONS = {
+    "1": [0],
+    "t": [0],
+    "z": [0],
+    "1+2": [1, 0, 2],
+    "1-2-3": [3, 1, 0, 2, 4],
+    "1+2*3": [1, 0, 3, 2, 4],
+    "(1+2)*3": [5, 2, 1, 3, 6],
+    "2^3^2": [1, 0, 3, 2, 4],
+    "(2^3)^2": [5, 2, 1, 3, 6],
+    "-t": [0, 1],
+    "-t^2": [2, 0, 1, 3],
+    "-(t^2)": [0, 3, 2, 4],
+    "2^-3": [1, 0, 2, 3],
+    "t*z": [1, 0, 2],
+    "t/z": [1, 0, 2],
+    "t/(1+z)": [1, 0, 4, 3, 5],
+    "sin(t)": [0, 4],
+    "cos(t*z)": [0, 5, 4, 6],
+    "abs(z)": [0, 4],
+    "exp(-t)": [0, 4, 5],
+    "log(1+t)": [0, 5, 4, 6],
+    "sqrt(t+1)": [0, 6, 5, 7],
+    "(1/16)*t*sin(abs(z))": [8, 6, 2, 1, 3, 7, 9, 13, 17],
+    "t/16": [1, 0, 2],
+    "1/3": [1, 0, 2],
+    "3/4*t - 1/4*z": [6, 3, 1, 0, 2, 4, 11, 9, 8, 10, 12],
+    "sin(cos(abs(t)))": [0, 4, 8, 12],
+    "1.5e-3*t^2": [6, 0, 8, 7, 9],
+    "-(1+2)": [0, 3, 2, 4],
+    "1--2": [1, 0, 2, 3],
+    "t^z^2": [1, 0, 3, 2, 4],
+    "((t))": [2],
+    "1 + 2 * t": [2, 0, 6, 4, 8],
+    "sin ( t )": [0, 6],
+}
+
+
+def test_node_positions_pinned():
+    assert set(ROUND_TRIP_CORPUS) <= set(NODE_POSITIONS)
+    for source, expected in NODE_POSITIONS.items():
+        assert _positions(parse(source)) == expected, source
+
+
+OPERAND = "a number, variable, function call or '('"
+
+
+@pytest.mark.parametrize(
+    "source, offset, expected",
+    [
+        ("", 0, "an expression"),
+        ("   ", 3, "an expression"),
+        (".", 0, "a number"),
+        (".E2", 0, "a number"),
+        ("1e", 1, "end of input"),
+        ("1 2", 2, "end of input"),
+        ("(1+2", 4, "')'"),
+        ("sin(", 4, OPERAND),
+        ("foo(2)", 0, "identifier"),
+        ("1+", 2, OPERAND),
+        ("2^", 2, OPERAND),
+        ("_x", 0, "identifier"),
+    ],
+)
+def test_parse_error_offset_and_expected_pinned(source, offset, expected):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert (err.value.offset, err.value.expected) == (offset, expected)
+
+
+def _numbers(e):
+    if isinstance(e, Num):
+        return [e.value]
+    if isinstance(e, Unary):
+        return _numbers(e.arg)
+    if isinstance(e, Binary):
+        return _numbers(e.lhs) + _numbers(e.rhs)
+    return []
+
+
+# grammar-built expressions with up to 3 characters of any kind spliced in
+# at a random place, cut to 40 characters
+_EXPRESSIONS = st.recursive(
+    st.sampled_from(["1", "2.5", ".5", "3.", "1e-3", "t", "z", "٣"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", " - ", "*", "/", "^", " ^ "]), inner).map("".join),
+        inner.map("-{}".format),
+        inner.map("sin( {})".format),
+        inner.map("({})".format),
+    ),
+    max_leaves=8,
+)
+_TEXT = st.builds(
+    lambda source, junk, at: (source[:at] + junk + source[at:])[:40],
+    _EXPRESSIONS,
+    st.text(max_size=3),
+    st.integers(0, 40),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_TEXT)
+def test_parse_returns_a_round_tripping_tree_or_raises_parse_error(source):
+    try:
+        tree = parse(source)
+    except ParseError:
+        return
+    # an overflowing literal such as 1e999 parses to inf, and pretty
+    # renders inf as "inf", which is not a literal
+    if all(math.isfinite(v) for v in _numbers(tree)):
+        assert parse(pretty(tree)) == tree
