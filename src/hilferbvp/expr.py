@@ -124,7 +124,11 @@ class _Parser:
             self.error("a number" if text == "." else "a number, variable, function call or '('")
         self.advance()
         if kind == "number":
-            return Num(value=float(text), pos=here)
+            value = float(text)
+            if math.isinf(value):
+                # pretty would render it as "inf", which does not parse
+                raise ParseError(f"number {text} overflows a double", here, "a finite number")
+            return Num(value=value, pos=here)
         if text in _VARIABLES:
             return Var(name=text, pos=here)
         if text == "-":
@@ -143,7 +147,8 @@ def parse(source: str) -> Expr:
     """Parse an expression string into an immutable tree.
 
     Raises ParseError (with character offset) on empty input, unknown
-    identifiers, unbalanced parentheses or trailing garbage.
+    identifiers, unbalanced parentheses, trailing garbage or a number
+    literal that overflows a double.
     """
     if not isinstance(source, str):
         raise ParseError("source must be a string", 0)

@@ -7,9 +7,12 @@ even when z blows up. All quadrature is product integration: only the
 smooth factor of an integrand is interpolated (piecewise linearly); the
 singular kernel factors (t-s)^{mu-1} and (s-a)^{gamma-1} are integrated
 in closed form on every subinterval where they are singular or nearly
-so. The weighted profile integrates its cells that lie at least 16 of
-their widths from both singularities by 4-point Gauss-Legendre instead,
-which moves it by at most 9e-16 relative (see _profile_weighted).
+so. Cells that lie at least 16 of their widths from the singularities
+take 4-point Gauss-Legendre instead, with the kernel at the Gauss points
+a sum of L ~ 300 exponentials carried from row to row. So the weighted
+profile, and the running integral from _FAR_MIN_NODES nodes on, cost
+O(N L) rather than O(N^2) and hold no N x N array; that moves them by
+at most 1.3e-15 relative (see _profile_weighted and _RunningIntegral).
 """
 
 import math
@@ -195,11 +198,13 @@ def rl_integral_monomial(mu, delta, a, t) -> float:
 # subinterval contributes M0 phi(u) + M1 (phi(v) - phi(u))/(v-u), so the
 # moments fold into node weights: M0 - M1/h on node u, M1/h on node v.
 # kernel_weights returns them as one matrix W, one row per target node;
-# callers keep W and multiply it into every integrand on the same mesh.
-# Only the entries that are read, subintervals left of the target node,
-# are evaluated, and each by the one branch of _pow_diffs that it takes.
-# Rows are built in blocks of about _BLOCK_ENTRIES entries, so the
-# temporaries of a build stay small next to its N x N output.
+# the solver builds it for the t = b row only, and _RunningIntegral
+# builds the near band of every row from the same moments (all of W
+# below _FAR_MIN_NODES nodes). Only the entries that are read,
+# subintervals left of the target node, are evaluated, and each by the
+# one branch of _pow_diffs that it takes. Rows are built in blocks of
+# about _BLOCK_ENTRIES entries, so the temporaries of a build stay small
+# next to its output.
 # ---------------------------------------------------------------------------
 
 _BLOCK_ENTRIES = 1 << 14
@@ -232,6 +237,36 @@ def _pow_diffs(A0, A1, h, beta):
     return P, Q
 
 
+def _moment_rows(t, rows, lo, hi, beta, sampled_first) -> np.ndarray:
+    """Columns lo..hi of kernel_weights(t, beta, rows, sampled_first):
+    the weights that the cells [lo, hi) left of each target node fold
+    onto the nodes lo..hi."""
+    W = np.zeros((len(rows), hi - lo + 1))
+    step = max(1, _BLOCK_ENTRIES // (hi - lo + 1))
+    for k0 in range(0, len(rows), step):
+        k1 = min(k0 + step, len(rows))
+        j = rows[k0:k1]
+        m = min(hi, j.max())              # the block reads cells lo..m-1
+        if m <= lo:
+            continue
+        inside = np.arange(lo, m) < j[:, None]
+        tj = t[j, None]
+        A0 = (tj - t[lo:m])[inside]       # t_j - t_i
+        A1 = (tj - t[lo + 1:m + 1])[inside]   # t_j - t_{i+1}
+        width = np.broadcast_to(np.diff(t[lo:m + 1]), inside.shape)[inside]
+        P, Q = _pow_diffs(A0, A1, width, beta)
+        m0 = P / beta
+        B = W[k0:k1, :m - lo + 1]
+        B[:, :-1][inside] = m0
+        G = np.zeros(inside.shape)        # the block's M1/h
+        G[inside] = (A0 * m0 - Q / (beta + 1.0)) / width
+        if not sampled_first and lo == 0:
+            G[:, :1] = 0.0
+        B[:, :-1] -= G
+        B[:, 1:] += G
+    return W
+
+
 def kernel_weights(nodes: np.ndarray, beta: float, rows=None, sampled_first=True) -> np.ndarray:
     """Node weights W[k, i] of product integration against the plain
     kernel (t_j-s)^{beta-1} at target node t_j, j = rows[k] (default:
@@ -242,40 +277,185 @@ def kernel_weights(nodes: np.ndarray, beta: float, rows=None, sampled_first=True
 
     With sampled_first false, the first subinterval puts only its M0 on
     node 0 and nothing on node 1: the one-point rule for a phi[0] that
-    is not a sample."""
-    t = nodes
-    rows = np.arange(len(t)) if rows is None else np.asarray(rows)
-    h = np.diff(t)
-    W = np.zeros((len(rows), len(t)))
-    step = max(1, _BLOCK_ENTRIES // len(t))
-    for k0 in range(0, len(rows), step):
-        k1 = min(k0 + step, len(rows))
-        j = rows[k0:k1]
-        m = j.max()                       # the block reads subintervals < m
-        inside = np.arange(m) < j[:, None]
-        tj = t[j, None]
-        A0 = (tj - t[:m])[inside]         # t_j - t_i
-        A1 = (tj - t[1:m + 1])[inside]    # t_j - t_{i+1}
-        hi = np.broadcast_to(h[:m], inside.shape)[inside]
-        P, Q = _pow_diffs(A0, A1, hi, beta)
-        m0 = P / beta
-        W[k0:k1, :m][inside] = m0
-        G = np.zeros(inside.shape)        # the block's M1/h
-        G[inside] = (A0 * m0 - Q / (beta + 1.0)) / hi
-        if not sampled_first:
-            G[:, :1] = 0.0
-        W[k0:k1, :m] -= G
-        W[k0:k1, 1:m + 1] += G
-    return W
+    is not a sample.
+
+    The solver reads only the t = b row from here; _RunningIntegral gives
+    every row of W @ phi without holding W, and W is its dense reference."""
+    rows = np.arange(len(nodes)) if rows is None else np.asarray(rows)
+    return _moment_rows(nodes, rows, 0, len(nodes) - 1, beta, sampled_first)
 
 
-# the far field of the weighted profile (see _profile_weighted): cells at
-# least _FAR_WIDTHS of their widths from both singularities take a
-# _FAR_GAUSS-point Gauss-Legendre rule
+# ---------------------------------------------------------------------------
+# far field
+#
+# A cell [t_i, t_{i+1}] is far from row j when it lies at least
+# _FAR_WIDTHS of its own widths h_i left of t_j (and, for the weighted
+# profile, right of a). The kernel is smooth on a far cell, so it takes
+# the _FAR_GAUSS-point Gauss-Legendre rule, and at the Gauss points the
+# kernel is a sum of exponentials (SOE),
+#
+#   x^{beta-1} ~ sum_l omega_l exp(-lambda_l x),  x in [delta, b-a],
+#
+# with delta the smallest far distance on the mesh (Jiang, Zhang, Zhang
+# & Zhang, Commun. Comput. Phys. 21 (2017); Beylkin & Monzon, Appl.
+# Comput. Harmon. Anal. 28 (2010)). Rows are scanned in blocks of
+# _SCAN_ROWS; the block from t_{j0} reads the far cells [c0, f), f the
+# first cell from c0 that is not far from t_{j0} (so not far from any
+# row of the block), and the block carries the L-vector history
+#
+#   H_l = sum over far cells and Gauss points of exp(-lambda_l (t_{j0}-s_q)) c_q,
+#
+# H <- exp(-lambda (t_{j0'} - t_{j0})) H + (the cells that became far),
+# so a far field costs O(N L) and not O(N^2). Each Gauss sample c_q is
+# rho_q times the linear interpolant of a node vector, and the factors
+# fold the interpolation onto the nodes.
+# ---------------------------------------------------------------------------
+
 _FAR_WIDTHS = 16
 _FAR_GAUSS = 4
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_FAR_GAUSS)
 _GAUSS_X, _GAUSS_W = 0.5 * (_GAUSS_X + 1.0), 0.5 * _GAUSS_W   # on [0, 1]
+_SCAN_ROWS = 32
+# from this node count on, the running integral takes the far field; below
+# it every cell is near. A build plus ten applications broke even at
+# n_base 384-512 on a 2-vCPU x86-64 host with one BLAS thread (CHANGES.md)
+_FAR_MIN_NODES = 600
+_SOE_X, _SOE_W = np.polynomial.legendre.leggauss(12)
+# a scan block keeps the SOE terms with lambda_l d <= _SOE_CUT, d its
+# smallest far distance
+_SOE_CUT = 50.0
+
+
+def _soe(alpha, delta):
+    """Exponents lam and weights omega with sum_l omega_l exp(-lam_l x)
+    = x^{-alpha} to 1e-15 relative for x in [delta, 1], 0 <= alpha < 1;
+    alpha = 0 (the kernel of order beta = 1) is the single term 1.
+
+    It is the quadrature of x^{-alpha} = Gamma(alpha)^{-1}
+    int exp(alpha u - e^u x) du by 12-point Gauss-Legendre panels: unit
+    panels on [0, log(37/delta) + 1/2], where e^u delta reaches 61, and
+    panels that double in width below 0 down to the u at which the
+    remaining tail, at most e^{alpha u} / alpha, is 1e-17 of Gamma(alpha)."""
+    if alpha == 0.0:
+        return np.zeros(1), np.ones(1)
+    top = math.log(37.0 / delta) + 0.5
+    edges = [0.0]
+    u_min = math.log(1e-17 * specfun.gamma(alpha + 1.0)) / alpha
+    width = 1.0
+    while edges[0] > u_min:
+        edges.insert(0, max(edges[0] - width, u_min))
+        width *= 2.0
+    edges.extend(np.arange(1.0, math.ceil(top) + 1.0))
+    e = np.asarray(edges)
+    lo, hi = e[:-1, None], e[1:, None]
+    u = (0.5 * (hi - lo) * _SOE_X + 0.5 * (hi + lo)).ravel()
+    wt = (0.5 * (hi - lo) * _SOE_W).ravel()
+    return np.exp(u), wt * np.exp(alpha * u) / specfun.gamma(alpha)
+
+
+def _scan_blocks(x, h, c0):
+    """Row blocks (j0, j1, f) of the far-field scan over rows 1..n-1, with
+    x = t - a: rows j0..j1-1 read the cells [c0, f) as far."""
+    n = len(x)
+    blocks = []
+    f = c0
+    for j0 in range(1, n, _SCAN_ROWS):
+        # a cell far from the last block's first row is far from this one,
+        # and cell j0 - 1 ends at t_{j0}, so it is near when in range
+        near = x[j0] - x[f + 1:j0 + 1] < _FAR_WIDTHS * h[f:j0]
+        if near.size:
+            f += int(np.argmax(near))
+        blocks.append((j0, min(j0 + _SCAN_ROWS, n), f))
+    return blocks
+
+
+def _far_factors(x, beta, rho, blocks, c0):
+    """SOE factors of the far-field scan, one (j0, j1, lo, f, decay, F, E)
+    per block that has far cells. With x = t - a, the far field of the
+    node vector v is
+
+        H <- decay * H,  H[:l] += F @ v[lo:f + 1],  far[j0:j1] = E @ H[:l],
+
+    block after block, with l = len(F): F folds the cells [lo, f) that
+    became far onto their nodes, with Gauss sample q of cell i weighted
+    by rho[q, i]. A block keeps only the l terms with lambda_l d <=
+    _SOE_CUT, d its smallest far distance; the rest add at most e^{-50}
+    of a kernel value, and decay drops them from H."""
+    far = [(j0, j1, f) for j0, j1, f in blocks if f > c0]
+    if not far:
+        return
+    span = x[-1]
+    delta = min(x[j0] - x[f] for j0, _, f in far) / span
+    lam, omega = _soe(1.0 - beta, delta)
+    lam = lam / span
+    omega = omega * span ** (beta - 1.0)
+    g = _GAUSS_X[:, None]
+    S = x[:-1] + np.diff(x) * g                # s_q - a of every cell
+    lo, ref = c0, x[far[0][0]]
+    for j0, j1, f in far:
+        n_terms = int(np.searchsorted(lam, _SOE_CUT / (x[j0] - x[f]), side="right"))
+        live = lam[:n_terms]
+        decay = np.zeros(len(lam))
+        decay[:n_terms] = np.exp(-live * (x[j0] - ref))
+        G = np.exp(-live[:, None, None] * (x[j0] - S[:, lo:f]))
+        F = np.zeros((n_terms, f - lo + 1))
+        F[:, :-1] = np.einsum("lqi,qi->li", G, (1.0 - g) * rho[:, lo:f])
+        F[:, 1:] += np.einsum("lqi,qi->li", G, g * rho[:, lo:f])
+        E = omega[:n_terms] * np.exp(-np.outer(x[j0:j1] - x[j0], live))
+        yield j0, j1, lo, f, decay, F, E
+        lo, ref = f, x[j0]
+
+
+def _far_field(factors, v) -> np.ndarray:
+    """The far field of the node vector v at every row (0 where a row has
+    no far cells), from the factors of _far_factors."""
+    out = np.zeros(len(v))
+    H = 0.0
+    for j0, j1, lo, f, decay, F, E in factors:
+        H = decay * H
+        H[:len(F)] += F @ v[lo:f + 1]
+        out[j0:j1] = E @ H[:len(F)]
+    return out
+
+
+class _RunningIntegral:
+    """The raw integrals int_a^{t_j} (t_j-s)^{beta-1} phi(s) ds at every
+    node t_j, phi piecewise linear: kernel_weights(nodes, beta,
+    sampled_first=sampled_first) @ phi, built once and applied to many phi.
+
+    From _FAR_MIN_NODES nodes on, a row is split in two. The near band is
+    cell 0 (under the first-cell model) and the cells [f, j) of its scan
+    block, with closed-form moments as in kernel_weights. The far cells
+    [1, f) take the SOE far field on the Gauss samples of phi. It holds
+    O(N (L + K)) numbers, about 2 N L with L ~ 300 SOE terms, and no
+    N x N array. Below that node count every cell is near, and the
+    operator is W itself."""
+
+    def __init__(self, nodes: np.ndarray, beta: float, sampled_first=True):
+        t = nodes
+        n = len(t)
+        rows = np.arange(n)
+        if n < _FAR_MIN_NODES:
+            self.W = _moment_rows(t, rows, 0, n - 1, beta, sampled_first)
+            return
+        self.W = None
+        x = t - t[0]
+        h = np.diff(t)
+        blocks = _scan_blocks(x, h, 1)
+        self.cell0 = _moment_rows(t, rows, 0, 1, beta, sampled_first)
+        self.bands = [
+            (j0, j1, f, _moment_rows(t, rows[j0:j1], f, j1 - 1, beta, sampled_first))
+            for j0, j1, f in blocks
+        ]
+        self.factors = list(_far_factors(x, beta, _GAUSS_W[:, None] * h, blocks, 1))
+
+    def __matmul__(self, phi: np.ndarray) -> np.ndarray:
+        if self.W is not None:
+            return self.W @ phi
+        out = _far_field(self.factors, phi) + self.cell0 @ phi[:2]
+        for j0, j1, lo, band in self.bands:
+            out[j0:j1] += band @ phi[lo:j1]
+        return out
 
 
 def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
@@ -293,37 +473,35 @@ def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
                            - X^{eta+1} (1-X)^beta / ((eta+1) B(eta+1, beta)).
 
     A far cell, with x = s - a, has x_i >= K h_i and x_j - x_{i+1} >= K h_i,
-    so both factors are smooth on it, and it takes the _FAR_GAUSS-point
-    Gauss-Legendre rule: row j adds sum_q (x_j - s_q)^{beta-1} c_q with
-    c_q = h_i omega_q s_q^eta w(s_q) fixed per call. The far cells of a
-    row are one range [c0, f): c0 is right of the last cell that fails the
-    first condition, and f is the first cell that fails the second for the
-    smallest row of a block, so every far cell meets both, also next to
-    an inserted node. So only O(N K) entries need betainc and the O(N^2)
-    rest is powers. Against two betainc calls per entry the rule moves
-    the profile by at most 9e-16 relative (nine (beta, eta) pairs at
-    n_base 512), and it meets a 30-digit reference to 6e-16 (the closed
-    form on every cell: 4e-16). Where far cells exist, constant w is
+    so both factors are smooth on it: it takes the _FAR_GAUSS-point
+    Gauss-Legendre rule with samples h_i omega_q s_q^eta w(s_q), summed
+    against the kernel by the SOE far field. The far cells of a row are
+    one range [c0, f): c0 is right of the last cell that fails the first
+    condition, and f is the first cell from c0 that fails the second for
+    the first row of a scan block, so every far cell meets both, also
+    next to an inserted node. So only O(N (K + _SCAN_ROWS)) entries need
+    betainc, and the far field is O(N L). Against two betainc calls per
+    entry the profile moves by at most 1.3e-15 relative (nine (beta, eta)
+    pairs at n_base 512 and 2047), and it meets a 30-digit reference to
+    6.2e-16 (the closed form on every cell: 4e-16). Where far cells exist, constant w is
     integrated exactly only up to that rounding; a mesh without any
     (small N) gets the closed form throughout.
 
     Row j reads the nodes up to t_j only (beyond it X = 1 and both weights
-    vanish), and rows are built in blocks, as the kernel moments are. Each
-    block applies its weights to w and its slope at once, so no N x N
-    array is ever held."""
+    vanish), and the near cells are integrated block by block, so no
+    N x N array is ever held."""
     n = len(nodes)
     x = nodes - nodes[0]                       # s - a at the nodes
     h = np.diff(nodes)
     b1 = _beta_sp(eta + 1.0, beta)
     b2 = _beta_sp(eta + 2.0, beta)
-    dw = np.diff(w)
-    sw = dw / h
+    sw = np.diff(w) / h
     out = np.zeros(n)
     # cell 0 always fails x_i >= K h_i
     c0 = 1 + np.flatnonzero(x[:-1] < _FAR_WIDTHS * h)[-1]
-    g = _GAUSS_X[:, None]
-    S = x[:-1] + h * g                         # s_q - a of every cell
-    c = _GAUSS_W[:, None] * h * S**eta * (w[:-1] + g * dw)
+    blocks = _scan_blocks(x, h, c0)
+    S = x[:-1] + h * _GAUSS_X[:, None]
+    far = _far_field(_far_factors(x, beta, _GAUSS_W[:, None] * h * S**eta, blocks, c0), w)
 
     def near(span, lo, hi):
         # closed-form weights of the cells [lo, hi - 1), applied to w
@@ -334,20 +512,12 @@ def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
         B1 = b2 * span ** (beta + eta + 1.0) * np.diff(D, axis=1) - x[lo:hi - 1] * B0
         return B0 @ w[lo:hi - 1] + B1 @ sw[lo:hi - 1]
 
-    step = max(1, _BLOCK_ENTRIES // n)
-    for j0 in range(1, n, step):
-        # m - 1 is the block's last j: it reads the nodes up to t_{m-1}
-        m = min(j0 + step, n)
-        span = x[j0:m, None]                   # t_j - a
-        # cell j0 - 1 ends at t_{j0}, so some cell fails
-        f = int(np.argmax(x[j0] - x[1:j0 + 1] < _FAR_WIDTHS * h[:j0]))
+    for j0, j1, f in blocks:
+        span = x[j0:j1, None]                  # t_j - a
         if f <= c0:
-            out[j0:m] = near(span, 0, m)
-            continue
-        acc = near(span, 0, c0 + 1)
-        for q in range(_FAR_GAUSS):
-            acc += (span - S[q, c0:f]) ** (beta - 1.0) @ c[q, c0:f]
-        out[j0:m] = acc + near(span, f, m)
+            out[j0:j1] = near(span, 0, j1)
+        else:
+            out[j0:j1] = near(span, 0, c0 + 1) + far[j0:j1] + near(span, f, j1)
     return out
 
 
@@ -360,10 +530,12 @@ def rl_integral_quad(phi, mu: float, t: float, mesh: GradedMesh = None) -> float
     values (then mesh is required and phi is interpolated piecewise
     linearly as-is).
 
-    Each call builds the whole O(N^2) profile to return one entry, so a
-    loop over nodes is O(N^3); solve_picard and verify_ode compute all
-    nodes at once. A one-row build waits for a perfbench change, as its
-    moments.* and profile.weighted_s probes time this call.
+    Each call builds the whole profile, O(N L) with L ~ 300 SOE terms
+    (O(N^2) for a sampled phi below _FAR_MIN_NODES nodes), to return one
+    entry, so a loop over nodes costs N times that; solve_picard and
+    verify_ode compute all nodes at once. A one-row build waits for a
+    perfbench change, as its moments.* and profile.weighted_s probes time
+    this call.
     """
     if not 0.0 < mu <= 1.0:
         raise DomainError(f"kernel order must lie in (0, 1], got {mu!r}")
@@ -378,7 +550,7 @@ def rl_integral_quad(phi, mu: float, t: float, mesh: GradedMesh = None) -> float
         if len(values) != len(mesh.nodes):
             raise DomainError("sampled integrand length does not match mesh")
         j = mesh.index_of(t)
-        prof = kernel_weights(mesh.nodes, mu) @ values
+        prof = _RunningIntegral(mesh.nodes, mu) @ values
     return float(prof[j]) / specfun.gamma(mu)
 
 
@@ -407,10 +579,11 @@ def rl_derivative_num(g: WeightedGrid, mu: float, t: float) -> float:
     mesh node: tabulate I^{1-mu} g at the nodes, then differentiate with
     the three-point stencils.
 
-    Each call builds the whole O(N^2) profile to return one entry, so a
-    loop over nodes is O(N^3); solve_picard and verify_ode compute all
-    nodes at once. A one-row build waits for a perfbench change, as its
-    profile.hilfer_s probe times hilfer_derivative_num, which this calls."""
+    Each call builds the whole O(N L) profile (L ~ 300 SOE terms) to
+    return one entry, so a loop over nodes costs N times that;
+    solve_picard and verify_ode compute all nodes at once. A one-row
+    build waits for a perfbench change, as its profile.hilfer_s probe
+    times hilfer_derivative_num, which this calls."""
     return hilfer_derivative_num(g, FracOrder(mu, 0.0), t)
 
 
@@ -455,10 +628,11 @@ def hilfer_derivative_num(g: WeightedGrid, order: FracOrder, t: float) -> float:
     for nu > 0 a smaller one raises DomainError. At nu = 1, z_a = z(a)
     and this is the Caputo derivative D^mu [z - z(a)].
 
-    Each call builds the whole O(N^2) profile to return one entry, so a
-    loop over nodes is O(N^3); solve_picard and verify_ode compute all
-    nodes at once. A one-row build waits for a perfbench change, as its
-    profile.hilfer_s probe times this call."""
+    Each call builds the whole O(N L) profile (L ~ 300 SOE terms) to
+    return one entry, so a loop over nodes costs N times that;
+    solve_picard and verify_ode compute all nodes at once. A one-row
+    build waits for a perfbench change, as its profile.hilfer_s probe
+    times this call."""
     j = g.mesh.index_of(t)
     if j == 0 or j == len(g.mesh.nodes) - 1:
         raise DomainError("derivative is not available at boundary nodes")

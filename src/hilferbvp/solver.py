@@ -170,15 +170,18 @@ def problem_mesh(spec: ProblemSpec, config: SolveConfig) -> GradedMesh:
 
 
 class _Workspace:
-    """Kernel weights and f samples for one (mesh, order) pair.
+    """Kernel operators and f samples for one (mesh, order) pair.
 
     The running integral of order mu is read at every node, the boundary
-    integral of order 1-gamma+mu only at t = b, so the first weight matrix
-    holds every row and the second only the last one. Each is built on
-    first use and then serves every iteration, the final coefficient and
-    the boundary residual. Both integrate the same f samples, with the
-    first subinterval under the one-point rule (sampled_first false):
-    sample 0 holds f evaluated with the limiting weighted value w(a)."""
+    integral of order 1-gamma+mu only at t = b. The first is a
+    fraccalc._RunningIntegral: from its node-count crossover on a
+    closed-form near band plus an SOE far field, O(N L) numbers with no
+    N x N array, and below it the dense weights W. The second is the one
+    row of kernel_weights at t = b. Each is built on first use and then
+    serves every iteration, the final coefficient and the boundary
+    residual. Both integrate the same f samples, with the first
+    subinterval under the one-point rule (sampled_first false): sample 0
+    holds f evaluated with the limiting weighted value w(a)."""
 
     def __init__(self, spec: ProblemSpec, params: DerivedParams, mesh: GradedMesh):
         self.spec = spec
@@ -198,8 +201,8 @@ class _Workspace:
         self.weight_down[1:] = (nodes[1:] - nodes[0]) ** (gamma - 1.0)
 
     @cached_property
-    def running_weights(self) -> np.ndarray:
-        return fraccalc.kernel_weights(self.nodes, self.spec.order.mu, sampled_first=False)
+    def running_operator(self) -> fraccalc._RunningIntegral:
+        return fraccalc._RunningIntegral(self.nodes, self.spec.order.mu, sampled_first=False)
 
     @cached_property
     def boundary_weights(self) -> np.ndarray:
@@ -220,7 +223,7 @@ class _Workspace:
 
     def running(self, samples) -> np.ndarray:
         """(1/Gamma(mu)) int_a^{t_j} (t_j-s)^{mu-1} f ds at every node."""
-        return self.running_weights @ samples / self.gamma_mu
+        return self.running_operator @ samples / self.gamma_mu
 
     def boundary(self, samples) -> float:
         """(1/Gamma(1-gamma+mu)) int_a^b (b-s)^{mu-gamma} f ds."""
@@ -322,7 +325,7 @@ def solve_picard(spec: ProblemSpec, config: SolveConfig = SolveConfig()) -> Solv
     boundary = ws.boundary(samples)
     init_coeff = ws.init_coeff(ws.running(samples), boundary)
     residual_bc = ws.bc_residual(w, boundary)
-    del ws  # frees the N x N weights before verify_ode adds its temporaries
+    del ws  # frees the running operator before verify_ode adds its temporaries
     grid = WeightedGrid(mesh=mesh, gamma=params.gamma, w=w)
     report = SolveReport(
         solution=grid,

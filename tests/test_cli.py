@@ -100,6 +100,16 @@ def test_load_names_the_key_of_an_evaluation_error(tmp_path, key, value):
     assert main(["check", path]) == 1
 
 
+def test_load_rejects_a_literal_that_overflows(tmp_path):
+    # 1e999 would parse to inf, and serialize_spec would then write
+    # "inf*t*0.0+t", which load_problem rejects
+    path = write_problem(tmp_path, f="1e999*t*0+t")
+    with pytest.raises(SchemaError) as err:
+        load_problem(path)
+    assert err.value.key == "f"
+    assert main(["solve", path, "--out", str(tmp_path / "t.csv")]) == 1
+
+
 @pytest.mark.parametrize(
     "value",
     [[1], {"x": 1}, True, math.nan, 10**400, "sin(", "1/0", "t"],

@@ -260,16 +260,6 @@ def test_parse_error_offset_and_expected_pinned(source, offset, expected):
     assert (err.value.offset, err.value.expected) == (offset, expected)
 
 
-def _numbers(e):
-    if isinstance(e, Num):
-        return [e.value]
-    if isinstance(e, Unary):
-        return _numbers(e.arg)
-    if isinstance(e, Binary):
-        return _numbers(e.lhs) + _numbers(e.rhs)
-    return []
-
-
 # grammar-built expressions with up to 3 characters of any kind spliced in
 # at a random place, cut to 40 characters
 _EXPRESSIONS = st.recursive(
@@ -297,7 +287,12 @@ def test_parse_returns_a_round_tripping_tree_or_raises_parse_error(source):
         tree = parse(source)
     except ParseError:
         return
-    # an overflowing literal such as 1e999 parses to inf, and pretty
-    # renders inf as "inf", which is not a literal
-    if all(math.isfinite(v) for v in _numbers(tree)):
-        assert parse(pretty(tree)) == tree
+    assert parse(pretty(tree)) == tree
+
+
+@pytest.mark.parametrize("source, offset", [("1e999", 0), ("t + 2.5E+400*z", 4), ("-1e309", 1)])
+def test_parse_rejects_a_literal_that_overflows(source, offset):
+    # it would be inf, which pretty renders as "inf", and that does not parse
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert (err.value.offset, err.value.expected) == (offset, "a finite number")

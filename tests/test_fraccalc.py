@@ -582,6 +582,41 @@ def test_moment_matrices_bit_identical_to_dense_reference(n_base, graded):
                 assert np.array_equal(got, want[[j]]), (beta, sampled, j)
 
 
+@pytest.mark.parametrize("delta", [1e-6, 1e-12])
+@pytest.mark.parametrize("alpha", [0.001, 0.1, 0.5, 0.9, 0.999])
+def test_soe_matches_the_power_on_its_range(alpha, delta):
+    lam, omega = fraccalc._soe(alpha, delta)
+    x = np.geomspace(delta, 1.0, 500)
+    got = np.exp(-np.outer(x, lam)) @ omega
+    want = x ** (-alpha)
+    assert np.max(np.abs(got - want) / want) <= 1e-15
+
+
+@pytest.mark.parametrize("far", [True, False], ids=["far", "dense"])
+@pytest.mark.parametrize("r", [1.0, 4.0])
+@pytest.mark.parametrize("n_base", [257, 1024, 2047])
+def test_running_integral_matches_the_dense_reference(n_base, r, far, monkeypatch):
+    # the crossover moved below or above the node count: with far cells
+    # the SOE far field and the Gauss rule move the sums by rounding only;
+    # without, the operator is the dense W itself
+    monkeypatch.setattr(fraccalc, "_FAR_MIN_NODES", 0 if far else 1 << 30)
+    order = FracOrder(mu=1.0 / 3.0, nu=1.0 / 4.0)
+    m, _ = _mesh_with_close_tau(n_base, r)
+    phi = 2.0 + np.cos(3.0 * m.nodes)
+    for beta in (0.3, order.mu, 0.999):
+        for sampled in FIRST_CELL_MODELS:
+            op = fraccalc._RunningIntegral(m.nodes, beta, sampled_first=sampled)
+            assert (op.W is None) == far
+            got = op @ phi
+            want = kernel_weights(m.nodes, beta, sampled_first=sampled) @ phi
+            assert got[0] == want[0] == 0.0
+            if far:
+                gap = np.max(np.abs(got[1:] - want[1:]) / want[1:])
+                assert gap <= 1e-14, (beta, sampled, gap)
+            else:
+                assert np.array_equal(got, want), (beta, sampled)
+
+
 @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0])
 @pytest.mark.parametrize("eta", [-0.9, -0.5, 0.0])
 def test_weighted_profile_recurrence_matches_two_betainc(eta, beta):

@@ -385,9 +385,9 @@ def test_verify_bc_detects_violation():
 
 
 def test_dense_kernel_moments_built_once_per_order(monkeypatch):
-    # one all-row build, order mu for the solve: verify_ode needs none at
-    # any nu; the boundary integral, in the solve and in verify_bc, reads
-    # one row
+    # above the crossover no all-row build: the running integral is a near
+    # band plus the SOE far field, and verify_ode needs none at any nu; the
+    # boundary integral, in the solve and in verify_bc, reads one row
     builds = []
     build = fraccalc.kernel_weights
 
@@ -399,9 +399,11 @@ def test_dense_kernel_moments_built_once_per_order(monkeypatch):
     monkeypatch.setattr(fraccalc, "kernel_weights", counting)
     for nu in (0.25, 1.0):
         spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),), nu=nu)
+        config = SolveConfig(n_base=1024)
+        assert len(problem_mesh(spec, config).nodes) >= fraccalc._FAR_MIN_NODES
         builds.clear()
-        report = solve_picard(spec, SolveConfig(n_base=64))
-        assert builds.count(True) == 1, nu
+        report = solve_picard(spec, config)
+        assert builds == [False], nu
         builds.clear()
         verify_bc(spec, derive_params(spec), report.solution)
         assert builds == [False], nu
@@ -435,8 +437,8 @@ def test_solve_is_bit_identical_to_recorded_values(nu, n_base):
 
 
 def test_solve_frees_its_moments_before_verify_ode():
-    # the running integral's N x N weight matrix is dropped before
-    # verify_ode runs, which builds none
+    # below the crossover the running integral holds the N x N weights W;
+    # they are dropped before verify_ode runs, which builds none
     spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),))
     config = SolveConfig(n_base=512)
     n = len(problem_mesh(spec, config).nodes)
@@ -447,6 +449,23 @@ def test_solve_frees_its_moments_before_verify_ode():
     finally:
         tracemalloc.stop()
     assert peak / ((n - 1) * n * 8) <= 2.0
+
+
+def test_solve_holds_no_square_array_above_the_crossover():
+    # the running integral holds a near band and O(N L) SOE factors, so
+    # the whole solve peaks below half of one (N-1) x N float64 array;
+    # the dense W alone would be one
+    spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),))
+    config = SolveConfig(n_base=2047)
+    n = len(problem_mesh(spec, config).nodes)
+    assert n >= fraccalc._FAR_MIN_NODES
+    tracemalloc.start()
+    try:
+        solve_picard(spec, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / ((n - 1) * n * 8) <= 0.5
 
 
 def test_solve_starts_no_thread(monkeypatch):
