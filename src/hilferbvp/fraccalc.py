@@ -9,10 +9,14 @@ singular kernel factors (t-s)^{mu-1} and (s-a)^{gamma-1} are integrated
 in closed form on every subinterval where they are singular or nearly
 so. Cells that lie at least 16 of their widths from the singularities
 take 4-point Gauss-Legendre instead, with the kernel at the Gauss points
-a sum of L ~ 300 exponentials carried from row to row. So the weighted
-profile, and the running integral from _FAR_MIN_NODES nodes on, cost
-O(N L) rather than O(N^2) and hold no N x N array; that moves them by
-at most 1.3e-15 relative (see _profile_weighted and _RunningIntegral).
+a sum of L ~ 300 exponentials carried from row to row. In the weighted
+profile the block of cells next to t = a, the same for every row, reaches
+the rows at least four times its length from a through the binomial
+series of the kernel about s = a, 27 terms with row-independent moments,
+in place of incomplete-Beta weights. So the weighted profile, and the
+running integral from _FAR_MIN_NODES nodes on, cost O(N L) rather than
+O(N^2) and hold no N x N array; that moves them by at most 1.8e-15
+relative (see _profile_weighted and _RunningIntegral).
 """
 
 import math
@@ -458,6 +462,36 @@ class _RunningIntegral:
         return out
 
 
+# A scan block whose first row t_{j0} has x_{j0} >= _SERIES_SPAN x_{c0}, x = t - a,
+# sees the left block of cells [0, c0) through the binomial series of its
+# kernel about s = a, with ratio x_{c0} / x_j <= 1 / _SERIES_SPAN; the
+# _SERIES_TERMS terms leave a tail below 2^-53 of the first
+_SERIES_SPAN = 4.0
+_SERIES_TERMS = math.ceil(
+    math.log(2.0**-53 * (1.0 - 1.0 / _SERIES_SPAN)) / -math.log(_SERIES_SPAN)
+)
+
+
+def _left_series(x, c0, beta, eta, w, sw, xj) -> np.ndarray:
+    """int_0^{x_{c0}} (x_j - s)^{beta-1} s^eta w(s) ds at the x_j >=
+    _SERIES_SPAN x_{c0} of the array xj, w linear on each cell of slope sw:
+
+        x_j^{beta-1} sum_{k<K} c_k (x_{c0}/x_j)^k Mt_k,
+        c_0 = 1, c_{k+1} = c_k (k+1-beta)/(k+1),
+        Mt_k = int_0^{x_{c0}} (s/x_{c0})^k s^eta w(s) ds,
+
+    the moments in closed form on each cell, in u = s/x_{c0} <= 1, so that
+    no power of 1/x_j is formed however strong the grading."""
+    p = eta + 1.0 + np.arange(_SERIES_TERMS + 1)[:, None]
+    U = np.diff((x[:c0 + 1] / x[c0]) ** p, axis=1) / p    # int u^{eta+k} du per cell
+    A = x[c0] ** (eta + 1.0) * U[:-1]
+    B = x[c0] ** (eta + 2.0) * U[1:] - x[:c0] * A         # the slope's moments
+    k = np.arange(1.0, _SERIES_TERMS)
+    coeff = np.cumprod(np.r_[1.0, (k - beta) / k])
+    series = np.polynomial.polynomial.polyval(x[c0] / xj, coeff * (A @ w[:c0] + B @ sw[:c0]))
+    return xj ** (beta - 1.0) * series
+
+
 def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
     """Raw integrals int_a^{t_j} (t_j-s)^{beta-1} (s-a)^{eta} w(s) ds with w
     piecewise linear.
@@ -467,7 +501,8 @@ def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
     X = (s-a)/(t_j-a) their weights are differences of the regularized
     incomplete Beta functions I_X(eta+1, beta) (for w) and
     I_X(eta+2, beta) (for its slope). Only the first is a betainc call,
-    one per node; the second follows from the recurrence (DLMF 8.17.20)
+    one per node left of t_j (right of it X = 1 and both weights
+    vanish); the second follows from the recurrence (DLMF 8.17.20)
 
         I_X(eta+2, beta) = I_X(eta+1, beta)
                            - X^{eta+1} (1-X)^beta / ((eta+1) B(eta+1, beta)).
@@ -479,17 +514,25 @@ def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
     one range [c0, f): c0 is right of the last cell that fails the first
     condition, and f is the first cell from c0 that fails the second for
     the first row of a scan block, so every far cell meets both, also
-    next to an inserted node. So only O(N (K + _SCAN_ROWS)) entries need
-    betainc, and the far field is O(N L). Against two betainc calls per
-    entry the profile moves by at most 1.3e-15 relative (nine (beta, eta)
-    pairs at n_base 512 and 2047), and it meets a 30-digit reference to
-    6.2e-16 (the closed form on every cell: 4e-16). Where far cells exist, constant w is
-    integrated exactly only up to that rounding; a mesh without any
-    (small N) gets the closed form throughout.
+    next to an inserted node.
 
-    Row j reads the nodes up to t_j only (beyond it X = 1 and both weights
-    vanish), and the near cells are integrated block by block, so no
-    N x N array is ever held."""
+    The left block, the cells [0, c0) next to a (c0 ~ 16 r on a mesh of
+    grading r), is the same for every row. A scan block that starts at
+    x_{j0} >= 4 x_{c0} takes it from the binomial series of the kernel
+    about s = a, 27 terms with row-independent moments (_left_series);
+    only the blocks nearer to a take its betainc weights. So O(N
+    (K + _SCAN_ROWS)) entries need betainc, about 32 per row, and the far
+    field is O(N L). Against two betainc calls per entry the profile
+    moves by at most 1.8e-15 relative (beta in {0.1, 0.5, 0.999, 1},
+    eta in {-0.9, -0.5, 0}; r = 4 at n_base 512 and 2047, r = 4.4 at
+    n_base 2048 and 2600, where h_1 ~ 1e-15), and it meets
+    a 30-digit reference to 6.2e-16 (the closed form on every cell:
+    4e-16). Where far cells exist, constant w is integrated exactly only
+    up to that rounding; a mesh without any (small N) gets the closed
+    form throughout.
+
+    Row j reads the nodes up to t_j only, and the near cells are
+    integrated block by block, so no N x N array is ever held."""
     n = len(nodes)
     x = nodes - nodes[0]                       # s - a at the nodes
     h = np.diff(nodes)
@@ -502,11 +545,16 @@ def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
     blocks = _scan_blocks(x, h, c0)
     S = x[:-1] + h * _GAUSS_X[:, None]
     far = _far_field(_far_factors(x, beta, _GAUSS_W[:, None] * h * S**eta, blocks, c0), w)
+    j_series = next((j0 for j0, _, _ in blocks if x[j0] >= _SERIES_SPAN * x[c0]), n)
+    if j_series < n:
+        out[j_series:] = _left_series(x, c0, beta, eta, w, sw, x[j_series:])
 
     def near(span, lo, hi):
         # closed-form weights of the cells [lo, hi - 1), applied to w
         X = np.clip(x[lo:hi] / span, 0.0, 1.0)
-        C = _betainc_reg(eta + 1.0, beta, X)
+        inside = X < 1.0                       # X = 1 gives C = D = 1 exactly
+        C = np.ones_like(X)
+        C[inside] = _betainc_reg(eta + 1.0, beta, X[inside])
         D = C - X ** (eta + 1.0) * (1.0 - X) ** beta / ((eta + 1.0) * b1)
         B0 = b1 * span ** (beta + eta) * np.diff(C, axis=1)
         B1 = b2 * span ** (beta + eta + 1.0) * np.diff(D, axis=1) - x[lo:hi - 1] * B0
@@ -514,10 +562,12 @@ def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
 
     for j0, j1, f in blocks:
         span = x[j0:j1, None]                  # t_j - a
+        series = j0 >= j_series                # then out holds the left block
         if f <= c0:
-            out[j0:j1] = near(span, 0, j1)
+            out[j0:j1] += near(span, c0 if series else 0, j1)
         else:
-            out[j0:j1] = near(span, 0, c0 + 1) + far[j0:j1] + near(span, f, j1)
+            left = 0.0 if series else near(span, 0, c0 + 1)
+            out[j0:j1] += left + far[j0:j1] + near(span, f, j1)
     return out
 
 

@@ -169,6 +169,14 @@ def problem_mesh(spec: ProblemSpec, config: SolveConfig) -> GradedMesh:
     return build_mesh(spec.a, spec.b, config.n_base, grading_exponent(spec, config), taus)
 
 
+def _f_at_nodes(f: Expr, nodes: np.ndarray, z: np.ndarray, rows=slice(1, None)) -> np.ndarray:
+    """f(t_i, z_i) at the nodes i in rows, one evaluation each; NaN elsewhere."""
+    phi = np.full(len(nodes), math.nan)
+    for i in range(len(nodes))[rows]:
+        phi[i] = evaluate(f, nodes[i], z[i])
+    return phi
+
+
 class _Workspace:
     """Kernel operators and f samples for one (mesh, order) pair.
 
@@ -213,12 +221,8 @@ class _Workspace:
     def f_samples(self, w: np.ndarray) -> np.ndarray:
         """f at the nodes (index >= 1); entry 0 holds the first-interval
         model value."""
-        f = self.spec.f
-        nodes = self.nodes
-        phi = np.empty(len(nodes))
-        for i in range(1, len(nodes)):
-            phi[i] = evaluate(f, nodes[i], self.weight_down[i] * w[i])
-        phi[0] = evaluate(f, nodes[1], self.weight_down[1] * w[0])
+        phi = _f_at_nodes(self.spec.f, self.nodes, self.weight_down * w)
+        phi[0] = evaluate(self.spec.f, self.nodes[1], self.weight_down[1] * w[0])
         return phi
 
     def running(self, samples) -> np.ndarray:
@@ -281,7 +285,9 @@ def apply_T(spec: ProblemSpec, params: DerivedParams, z: WeightedGrid) -> Weight
 
 
 def _picard_loop(step, w0, config: SolveConfig):
-    """Damped fixed-point iteration; returns (w, history, converged)."""
+    """Damped fixed-point iteration; returns (w, history, converged). It
+    stops at the first non-finite difference: a NaN or inf iterate stays
+    one."""
     w = w0
     history = []
     damping = config.damping
@@ -297,6 +303,8 @@ def _picard_loop(step, w0, config: SolveConfig):
         if diff <= config.tol:
             converged = True
             break
+        if not math.isfinite(diff):
+            break
         if (
             halvings < 3
             and len(history) >= 5
@@ -307,6 +315,15 @@ def _picard_loop(step, w0, config: SolveConfig):
     return w, history, converged
 
 
+def _no_convergence_message(history, config: SolveConfig) -> str:
+    if not math.isfinite(history[-1]):
+        return f"the iterate became non-finite at iteration {len(history)}"
+    return (
+        f"no convergence after {len(history)} iterations "
+        f"(last difference {history[-1]:.3e}, tol {config.tol:.3e})"
+    )
+
+
 def solve_picard(spec: ProblemSpec, config: SolveConfig = SolveConfig()) -> SolveReport:
     """Solve the boundary value problem by successive substitution.
 
@@ -314,7 +331,9 @@ def solve_picard(spec: ProblemSpec, config: SolveConfig = SolveConfig()) -> Solv
     differences drops below config.tol. Damping is halved (at most three
     times) when the difference history grows five steps in a row. Raises
     NoConvergenceError (with the partial report attached) when the
-    iteration budget is exhausted.
+    iteration budget is exhausted or the iterate becomes non-finite.
+    The f samples of the final iterate serve its coefficient and both
+    residuals.
     """
     params = derive_params(spec)
     mesh = problem_mesh(spec, config)
@@ -325,7 +344,7 @@ def solve_picard(spec: ProblemSpec, config: SolveConfig = SolveConfig()) -> Solv
     boundary = ws.boundary(samples)
     init_coeff = ws.init_coeff(ws.running(samples), boundary)
     residual_bc = ws.bc_residual(w, boundary)
-    del ws  # frees the running operator before verify_ode adds its temporaries
+    del ws  # frees the running operator before the ODE residual adds its temporaries
     grid = WeightedGrid(mesh=mesh, gamma=params.gamma, w=w)
     report = SolveReport(
         solution=grid,
@@ -333,15 +352,11 @@ def solve_picard(spec: ProblemSpec, config: SolveConfig = SolveConfig()) -> Solv
         iterations=len(history),
         history=tuple(history),
         residual_bc=residual_bc,
-        residual_ode=verify_ode(spec, grid),
+        residual_ode=_ode_residual(spec, grid, samples),
         converged=converged,
     )
     if not converged:
-        raise NoConvergenceError(
-            f"no convergence after {len(history)} iterations "
-            f"(last difference {history[-1]:.3e}, tol {config.tol:.3e})",
-            report=report,
-        )
+        raise NoConvergenceError(_no_convergence_message(history, config), report=report)
     return report
 
 
@@ -363,11 +378,7 @@ def solve_volterra_ivp(
     w, history, converged = _picard_loop(lambda v: ws.apply_frozen(v, z_a), w0, config)
     grid = WeightedGrid(mesh=mesh, gamma=params.gamma, w=w)
     if not converged:
-        raise NoConvergenceError(
-            f"no convergence after {len(history)} iterations "
-            f"(last difference {history[-1]:.3e}, tol {config.tol:.3e})",
-            report=grid,
-        )
+        raise NoConvergenceError(_no_convergence_message(history, config), report=grid)
     return grid
 
 
@@ -391,15 +402,19 @@ def verify_ode(spec: ProblemSpec, z: WeightedGrid) -> float:
     The finite-difference stage of the derivative loses accuracy next to
     the singular endpoint, so the check skips the first eighth of the base
     index range. A NaN residual at any checked node makes the result NaN."""
+    rows = _checked_nodes(z.mesh)
+    return _ode_residual(spec, z, _f_at_nodes(spec.f, z.mesh.nodes, z.z_values(), rows))
+
+
+def _checked_nodes(mesh: GradedMesh) -> slice:
+    return slice(max(1, mesh.n_base // 8), len(mesh.nodes) - 1)
+
+
+def _ode_residual(spec: ProblemSpec, z: WeightedGrid, samples: np.ndarray) -> float:
+    """verify_ode's residual, given f(t_i, z_i) at its checked nodes (a
+    solve's f samples serve: they hold every node)."""
     mesh = z.mesh
-    check_nodes = range(max(1, mesh.n_base // 8), len(mesh.nodes) - 1)
+    j = _checked_nodes(mesh)
     profile = _hilfer_profile(z, spec.order)
-    zvals = z.z_values()
-    a = mesh.a
-    gamma = z.gamma
-    resid = [
-        abs(profile[j] - evaluate(spec.f, mesh.nodes[j], zvals[j]))
-        * (mesh.nodes[j] - a) ** (1.0 - gamma)
-        for j in check_nodes
-    ]
+    resid = np.abs(profile[j] - samples[j]) * (mesh.nodes[j] - mesh.a) ** (1.0 - z.gamma)
     return float(np.max(resid, initial=0.0))  # a NaN residual propagates

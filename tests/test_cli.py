@@ -5,17 +5,20 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hilferbvp import solver
 from hilferbvp.cli import _apply_flag_overrides, build_parser, main
 from hilferbvp.errors import SchemaError
+from hilferbvp.expr import evaluate
 from hilferbvp.problemio import (
     example_problem_path,
     load_problem,
     load_problem_document,
     serialize_spec,
 )
-from hilferbvp.solver import SolveConfig
+from hilferbvp.solver import SolveConfig, problem_mesh
 
 DATA = Path(__file__).parent / "data"
 EXAMPLE = str(example_problem_path())
@@ -257,6 +260,34 @@ def test_verify_detects_perturbation(tmp_path):
     doc = json.loads(rep.read_text())
     assert doc["ok"] is False
     assert doc["residual_bc"] > 1e-5
+
+
+def test_verify_evaluates_f_once_per_node(tmp_path, monkeypatch):
+    # one pass of f over the table serves the boundary and the ODE residual
+    table = tmp_path / "table.csv"
+    problem = str(DATA / "nontrivial.json")
+    assert main(["solve", problem, "--out", str(table)]) == 0
+    calls = []
+
+    def counting(e, t, z):
+        calls.append(e)
+        return evaluate(e, t, z)
+
+    monkeypatch.setattr(solver, "evaluate", counting)
+    assert main(["verify", problem, str(table)]) == 0
+    spec = load_problem(problem)
+    assert calls == [spec.f] * len(problem_mesh(spec, SolveConfig(n_base=64)).nodes)
+
+
+def test_solve_stops_at_a_non_finite_iterate(tmp_path):
+    problem = write_problem(tmp_path, f="z*1e308*10*0 + t", p="4", solver={"n_base": 64})
+    rep = tmp_path / "rep.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["solve", problem, "--out", str(tmp_path / "t.csv"), "--report", str(rep)])
+    assert code == 4
+    doc = json.loads(rep.read_text())
+    assert doc["iterations"] == 2
+    assert doc["history"][1] == "nan"
 
 
 def test_verify_trivial_solution(tmp_path):

@@ -2,6 +2,7 @@ import math
 import os
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -540,18 +541,21 @@ def _folded_reference(nodes, beta, rows, sampled_first):
     return W
 
 
-def _two_betainc_profile(nodes, beta, eta, w):
-    n = len(nodes)
+def _two_betainc_profile(nodes, beta, eta, w, rows=None):
+    """Rows of the weighted profile (default: every node) with two
+    betainc calls for every cell of every row."""
+    rows = np.arange(len(nodes)) if rows is None else np.asarray(rows)
     a = nodes[0]
-    out = np.zeros(n)
-    span = nodes[1:] - a
+    out = np.zeros(len(rows))
+    inner = rows > 0
+    span = nodes[rows[inner]] - a
     X = np.clip((nodes[None, :] - a) / span[:, None], 0.0, 1.0)
     C = betainc(eta + 1.0, beta, X)
     D = betainc(eta + 2.0, beta, X)
     W0 = beta_fn(eta + 1.0, beta) * (span ** (beta + eta))[:, None] * np.diff(C, axis=1)
     V = beta_fn(eta + 2.0, beta) * (span ** (beta + eta + 1.0))[:, None] * np.diff(D, axis=1)
     W1 = V - (nodes[:-1] - a)[None, :] * W0
-    out[1:] = W0 @ w[:-1] + W1 @ (np.diff(w) / np.diff(nodes))
+    out[inner] = W0 @ w[:-1] + W1 @ (np.diff(w) / np.diff(nodes))
     return out
 
 
@@ -629,10 +633,14 @@ def test_weighted_profile_recurrence_matches_two_betainc(eta, beta):
     assert np.max(np.abs(got[1:] - want[1:]) / np.abs(want[1:])) <= 1e-14
 
 
-def test_weighted_profile_calls_betainc_only_in_the_near_field(monkeypatch):
+@pytest.mark.parametrize("n_base", [511, 2047])
+def test_weighted_profile_betainc_entries_are_linear_in_n(n_base, monkeypatch):
     # the far cells take Gauss points, so incomplete-Beta entries grow as
-    # N times the near-field width, not as the N^2 / 2 of the whole triangle
-    m, _ = _mesh_with_close_tau(2047, 4.0)
+    # N times the near band, not as the N^2 / 2 of the whole triangle: the
+    # band of each scan block without the cells right of its rows, and the
+    # left block as the series wherever x_j >= 4 x_c0; with the left
+    # block's betainc weights in every row it was over 100 N
+    m, _ = _mesh_with_close_tau(n_base, 4.0)
     n = len(m.nodes)
     entries = []
 
@@ -642,7 +650,24 @@ def test_weighted_profile_calls_betainc_only_in_the_near_field(monkeypatch):
 
     monkeypatch.setattr(fraccalc, "_betainc_reg", counting)
     _profile_weighted(m.nodes, 0.3, -0.5, np.cos(m.nodes))
-    assert sum(entries) <= 0.1 * n * n
+    assert sum(entries) <= 40 * n
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.5, 0.999])
+@pytest.mark.parametrize("eta", [-0.9, -0.5, 0.0])
+def test_weighted_profile_left_series_under_strong_grading(eta, beta):
+    # r = 4.4 at n_base 2600 puts h_1 at 9.4e-16: the series rows meet
+    # the two-betainc reference, and no power of 1/x_j overflows
+    m, _ = _mesh_with_close_tau(2600, 4.4)
+    x = m.nodes
+    assert 5e-16 <= x[1] <= 2e-15
+    w = 2.0 + np.cos(3.0 * x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _profile_weighted(x, beta, eta, w)
+    rows = np.r_[1:200, 200:len(x):13, len(x) - 1]
+    want = _two_betainc_profile(x, beta, eta, w, rows)
+    assert np.max(np.abs(got[rows] - want) / np.abs(want)) <= 1e-14
 
 
 def _mp_profile_row(mp, x, beta, eta, w, j):

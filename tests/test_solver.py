@@ -233,6 +233,19 @@ def test_damping_halving_rescues_a_growing_iteration():
     assert any(all(h[k + i] > h[k + i - 1] for i in range(1, 5)) for k in range(len(h) - 4))
 
 
+def test_picard_stops_at_a_non_finite_iterate():
+    # z*1e308*10 overflows to inf once z is nonzero, and inf*0 is NaN: the
+    # second iterate is NaN, and the loop stops there instead of running
+    # to max_iter
+    spec = spec_with("z*1e308*10*0 + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),))
+    with pytest.raises(NoConvergenceError, match="non-finite") as err:
+        with np.errstate(over="ignore", invalid="ignore"):
+            solve_picard(spec, SolveConfig(n_base=64))
+    report = err.value.report
+    assert report.iterations == 2
+    assert math.isfinite(report.history[0]) and math.isnan(report.history[1])
+
+
 def test_picard_max_iter_one():
     spec = spec_with("(1/16)*t*sin(abs(z)) + 1/4")
     with pytest.raises(NoConvergenceError):
@@ -477,6 +490,19 @@ def test_solve_starts_no_thread(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", refuse)
     spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),))
     assert solve_picard(spec, SolveConfig(n_base=1024)).converged
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n_base", [64, 1024])
+def test_solve_reports_the_residual_that_verify_ode_computes(n_base, nu):
+    # the solve feeds its last f samples to the ODE residual; verify_ode
+    # evaluates f itself, at the same points: both sides of the
+    # running integral's crossover
+    spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),), nu=nu)
+    report = solve_picard(spec, SolveConfig(n_base=n_base))
+    assert (len(report.solution.mesh.nodes) >= fraccalc._FAR_MIN_NODES) == (n_base > 64)
+    assert report.residual_ode == verify_ode(spec, report.solution)
+    assert report.residual_bc == verify_bc(spec, derive_params(spec), report.solution)
 
 
 def test_verify_ode_pure_power():
