@@ -38,9 +38,9 @@ print(f"gamma = {params.gamma}, A = {params.A:.10f}, c+d-A = {params.denom:.10f}
 config = SolveConfig(n_base=256, tol=1e-10)
 report = solve_picard(spec, config)
 print(f"\nconverged: {report.converged} after {report.iterations} iterations")
-print("successive-difference history:")
-for k, diff in enumerate(report.history, start=1):
-    print(f"  {k:2d}  {diff:.3e}")
+print("fixed-point residual history:")
+for k, res in enumerate(report.history, start=1):
+    print(f"  {k:2d}  {res:.3e}")
 
 print(f"\ninitial coefficient I^(1-gamma) z(0+) = {report.init_coeff:.10f}")
 print(f"boundary-condition residual   {report.residual_bc:.3e}")

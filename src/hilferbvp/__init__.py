@@ -6,7 +6,8 @@ The package solves problems of the form
     D^{mu,nu} z(t) = f(t, z(t)),                 t in (a, b],
     I^{1-gamma}[c z](a+) + I^{1-gamma}[d z](b-) = sum_k lambda_k z(tau_k),
 
-by Picard iteration on the equivalent weakly singular integral equation,
+by Anderson-mixed fixed-point iteration on the equivalent weakly
+singular integral equation,
 and evaluates a numerical existence certificate (the constants G and L*)
 for a given problem instance.
 """

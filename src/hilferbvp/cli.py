@@ -284,6 +284,7 @@ def run_solve(path, args) -> int:
     try:
         report = solve_picard(spec, config)
     except NoConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         report, code = exc.report, EXIT_NO_CONVERGENCE
     _write(format_table(report.solution), args.out)
     _write(dumps_report(_solve_report_doc(report)), args.report)

@@ -90,7 +90,8 @@ def hoelder_constants(q: float, mu: float, gamma: float):
     return lam, delta
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# Python floats: evaluate, fed numpy scalars, would warn where it overflows silently
+_GL_NODES, _GL_WEIGHTS = (a.tolist() for a in np.polynomial.legendre.leggauss(15))
 
 
 def _gl_panel(fn, lo, hi):

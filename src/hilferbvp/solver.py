@@ -18,10 +18,11 @@ where z_a = I^{1-gamma} z(a+) is determined by the boundary data:
     A   = sum_k lambda_k (tau_k-a)^{gamma-1} / Gamma(gamma).
 
 Everything is iterated in weighted form w = (t-a)^{1-gamma} z on a graded
-mesh; Picard iteration starts from w = 0.
+mesh; the Anderson-mixed fixed-point iteration starts from w = 0.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,6 +55,9 @@ __all__ = [
 ]
 
 _SINGULAR_REL_TOL = 1e-10
+_ANDERSON_DEPTH = 16
+# a mixed iterate whose residual grows past this factor is dropped
+_ANDERSON_GROWTH = 2.0
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,10 @@ class SolveConfig:
     The fields are the keys of a problem file's "solver" block and the
     settings of the solve and example commands (--n sets n_base, --grade
     grading; --tol, --max-iter and --damping their fields).
+
+    tol bounds the fixed-point residual max|T(w) - w| of the last iterate,
+    and damping is the mixing parameter of the Anderson-mixed iteration:
+    1 mixes in T(w) in full, smaller values take shorter steps.
 
     grading = None means the default exponent r = max(1, 2/gamma). The
     solver interpolates w, which behaves like w(a) + C (t-a)^sigma near a,
@@ -170,10 +178,13 @@ def problem_mesh(spec: ProblemSpec, config: SolveConfig) -> GradedMesh:
 
 
 def _f_at_nodes(f: Expr, nodes: np.ndarray, z: np.ndarray, rows=slice(1, None)) -> np.ndarray:
-    """f(t_i, z_i) at the nodes i in rows, one evaluation each; NaN elsewhere."""
+    """f(t_i, z_i) at the nodes i in rows, one evaluation each; NaN elsewhere.
+    evaluate gets Python floats: numpy scalars would warn where its
+    arithmetic overflows silently."""
     phi = np.full(len(nodes), math.nan)
+    t, z = nodes.tolist(), z.tolist()
     for i in range(len(nodes))[rows]:
-        phi[i] = evaluate(f, nodes[i], z[i])
+        phi[i] = evaluate(f, t[i], z[i])
     return phi
 
 
@@ -222,7 +233,7 @@ class _Workspace:
         """f at the nodes (index >= 1); entry 0 holds the first-interval
         model value."""
         phi = _f_at_nodes(self.spec.f, self.nodes, self.weight_down * w)
-        phi[0] = evaluate(self.spec.f, self.nodes[1], self.weight_down[1] * w[0])
+        phi[0] = evaluate(self.spec.f, float(self.nodes[1]), float(self.weight_down[1] * w[0]))
         return phi
 
     def running(self, samples) -> np.ndarray:
@@ -285,34 +296,51 @@ def apply_T(spec: ProblemSpec, params: DerivedParams, z: WeightedGrid) -> Weight
 
 
 def _picard_loop(step, w0, config: SolveConfig):
-    """Damped fixed-point iteration; returns (w, history, converged). It
-    stops at the first non-finite difference: a NaN or inf iterate stays
-    one."""
+    """Fixed-point iteration of step (the map T) with type-II Anderson
+    mixing (Walker & Ni, SIAM J. Numer. Anal. 49 (2011)); returns
+    (w, history, converged).
+
+    history[k] is the fixed-point residual max|T(w_k) - w_k|. The loop
+    stops when it is <= tol, and w is then T(w_k), or at the first
+    non-finite residual: a NaN or inf iterate stays one. The next iterate
+    is w_k + damping F_k minus the least-squares fit of F_k by the last
+    _ANDERSON_DEPTH residual differences, mapped through the matching
+    differences of T and of w; damping is the mixing parameter, and with
+    no differences yet the step is the plain damped one. A mixed iterate
+    whose residual exceeds _ANDERSON_GROWTH times that of the iterate it
+    was mixed from is dropped: the loop takes that iterate's plain step
+    instead and restarts the mixing.
+    """
+    beta = config.damping
     w = w0
     history = []
-    damping = config.damping
-    halvings = 0
+    diffs = deque(maxlen=_ANDERSON_DEPTH)  # (dT, dF) of successive kept iterates
+    kept = None  # (T(w), F, max|F|) of the last kept iterate
     converged = False
     for _ in range(config.max_iter):
-        w_new = step(w)
-        if damping != 1.0:
-            w_new = (1.0 - damping) * w + damping * w_new
-        diff = float(np.max(np.abs(w_new - w)))
-        history.append(diff)
-        w = w_new
-        if diff <= config.tol:
+        g = step(w)
+        f = g - w
+        res = float(np.max(np.abs(f)))
+        history.append(res)
+        if res <= config.tol:
             converged = True
             break
-        if not math.isfinite(diff):
+        if not math.isfinite(res):
             break
-        if (
-            halvings < 3
-            and len(history) >= 5
-            and all(history[k] > history[k - 1] for k in range(-4, 0))
-        ):
-            damping *= 0.5
-            halvings += 1
-    return w, history, converged
+        if diffs and res > _ANDERSON_GROWTH * kept[2]:  # w was mixed from kept
+            g, f, _ = kept
+            diffs.clear()
+        else:
+            if kept is not None:
+                diffs.append((g - kept[0], f - kept[1]))
+            kept = (g, f, res)
+        w = g - (1.0 - beta) * f
+        if diffs:
+            dg = np.column_stack([d[0] for d in diffs])
+            df = np.column_stack([d[1] for d in diffs])
+            coef = np.linalg.lstsq(df, f, rcond=None)[0]
+            w -= (dg - (1.0 - beta) * df) @ coef
+    return g, history, converged
 
 
 def _no_convergence_message(history, config: SolveConfig) -> str:
@@ -320,18 +348,20 @@ def _no_convergence_message(history, config: SolveConfig) -> str:
         return f"the iterate became non-finite at iteration {len(history)}"
     return (
         f"no convergence after {len(history)} iterations "
-        f"(last difference {history[-1]:.3e}, tol {config.tol:.3e})"
+        f"(last residual {history[-1]:.3e}, tol {config.tol:.3e})"
     )
 
 
 def solve_picard(spec: ProblemSpec, config: SolveConfig = SolveConfig()) -> SolveReport:
-    """Solve the boundary value problem by successive substitution.
+    """Solve the boundary value problem by fixed-point iteration of T with
+    Anderson mixing (see _picard_loop).
 
-    Starts from z = 0, stops when the weighted norm of successive
-    differences drops below config.tol. Damping is halved (at most three
-    times) when the difference history grows five steps in a row. Raises
-    NoConvergenceError (with the partial report attached) when the
-    iteration budget is exhausted or the iterate becomes non-finite.
+    Starts from z = 0; the history holds the fixed-point residual
+    max|T(w_k) - w_k| of each iterate, and the solve stops when it is at
+    most config.tol and returns T(w_k). config.damping is the mixing
+    parameter. Raises NoConvergenceError (with the partial report
+    attached) when the iteration budget is exhausted or the residual
+    becomes non-finite.
     The f samples of the final iterate serve its coefficient and both
     residuals.
     """

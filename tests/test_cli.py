@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hilferbvp import solver
+from hilferbvp import cli, solver
 from hilferbvp.cli import _apply_flag_overrides, build_parser, main
 from hilferbvp.errors import SchemaError
 from hilferbvp.expr import evaluate
@@ -288,6 +288,19 @@ def test_solve_stops_at_a_non_finite_iterate(tmp_path):
     doc = json.loads(rep.read_text())
     assert doc["iterations"] == 2
     assert doc["history"][1] == "nan"
+
+
+@pytest.mark.parametrize("command", ["solve", "example"])
+def test_failed_solve_says_why_on_stderr(tmp_path, monkeypatch, capsys, command):
+    # the bundled problem with an f that is inf * 0 once z is nonzero;
+    # example runs the same solve path on its bundled file
+    problem = write_problem(tmp_path, f="z*1e308*10*0 + t")
+    monkeypatch.setattr(cli, "example_problem_path", lambda: problem)
+    out, rep = tmp_path / "t.csv", tmp_path / "r.json"
+    argv = [command] + ([problem] if command == "solve" else [])
+    assert main(argv + ["--n", "64", "--out", str(out), "--report", str(rep)]) == 4
+    assert "error: the iterate became non-finite at iteration 2" in capsys.readouterr().err
+    assert out.exists() and json.loads(rep.read_text())["converged"] is False
 
 
 def test_verify_trivial_solution(tmp_path):

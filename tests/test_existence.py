@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -81,6 +82,15 @@ def test_rho_norm_sub_one_exponent():
     assert rho_lp_norm(parse("t/16"), 0.5, 0.0, 1.0) == pytest.approx(
         1.0 / 36.0, rel=1e-10
     )
+
+
+def test_rho_norm_overflow_in_a_product_is_silent():
+    # t*1e308*10 overflows to inf past t = 0.18 and 1/inf is 0; evaluate's *
+    # lets the inf through without a warning, which numpy scalars would raise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = rho_lp_norm(parse("t/16 + 1/(t*1e308*10)"), 4.0, 0.0, 1.0)
+    assert value == pytest.approx(RHO_P4, rel=1e-10)
 
 
 def test_rho_norm_rejects_bad_exponent():
