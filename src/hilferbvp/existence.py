@@ -33,7 +33,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, InadmissibleExponentError
-from .expr import Expr, evaluate
+from .expr import Expr, evaluate, pretty
 from .solver import DerivedParams, ProblemSpec
 
 __all__ = ["ExistenceReport", "hoelder_constants", "rho_lp_norm", "certificate"]
@@ -101,11 +101,18 @@ def _gl_panel(fn, lo, hi):
 
 
 def _adaptive(fn, lo, hi, whole, rel_tol, depth):
+    """Halve [lo, hi] until the panel sums agree; a non-finite sum, which
+    no halving makes agree, is returned at once."""
     mid = 0.5 * (lo + hi)
     left = _gl_panel(fn, lo, mid)
     right = _gl_panel(fn, mid, hi)
-    if depth >= 40 or abs(left + right - whole) <= rel_tol * abs(left + right) + 1e-300:
-        return left + right
+    total = left + right
+    if (
+        not math.isfinite(total)
+        or depth >= 40
+        or abs(total - whole) <= rel_tol * abs(total) + 1e-300
+    ):
+        return total
     return _adaptive(fn, lo, mid, left, rel_tol, depth + 1) + _adaptive(
         fn, mid, hi, right, rel_tol, depth + 1
     )
@@ -115,7 +122,8 @@ def rho_lp_norm(rho: Expr, p: float, a: float, b: float) -> float:
     """(int_a^b |rho(s)|^p ds)^{1/p} by adaptive Gauss-Legendre panels
     (interval halving to relative 1e-10). Accepts any p > 0; the H2
     admissibility constraints on p are enforced by the certificate, not
-    here."""
+    here. Raises DomainError when a sample of |rho|^p or the integral is
+    not a finite double (NaN, inf or past the double range)."""
     if not p > 0.0:
         raise DomainError(f"exponent p must be positive, got {p!r}")
     if not a < b:
@@ -124,8 +132,15 @@ def rho_lp_norm(rho: Expr, p: float, a: float, b: float) -> float:
     def integrand(s):
         return abs(evaluate(rho, s, 0.0)) ** p
 
-    whole = _gl_panel(integrand, a, b)
-    value = _adaptive(integrand, a, b, whole, 1e-10, 0)
+    try:
+        value = _adaptive(integrand, a, b, _gl_panel(integrand, a, b), 1e-10, 0)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(
+            f"the integral of |rho|^p over [a, b] = [{a!r}, {b!r}] is not a finite "
+            f"double (rho = {pretty(rho)}, p = {p!r})"
+        )
     return value ** (1.0 / p)
 
 

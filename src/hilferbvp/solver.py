@@ -18,12 +18,13 @@ where z_a = I^{1-gamma} z(a+) is determined by the boundary data:
     A   = sum_k lambda_k (tau_k-a)^{gamma-1} / Gamma(gamma).
 
 Everything is iterated in weighted form w = (t-a)^{1-gamma} z on a graded
-mesh; the Anderson-mixed fixed-point iteration starts from w = 0.
+mesh; the Anderson-mixed fixed-point iteration starts from w = 0, or on a
+large mesh from the solution on a nested mesh 16 times coarser.
 """
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -58,6 +59,12 @@ _SINGULAR_REL_TOL = 1e-10
 _ANDERSON_DEPTH = 16
 # a mixed iterate whose residual grows past this factor is dropped
 _ANDERSON_GROWTH = 2.0
+# a solve on n_base intervals starts from the solution on n_base // _SEED_RATIO
+# when that coarse mesh has at least _SEED_MIN_INTERVALS, i.e. from n_base
+# 1024: smaller solves, the CLI default 512 among them, keep the unseeded
+# iteration bit for bit
+_SEED_RATIO = 16
+_SEED_MIN_INTERVALS = 64
 
 
 @dataclass(frozen=True)
@@ -104,7 +111,10 @@ class SolveConfig:
 
     tol bounds the fixed-point residual max|T(w) - w| of the last iterate,
     and damping is the mixing parameter of the Anderson-mixed iteration:
-    1 mixes in T(w) in full, smaller values take shorter steps.
+    1 mixes in T(w) in full, smaller values take shorter steps. From
+    n_base 1024 up, a solve first runs with the same other fields on a
+    mesh 16 times coarser and starts from that solution; max_iter bounds each
+    level, and a report's iterations count the fine one.
 
     grading = None means the default exponent r = max(1, 2/gamma). The
     solver interpolates w, which behaves like w(a) + C (t-a)^sigma near a,
@@ -352,23 +362,44 @@ def _no_convergence_message(history, config: SolveConfig) -> str:
     )
 
 
+def _seed(spec: ProblemSpec, params: DerivedParams, config: SolveConfig, mesh) -> np.ndarray:
+    """First iterate of a solve on mesh: zero, or, when the mesh with
+    n_base // _SEED_RATIO intervals has at least _SEED_MIN_INTERVALS, the
+    solution there (same tol, damping and budget, from zero) interpolated
+    piecewise linearly in w, as WeightedGrid does. When _SEED_RATIO divides
+    n_base the two graded meshes nest, tau nodes included. A coarse solve
+    that does not converge seeds nothing. Its workspace is freed on
+    return."""
+    n_coarse = config.n_base // _SEED_RATIO
+    if n_coarse >= _SEED_MIN_INTERVALS:
+        coarse = problem_mesh(spec, replace(config, n_base=n_coarse))
+        ws = _Workspace(spec, params, coarse)
+        w0 = np.zeros(len(coarse.nodes))
+        w, _, converged = _picard_loop(lambda v: ws.apply(v)[0], w0, config)
+        if converged:
+            return np.interp(mesh.nodes, coarse.nodes, w)
+    return np.zeros(len(mesh.nodes))
+
+
 def solve_picard(spec: ProblemSpec, config: SolveConfig = SolveConfig()) -> SolveReport:
     """Solve the boundary value problem by fixed-point iteration of T with
     Anderson mixing (see _picard_loop).
 
-    Starts from z = 0; the history holds the fixed-point residual
-    max|T(w_k) - w_k| of each iterate, and the solve stops when it is at
-    most config.tol and returns T(w_k). config.damping is the mixing
-    parameter. Raises NoConvergenceError (with the partial report
-    attached) when the iteration budget is exhausted or the residual
-    becomes non-finite.
+    Starts from z = 0, or, from n_base 1024 up, from the solution on the
+    nested mesh with n_base/16 intervals (see _seed). iterations and the
+    history describe the iteration on config's mesh only: the history holds
+    the fixed-point residual max|T(w_k) - w_k| of each iterate, and the
+    solve stops when it is at most config.tol and returns T(w_k).
+    config.damping is the mixing parameter. Raises NoConvergenceError (with
+    the partial report attached) when the iteration budget is exhausted or
+    the residual becomes non-finite.
     The f samples of the final iterate serve its coefficient and both
     residuals.
     """
     params = derive_params(spec)
     mesh = problem_mesh(spec, config)
+    w0 = _seed(spec, params, config, mesh)
     ws = _Workspace(spec, params, mesh)
-    w0 = np.zeros(len(mesh.nodes))
     w, history, converged = _picard_loop(lambda v: ws.apply(v)[0], w0, config)
     samples = ws.f_samples(w)
     boundary = ws.boundary(samples)

@@ -473,6 +473,36 @@ def test_console_script_runs():
     assert '"verdict": "satisfied"' in result.stdout
 
 
+@pytest.mark.parametrize(
+    "rho, p",
+    [
+        ("t*1e308*10*0 + 1", "1/2"),  # NaN at every sample
+        ("1e308", "1"),  # finite samples whose panel sums overflow to inf
+    ],
+)
+def test_check_stops_on_a_non_finite_rho_integral(tmp_path, rho, p):
+    # a panel sum that is not finite never meets the tolerance, and halving
+    # on it down to depth 40 visits about 2^40 panels: the timeout turns such
+    # a hang into a failure
+    path = write_problem(tmp_path, rho=rho, p=p)
+    result = subprocess.run(
+        [sys.executable, "-m", "hilferbvp.cli", "check", path],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and "|rho|^p" in result.stderr
+
+
+def test_check_sweep_reports_an_overflowing_rho(tmp_path, capsys):
+    # |exp(100 t)|^64 passes a double: an error line, not a traceback
+    path = write_problem(tmp_path, rho="exp(100*t)")
+    assert main(["check", path, "--sweep-p"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "[a, b] = [0.0, 1.0]" in err
+
+
 def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
     # scipy.integrate pulls in sparse, linalg and optimize: ~26 MB of RSS
     # and ~0.2 s on every CLI start

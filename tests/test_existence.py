@@ -93,6 +93,14 @@ def test_rho_norm_overflow_in_a_product_is_silent():
     assert value == pytest.approx(RHO_P4, rel=1e-10)
 
 
+def test_rho_norm_rejects_an_integrand_past_the_double_range():
+    # |exp(100 t)|^64 overflows in Python's **, which raises OverflowError;
+    # NaN and inf integrands are tested through the CLI, in a subprocess with
+    # a timeout, so that an adaptive rule that never stops fails, not hangs
+    with pytest.raises(DomainError, match=r"\|rho\|\^p over \[a, b\] = \[0.0, 1.0\]"):
+        rho_lp_norm(parse("exp(100*t)"), 64.0, 0.0, 1.0)
+
+
 def test_rho_norm_rejects_bad_exponent():
     with pytest.raises(DomainError):
         rho_lp_norm(parse("t"), 0.0, 0.0, 1.0)

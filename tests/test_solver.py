@@ -1,6 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import math
+import random
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -10,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hilferbvp import fraccalc, specfun
+from hilferbvp import fraccalc, solver, specfun
 from hilferbvp.errors import DomainError, NoConvergenceError, SingularProblemError
 from hilferbvp.expr import parse
 from hilferbvp.fraccalc import FracOrder, WeightedGrid, weighted_norm
@@ -271,6 +274,60 @@ def test_picard_max_iter_one():
         solve_picard(spec, SolveConfig(n_base=32, max_iter=1))
 
 
+# ---------------------------------------------------------------------------
+# large solves seeded from a coarse mesh
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def large_anchor():
+    """The benchmark's large manufactured problem ("order/large"): gamma < 1,
+    d != 0 and two taus; problems.py needs only the package."""
+    path = Path(__file__).parents[1] / "perfbench" / "problems.py"
+    module_spec = importlib.util.spec_from_file_location("_bench_problems", path)
+    module = importlib.util.module_from_spec(module_spec)
+    sys.modules[module_spec.name] = module  # dataclasses look their module up
+    module_spec.loader.exec_module(module)
+    return module.large_problem(random.Random("order/large")).spec
+
+
+def test_seeded_large_solve_meets_a_tight_solve(large_anchor):
+    config = SolveConfig(n_base=1024)
+    report = solve_picard(large_anchor, config)
+    tight = solve_picard(large_anchor, replace(config, tol=1e-13, max_iter=500))
+    assert np.max(np.abs(report.solution.w - tight.solution.w)) <= 1e-9
+
+
+def test_coarse_seed_saves_fine_iterations(large_anchor):
+    config = SolveConfig(n_base=1024)
+    report = solve_picard(large_anchor, config)
+    mesh = problem_mesh(large_anchor, config)
+    ws = solver._Workspace(large_anchor, derive_params(large_anchor), mesh)
+    _, history, converged = solver._picard_loop(
+        lambda v: ws.apply(v)[0], np.zeros(len(mesh.nodes)), config
+    )
+    assert converged
+    assert report.iterations <= len(history) - 2
+
+
+def test_seeded_solve_stops_at_a_non_finite_iterate():
+    # the coarse level turns NaN at its second iterate and seeds nothing, so
+    # the fine level fails as an unseeded solve does
+    spec = spec_with("z*1e308*10*0 + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),))
+    with pytest.raises(NoConvergenceError, match="non-finite at iteration 2") as err:
+        solve_picard(spec, SolveConfig(n_base=1024))
+    assert err.value.report.iterations == 2
+
+
+def test_seeded_solve_keeps_its_iteration_budget():
+    # with max_iter 1 the coarse level cannot converge: the fine level
+    # starts from zero and spends its one iteration
+    spec = spec_with("(1/16)*t*sin(abs(z)) + 1/4")
+    with pytest.raises(NoConvergenceError) as err:
+        solve_picard(spec, SolveConfig(n_base=1024, max_iter=1))
+    assert err.value.report.iterations == 1
+
+
 def test_picard_homogeneous_zero():
     spec = spec_with("0", c=0.3, d=0.6)
     report = solve_picard(spec, SolveConfig(n_base=64))
@@ -467,7 +524,8 @@ def test_verify_bc_detects_violation():
 def test_dense_kernel_moments_built_once_per_order(monkeypatch):
     # above the crossover no all-row build: the running integral is a near
     # band plus the SOE far field, and verify_ode needs none at any nu; the
-    # boundary integral, in the solve and in verify_bc, reads one row
+    # boundary integral, in the solve and in verify_bc, reads one row. At
+    # n_base 1024 the coarse seed solve reads its own boundary row first.
     builds = []
     build = fraccalc.kernel_weights
 
@@ -483,7 +541,7 @@ def test_dense_kernel_moments_built_once_per_order(monkeypatch):
         assert len(problem_mesh(spec, config).nodes) >= fraccalc._FAR_MIN_NODES
         builds.clear()
         report = solve_picard(spec, config)
-        assert builds == [False], nu
+        assert builds == [False, False], nu
         builds.clear()
         verify_bc(spec, derive_params(spec), report.solution)
         assert builds == [False], nu
