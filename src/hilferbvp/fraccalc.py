@@ -112,17 +112,21 @@ def build_mesh(a, b, n_base, r, extra_nodes=()) -> GradedMesh:
     nodes = a + (b - a) * (j / n_base) ** float(r)
     nodes[0] = a
     nodes[-1] = b
-    merged = list(nodes)
-    tol = _MERGE_REL_TOL * (b - a)
-    for extra in sorted(set(float(e) for e in extra_nodes)):
+    extras = sorted(set(float(e) for e in extra_nodes))
+    for extra in extras:
         if not (a < extra <= b):
             raise DomainError(f"extra node {extra!r} outside (a, b]")
-        i = int(np.searchsorted(merged, extra))
-        near = [merged[k] for k in (i - 1, i) if 0 <= k < len(merged)]
-        if any(abs(v - extra) <= tol for v in near):
-            continue
-        merged.insert(i, extra)
-    out = np.asarray(merged, dtype=float)
+    # taken in ascending order, an extra's right neighbour is a skeleton
+    # node and its left one the nearer of a skeleton node and the last
+    # extra kept
+    ex = np.asarray(extras, dtype=float)
+    i = np.searchsorted(nodes, ex)            # nodes[i-1] < extra <= nodes[i]
+    tol = _MERGE_REL_TOL * (b - a)
+    kept = []
+    for extra in ex[(nodes[i] - ex > tol) & (ex - nodes[i - 1] > tol)].tolist():
+        if not kept or extra - kept[-1] > tol:
+            kept.append(extra)
+    out = np.insert(nodes, np.searchsorted(nodes, kept), kept)
     if np.any(np.diff(out) <= 0):
         raise DomainError("mesh nodes are not strictly increasing after merge")
     return GradedMesh(a=float(a), b=float(b), n_base=int(n_base), r=float(r), nodes=out)
@@ -373,18 +377,20 @@ def _scan_blocks(x, h, c0):
     return blocks
 
 
-def _far_factors(x, beta, rho, blocks, c0):
-    """SOE factors of the far-field scan, one (j0, j1, lo, f, decay, F, E)
-    per block that has far cells. With x = t - a, the far field of the
-    node vector v is
+def _soe_geometry(x, beta, blocks, c0):
+    """SOE geometry of the far-field scan, one (j0, j1, lo, f, decay, G, E)
+    per block that has far cells, with x = t - a. The block from t_{j0}
+    adds the cells [lo, f) that became far to the history,
 
-        H <- decay * H,  H[:l] += F @ v[lo:f + 1],  far[j0:j1] = E @ H[:l],
+        H <- decay * H,  H[:l] += sum_{q,i} G[:, q, i] c[q, lo + i],
+        far[j0:j1] = E @ H[:l],
 
-    block after block, with l = len(F): F folds the cells [lo, f) that
-    became far onto their nodes, with Gauss sample q of cell i weighted
-    by rho[q, i]. A block keeps only the l terms with lambda_l d <=
-    _SOE_CUT, d its smallest far distance; the rest add at most e^{-50}
-    of a kernel value, and decay drops them from H."""
+    block after block, with l = len(G) and c[q, i] the weighted sample at
+    Gauss point q of cell i: G holds exp(-lambda_l (t_{j0} - s_q)) and E
+    the row exponentials omega_l exp(-lambda_l (t_j - t_{j0})). A block
+    keeps only the l terms with lambda_l d <= _SOE_CUT, d its smallest
+    far distance; the rest add at most e^{-50} of a kernel value, and
+    decay drops them from H."""
     far = [(j0, j1, f) for j0, j1, f in blocks if f > c0]
     if not far:
         return
@@ -393,8 +399,7 @@ def _far_factors(x, beta, rho, blocks, c0):
     lam, omega = _soe(1.0 - beta, delta)
     lam = lam / span
     omega = omega * span ** (beta - 1.0)
-    g = _GAUSS_X[:, None]
-    S = x[:-1] + np.diff(x) * g                # s_q - a of every cell
+    S = x[:-1] + np.diff(x) * _GAUSS_X[:, None]    # s_q - a of every cell
     lo, ref = c0, x[far[0][0]]
     for j0, j1, f in far:
         n_terms = int(np.searchsorted(lam, _SOE_CUT / (x[j0] - x[f]), side="right"))
@@ -402,23 +407,36 @@ def _far_factors(x, beta, rho, blocks, c0):
         decay = np.zeros(len(lam))
         decay[:n_terms] = np.exp(-live * (x[j0] - ref))
         G = np.exp(-live[:, None, None] * (x[j0] - S[:, lo:f]))
-        F = np.zeros((n_terms, f - lo + 1))
-        F[:, :-1] = np.einsum("lqi,qi->li", G, (1.0 - g) * rho[:, lo:f])
-        F[:, 1:] += np.einsum("lqi,qi->li", G, g * rho[:, lo:f])
         E = omega[:n_terms] * np.exp(-np.outer(x[j0:j1] - x[j0], live))
-        yield j0, j1, lo, f, decay, F, E
+        yield j0, j1, lo, f, decay, G, E
         lo, ref = f, x[j0]
 
 
-def _far_field(factors, v) -> np.ndarray:
-    """The far field of the node vector v at every row (0 where a row has
-    no far cells), from the factors of _far_factors."""
-    out = np.zeros(len(v))
+def _far_factors(x, beta, rho, blocks, c0):
+    """The geometry of _soe_geometry with G folded onto the nodes, for a
+    far field applied to many node vectors v: the sample at Gauss point q
+    of cell i is rho[q, i] times the linear interpolant of v, so F, of
+    shape (l, f - lo + 1), gives the history's update F @ v[lo:f + 1]."""
+    g = _GAUSS_X[:, None]
+    for j0, j1, lo, f, decay, G, E in _soe_geometry(x, beta, blocks, c0):
+        F = np.zeros((len(G), f - lo + 1))
+        F[:, :-1] = np.einsum("lqi,qi->li", G, (1.0 - g) * rho[:, lo:f])
+        F[:, 1:] += np.einsum("lqi,qi->li", G, g * rho[:, lo:f])
+        yield j0, j1, lo, f, decay, F, E
+
+
+def _far_field(terms, n, samples) -> np.ndarray:
+    """The far field at each of the n rows (0 where a row has no far
+    cells). Each term (j0, j1, lo, f, decay, M, E) updates the history by
+    M @ samples(lo, f): the factors F of _far_factors with the node
+    values v[lo:f + 1], or the flattened G of _soe_geometry with the
+    Gauss samples of the cells [lo, f)."""
+    out = np.zeros(n)
     H = 0.0
-    for j0, j1, lo, f, decay, F, E in factors:
+    for j0, j1, lo, f, decay, M, E in terms:
         H = decay * H
-        H[:len(F)] += F @ v[lo:f + 1]
-        out[j0:j1] = E @ H[:len(F)]
+        H[:len(M)] += M @ samples(lo, f)
+        out[j0:j1] = E @ H[:len(M)]
     return out
 
 
@@ -456,7 +474,8 @@ class _RunningIntegral:
     def __matmul__(self, phi: np.ndarray) -> np.ndarray:
         if self.W is not None:
             return self.W @ phi
-        out = _far_field(self.factors, phi) + self.cell0 @ phi[:2]
+        out = _far_field(self.factors, len(phi), lambda lo, f: phi[lo:f + 1])
+        out += self.cell0 @ phi[:2]
         for j0, j1, lo, band in self.bands:
             out[j0:j1] += band @ phi[lo:j1]
         return out
@@ -492,6 +511,19 @@ def _left_series(x, c0, beta, eta, w, sw, xj) -> np.ndarray:
     return xj ** (beta - 1.0) * series
 
 
+def _profile_far(x, h, beta, eta, w, blocks, c0) -> np.ndarray:
+    """The far field of the weighted profile at every row, x = t - a: the
+    Gauss samples h_i omega_q s_q^eta w(s_q) of every cell, with w(s_q)
+    interpolated once, contracted with the G of each scan block, one
+    matrix-vector product per block. No node factors F are formed, as
+    they would serve this one w only."""
+    g = _GAUSS_X[:, None]
+    c = _GAUSS_W[:, None] * h * (x[:-1] + h * g) ** eta * ((1.0 - g) * w[:-1] + g * w[1:])
+    geometry = ((j0, j1, lo, f, decay, G.reshape(len(G), -1), E)
+                for j0, j1, lo, f, decay, G, E in _soe_geometry(x, beta, blocks, c0))
+    return _far_field(geometry, len(x), lambda lo, f: c[:, lo:f].ravel())
+
+
 def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
     """Raw integrals int_a^{t_j} (t_j-s)^{beta-1} (s-a)^{eta} w(s) ds with w
     piecewise linear.
@@ -510,7 +542,9 @@ def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
     A far cell, with x = s - a, has x_i >= K h_i and x_j - x_{i+1} >= K h_i,
     so both factors are smooth on it: it takes the _FAR_GAUSS-point
     Gauss-Legendre rule with samples h_i omega_q s_q^eta w(s_q), summed
-    against the kernel by the SOE far field. The far cells of a row are
+    against the kernel by the SOE far field in one pass (_profile_far:
+    each scan block's Gauss exponentials G meet the samples directly,
+    with no node factors F in between). The far cells of a row are
     one range [c0, f): c0 is right of the last cell that fails the first
     condition, and f is the first cell from c0 that fails the second for
     the first row of a scan block, so every far cell meets both, also
@@ -543,8 +577,7 @@ def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
     # cell 0 always fails x_i >= K h_i
     c0 = 1 + np.flatnonzero(x[:-1] < _FAR_WIDTHS * h)[-1]
     blocks = _scan_blocks(x, h, c0)
-    S = x[:-1] + h * _GAUSS_X[:, None]
-    far = _far_field(_far_factors(x, beta, _GAUSS_W[:, None] * h * S**eta, blocks, c0), w)
+    far = _profile_far(x, h, beta, eta, w, blocks, c0)
     j_series = next((j0 for j0, _, _ in blocks if x[j0] >= _SERIES_SPAN * x[c0]), n)
     if j_series < n:
         out[j_series:] = _left_series(x, c0, beta, eta, w, sw, x[j_series:])

@@ -1,9 +1,10 @@
+import math
 import warnings
 from dataclasses import replace
 
 import pytest
 
-from hilferbvp import specfun
+from hilferbvp import existence, specfun
 from hilferbvp.errors import DomainError, InadmissibleExponentError
 from hilferbvp.existence import (
     certificate,
@@ -12,7 +13,7 @@ from hilferbvp.existence import (
     rho_lp_norm,
     sweep_certificates,
 )
-from hilferbvp.expr import parse
+from hilferbvp.expr import evaluate, parse
 from hilferbvp.problemio import example_problem_path, load_problem
 from hilferbvp.solver import derive_params
 
@@ -112,6 +113,21 @@ def test_rho_norm_nonsmooth_integrand():
     # |.|^p with p = 3 of a sign-changing rho; oracle: int_0^1 |s-1/2|^3 ds
     value = rho_lp_norm(parse("t-0.5"), 3.0, 0.0, 1.0)
     assert value == pytest.approx((1.0 / 32.0) ** (1.0 / 3.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("rho", ["0.7*abs(t - 0.4132)", "0.2*(1 + t^2)", "sqrt(t)*exp(-t)"])
+def test_rho_norm_is_bit_identical_to_sampling_by_evaluate(rho):
+    # the compiled rho gives the panel sums of evaluate, in the same order
+    tree = parse(rho)
+
+    def integrand(s):
+        return abs(evaluate(tree, s, 0.0)) ** p
+
+    for p in existence._SWEEP_EXPONENTS:
+        whole = existence._gl_panel(integrand, 0.0, 1.0)
+        want = existence._adaptive(integrand, 0.0, 1.0, whole, 1e-10, 0) ** (1.0 / p)
+        assert rho_lp_norm(tree, p, 0.0, 1.0) == want, p
+        assert math.isfinite(want) and want > 0.0
 
 
 # ---------------------------------------------------------------------------

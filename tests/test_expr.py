@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hilferbvp.expr import (
     Num,
     Unary,
     Var,
+    compile_expr,
     evaluate,
     parse,
     pretty,
@@ -173,6 +176,67 @@ def test_eval_is_pure_bitwise():
     first = evaluate(tree, 0.37, -1.25)
     for _ in range(10):
         assert evaluate(tree, 0.37, -1.25) == first
+
+
+def _outcome(fn, t, z):
+    """What fn(t, z) gives: its value's repr (so NaN equals NaN and the
+    sign of zero counts) or its EvalError's message and pos."""
+    try:
+        return repr(fn(t, z))
+    except EvalError as exc:
+        return str(exc), exc.pos
+
+
+# 180 points in [-4, 4]^2 and 20 from edges where the checks fire
+_SPECIAL = (0.0, -0.0, 1.0, -1.0, 1e308, -math.inf, math.inf)
+_RNG = random.Random("compile")
+_POINTS = [(_RNG.uniform(-4.0, 4.0), _RNG.uniform(-4.0, 4.0)) for _ in range(180)]
+_POINTS += [(_SPECIAL[k % 7], _SPECIAL[(3 * k + 1) % 7]) for k in range(20)]
+
+
+def test_compiled_tree_matches_evaluate_on_the_corpus():
+    for source in ROUND_TRIP_CORPUS:
+        tree = parse(source)
+        compiled = compile_expr(tree)
+        for t, z in _POINTS:
+            assert _outcome(compiled, t, z) == _outcome(lambda t, z: evaluate(tree, t, z), t, z), (
+                source, t, z)
+
+
+@pytest.mark.parametrize(
+    "tree, t, z",
+    [
+        ("1/t", 0.0, 0.0),                   # division by zero
+        ("log(t)/z", 0.0, 0.0),              # log <= 0, before the division
+        ("2+log(t)", -1.0, 0.0),
+        ("sqrt(t)", -2.0, 0.0),              # sqrt < 0
+        ("1+sin(z*1e308*10)", 0.0, 1.0),     # sin/cos of +-inf
+        ("1+cos(z*1e308*10)", 0.0, -1.0),
+        ("exp(t)", 1e6, 0.0),                # exp overflow
+        ("t^-1", 0.0, 0.0),                  # power: pole
+        ("(-2) ^ 0.5", 0.0, 0.0),            # power: negative base
+        ("(z*1e308*10*0)^2", 0.0, 1.0),      # power: NaN
+        ("10^t", 400.0, 0.0),                # power: overflow
+        (Unary(op="tan", arg=Var(name="t")), 1.0, 0.0),
+        (Binary(op="%", lhs=Num(value=1.0), rhs=Var(name="z"), pos=3), 1.0, 2.0),
+        (Unary(op="neg", arg=None), 0.0, 0.0),   # malformed
+    ],
+)
+def test_compiled_tree_raises_the_same_eval_error(tree, t, z):
+    tree = parse(tree) if isinstance(tree, str) else tree
+    want = _outcome(lambda t, z: evaluate(tree, t, z), t, z)
+    assert isinstance(want, tuple), want
+    assert _outcome(compile_expr(tree), t, z) == want
+
+
+def test_parsed_nodes_are_slotted_and_frozen():
+    tree = parse("sin(-t) + 1.5*z")
+    nodes = [tree, tree.lhs, tree.lhs.arg, tree.lhs.arg.arg, tree.rhs.lhs, tree.rhs.rhs]
+    assert {type(n) for n in nodes} == {Binary, Unary, Num, Var}
+    for node in nodes:
+        assert not hasattr(node, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.pos = 0
 
 
 def test_variables_used():

@@ -59,6 +59,37 @@ def test_build_mesh_merges_duplicates():
     assert len(m2.nodes) == 6
 
 
+def _list_merge(nodes, extras, tol):
+    """Extras merged one at a time into a Python list: the rule of
+    build_mesh, written out node by node."""
+    merged = list(nodes)
+    for extra in sorted(set(extras)):
+        i = int(np.searchsorted(merged, extra))
+        if any(abs(merged[k] - extra) <= tol for k in (i - 1, i) if 0 <= k < len(merged)):
+            continue
+        merged.insert(i, extra)
+    return np.asarray(merged)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_build_mesh_merge_matches_a_node_by_node_merge(seed):
+    # near-duplicates of skeleton nodes and of each other, equal extras
+    # and tau = b, in random order; the first of a close pair is kept
+    rng = np.random.default_rng(seed)
+    b, n_base, r = (1.0, 2.5)[seed % 2], int(rng.integers(2, 40)), (1.0, 2.0, 3.7)[seed % 3]
+    skeleton = build_mesh(0.0, b, n_base, r).nodes
+    tol = 1e-14 * b
+    extras = list(rng.uniform(0.0, b, 6)) + [b, b - 0.5 * tol]
+    for node in rng.choice(skeleton[1:], 3):
+        extras += [node + k * tol for k in (-1.5, -0.5, 0.0, 0.5, 1.5)]
+    for extra in extras[:3]:
+        extras += [extra, extra + 0.5 * tol, extra + 0.9 * tol, extra + 1.8 * tol]
+    extras = [e for e in extras if 0.0 < e <= b]
+    rng.shuffle(extras)
+    got = build_mesh(0.0, b, n_base, r, extras).nodes
+    assert np.array_equal(got, _list_merge(skeleton, extras, tol))
+
+
 def test_build_mesh_errors():
     with pytest.raises(DomainError):
         build_mesh(1.0, 0.0, 4, 1.0, [])
@@ -699,6 +730,54 @@ def test_weighted_profile_matches_a_30_digit_reference():
         with mp.workdps(30):
             want = _mp_profile_row(mp, x, beta, eta, w, j)
             assert abs(float((mp.mpf(got[j]) - want) / want)) <= 1e-15, j
+
+
+def _factor_path_far(x, h, beta, eta, w, blocks, c0):
+    """The profile's far field through the node factors F of
+    _far_factors, as the running integral applies them."""
+    rho = fraccalc._GAUSS_W[:, None] * h * (x[:-1] + h * fraccalc._GAUSS_X[:, None]) ** eta
+    factors = fraccalc._far_factors(x, beta, rho, blocks, c0)
+    return fraccalc._far_field(factors, len(x), lambda lo, f: w[lo:f + 1])
+
+
+def _one_pass_against_factor_path(nodes, beta, eta, w, monkeypatch):
+    one_pass, pairs = fraccalc._profile_far, []
+
+    def both(*args):
+        pairs.append((one_pass(*args), _factor_path_far(*args)))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(fraccalc, "_profile_far", both)
+    _profile_weighted(nodes, beta, eta, w)
+    monkeypatch.undo()
+    (got, want), = pairs
+    rows = want != 0.0
+    assert np.array_equal(got == 0.0, ~rows) and rows.sum() > len(nodes) // 2
+    return np.max(np.abs(got[rows] - want[rows]) / np.abs(want[rows]))
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.5, 0.999])
+@pytest.mark.parametrize("eta", [-0.9, -0.5, 0.0])
+@pytest.mark.parametrize("n_base, r", [(512, 4.0), (1024, 1.0), (2047, 2.0)])
+def test_one_pass_far_field_matches_the_factor_path(n_base, r, eta, beta, monkeypatch):
+    # the Gauss samples meet G directly, in place of F @ w: the far field
+    # moves by rounding only
+    m, _ = _mesh_with_close_tau(n_base, r)
+    w = 2.0 + np.cos(3.0 * m.nodes)
+    assert _one_pass_against_factor_path(m.nodes, beta, eta, w, monkeypatch) <= 2e-15
+
+
+def test_one_pass_far_field_on_the_large_anchor(large_anchor, monkeypatch):
+    # the ODE residual's profile at the benchmark's solve-large size
+    from hilferbvp.solver import SolveConfig, problem_mesh
+
+    mesh = problem_mesh(large_anchor, SolveConfig(n_base=2048))
+    order = large_anchor.order
+    w = 1.0 + mesh.nodes * np.sin(2.0 * mesh.nodes)
+    gap = _one_pass_against_factor_path(
+        mesh.nodes, 1.0 - order.mu, order.gamma - 1.0, w, monkeypatch
+    )
+    assert gap <= 2e-15
 
 
 def _peak_arrays(build, n):

@@ -1,9 +1,6 @@
 import hashlib
-import importlib.util
 import json
 import math
-import random
-import sys
 import threading
 import tracemalloc
 import warnings
@@ -277,18 +274,6 @@ def test_picard_max_iter_one():
 # ---------------------------------------------------------------------------
 # large solves seeded from a coarse mesh
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def large_anchor():
-    """The benchmark's large manufactured problem ("order/large"): gamma < 1,
-    d != 0 and two taus; problems.py needs only the package."""
-    path = Path(__file__).parents[1] / "perfbench" / "problems.py"
-    module_spec = importlib.util.spec_from_file_location("_bench_problems", path)
-    module = importlib.util.module_from_spec(module_spec)
-    sys.modules[module_spec.name] = module  # dataclasses look their module up
-    module_spec.loader.exec_module(module)
-    return module.large_problem(random.Random("order/large")).spec
 
 
 def test_seeded_large_solve_meets_a_tight_solve(large_anchor):
