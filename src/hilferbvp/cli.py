@@ -13,7 +13,6 @@ Exit codes are a total function of the outcome class:
 """
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -390,18 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# main's parser: built on first use and reused by every later call in the
-# process, as building it costs about twenty times a parse
-_parser = functools.cache(build_parser)
-
-
 def main(argv=None) -> int:
-    """Run one command line and return its exit code. Calls in one process
-    share a single parser (build_parser still returns a fresh one); a
-    parse keeps no state in it, so a call after a usage error or another
-    command parses as in a fresh process."""
+    """Run one command line and return its exit code."""
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -112,21 +112,17 @@ def build_mesh(a, b, n_base, r, extra_nodes=()) -> GradedMesh:
     nodes = a + (b - a) * (j / n_base) ** float(r)
     nodes[0] = a
     nodes[-1] = b
-    extras = sorted(set(float(e) for e in extra_nodes))
-    for extra in extras:
+    merged = list(nodes)
+    tol = _MERGE_REL_TOL * (b - a)
+    for extra in sorted(set(float(e) for e in extra_nodes)):
         if not (a < extra <= b):
             raise DomainError(f"extra node {extra!r} outside (a, b]")
-    # taken in ascending order, an extra's right neighbour is a skeleton
-    # node and its left one the nearer of a skeleton node and the last
-    # extra kept
-    ex = np.asarray(extras, dtype=float)
-    i = np.searchsorted(nodes, ex)            # nodes[i-1] < extra <= nodes[i]
-    tol = _MERGE_REL_TOL * (b - a)
-    kept = []
-    for extra in ex[(nodes[i] - ex > tol) & (ex - nodes[i - 1] > tol)].tolist():
-        if not kept or extra - kept[-1] > tol:
-            kept.append(extra)
-    out = np.insert(nodes, np.searchsorted(nodes, kept), kept)
+        i = int(np.searchsorted(merged, extra))
+        near = [merged[k] for k in (i - 1, i) if 0 <= k < len(merged)]
+        if any(abs(v - extra) <= tol for v in near):
+            continue
+        merged.insert(i, extra)
+    out = np.asarray(merged, dtype=float)
     if np.any(np.diff(out) <= 0):
         raise DomainError("mesh nodes are not strictly increasing after merge")
     return GradedMesh(a=float(a), b=float(b), n_base=int(n_base), r=float(r), nodes=out)

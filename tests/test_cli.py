@@ -402,10 +402,9 @@ def test_check_and_verify_reject_flags_they_do_not_read(tmp_path, capsys):
         assert "unrecognized arguments" in capsys.readouterr().err, argv
 
 
-def test_main_reuses_one_parser_across_commands(tmp_path, capsys, monkeypatch):
-    # a check, a verify and a usage error in one process leave the shared
-    # parser as good as new: the second check prints the first's bytes, and
-    # both equal a check parsed by a fresh build_parser()
+def test_main_runs_commands_back_to_back_in_one_process(tmp_path, capsys):
+    # a check, a verify and a usage error in one process leave nothing
+    # behind: the second check prints the first's bytes
     problem = str(DATA / "nontrivial.json")
     table = tmp_path / "t.csv"
     assert main(["solve", problem, "--out", str(table), "--report", str(tmp_path / "r.json")]) == 0
@@ -416,11 +415,8 @@ def test_main_reuses_one_parser_across_commands(tmp_path, capsys, monkeypatch):
         runs.append((main(argv), capsys.readouterr().out))
     assert [code for code, _ in runs[1:3]] == [0, 1]
     assert '"ok": true' in runs[1][1] and runs[2][1] == ""
-    assert cli._parser() is cli._parser()
-    monkeypatch.setattr(cli, "_parser", build_parser)
-    fresh = (main(check), capsys.readouterr().out)
-    assert runs[0] == runs[3] == fresh
-    assert '"sweep": [' in fresh[1]
+    assert runs[0] == runs[3]
+    assert '"sweep": [' in runs[0][1]
 
 
 def test_solver_flags_and_solver_block_give_the_same_config(tmp_path):

@@ -59,37 +59,6 @@ def test_build_mesh_merges_duplicates():
     assert len(m2.nodes) == 6
 
 
-def _list_merge(nodes, extras, tol):
-    """Extras merged one at a time into a Python list: the rule of
-    build_mesh, written out node by node."""
-    merged = list(nodes)
-    for extra in sorted(set(extras)):
-        i = int(np.searchsorted(merged, extra))
-        if any(abs(merged[k] - extra) <= tol for k in (i - 1, i) if 0 <= k < len(merged)):
-            continue
-        merged.insert(i, extra)
-    return np.asarray(merged)
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_build_mesh_merge_matches_a_node_by_node_merge(seed):
-    # near-duplicates of skeleton nodes and of each other, equal extras
-    # and tau = b, in random order; the first of a close pair is kept
-    rng = np.random.default_rng(seed)
-    b, n_base, r = (1.0, 2.5)[seed % 2], int(rng.integers(2, 40)), (1.0, 2.0, 3.7)[seed % 3]
-    skeleton = build_mesh(0.0, b, n_base, r).nodes
-    tol = 1e-14 * b
-    extras = list(rng.uniform(0.0, b, 6)) + [b, b - 0.5 * tol]
-    for node in rng.choice(skeleton[1:], 3):
-        extras += [node + k * tol for k in (-1.5, -0.5, 0.0, 0.5, 1.5)]
-    for extra in extras[:3]:
-        extras += [extra, extra + 0.5 * tol, extra + 0.9 * tol, extra + 1.8 * tol]
-    extras = [e for e in extras if 0.0 < e <= b]
-    rng.shuffle(extras)
-    got = build_mesh(0.0, b, n_base, r, extras).nodes
-    assert np.array_equal(got, _list_merge(skeleton, extras, tol))
-
-
 def test_build_mesh_errors():
     with pytest.raises(DomainError):
         build_mesh(1.0, 0.0, 4, 1.0, [])
