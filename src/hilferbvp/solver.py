@@ -18,8 +18,9 @@ where z_a = I^{1-gamma} z(a+) is determined by the boundary data:
     A   = sum_k lambda_k (tau_k-a)^{gamma-1} / Gamma(gamma).
 
 Everything is iterated in weighted form w = (t-a)^{1-gamma} z on a graded
-mesh; the Anderson-mixed fixed-point iteration starts from w = 0, or on a
-large mesh from the solution on a nested mesh 16 times coarser.
+mesh; the Anderson-mixed fixed-point iteration starts from w = 0, or from
+n_base 128 up from the solution on the mesh with n_base // 16 intervals,
+interpolated linearly in w (the two meshes nest when 16 divides n_base).
 """
 
 import math
@@ -59,12 +60,11 @@ _SINGULAR_REL_TOL = 1e-10
 _ANDERSON_DEPTH = 16
 # a mixed iterate whose residual grows past this factor is dropped
 _ANDERSON_GROWTH = 2.0
+# the smallest n_base SolveConfig accepts
+_MIN_INTERVALS = 8
 # a solve on n_base intervals starts from the solution on n_base // _SEED_RATIO
-# when that coarse mesh has at least _SEED_MIN_INTERVALS, i.e. from n_base
-# 1024: smaller solves, the CLI default 512 among them, keep the unseeded
-# iteration bit for bit
+# when that is a valid mesh, i.e. from n_base 128 up
 _SEED_RATIO = 16
-_SEED_MIN_INTERVALS = 64
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,8 @@ class SolveConfig:
     damping: float = 1.0
 
     def __post_init__(self):
-        if self.n_base < 8:
-            raise DomainError(f"n_base must be >= 8, got {self.n_base!r}")
+        if self.n_base < _MIN_INTERVALS:
+            raise DomainError(f"n_base must be >= {_MIN_INTERVALS}, got {self.n_base!r}")
         if not self.tol > 0.0:
             raise DomainError(f"tol must be positive, got {self.tol!r}")
         if self.max_iter < 1:
@@ -363,15 +363,15 @@ def _no_convergence_message(history, config: SolveConfig) -> str:
 
 
 def _seed(spec: ProblemSpec, params: DerivedParams, config: SolveConfig, mesh) -> np.ndarray:
-    """First iterate of a solve on mesh: zero, or, when the mesh with
-    n_base // _SEED_RATIO intervals has at least _SEED_MIN_INTERVALS, the
-    solution there (same tol, damping and budget, from zero) interpolated
-    piecewise linearly in w, as WeightedGrid does. When _SEED_RATIO divides
-    n_base the two graded meshes nest, tau nodes included. A coarse solve
-    that does not converge seeds nothing. Its workspace is freed on
-    return."""
+    """First iterate of a solve on mesh: zero, or, when n_base //
+    _SEED_RATIO is a valid n_base (at least _MIN_INTERVALS), the solution on
+    that coarse mesh (same tol, damping and budget, from zero) interpolated
+    piecewise linearly in w, as WeightedGrid does. The two graded meshes
+    nest, tau nodes included, only when _SEED_RATIO divides n_base;
+    otherwise they share only a, b and the tau nodes. A coarse solve that
+    does not converge seeds nothing. Its workspace is freed on return."""
     n_coarse = config.n_base // _SEED_RATIO
-    if n_coarse >= _SEED_MIN_INTERVALS:
+    if n_coarse >= _MIN_INTERVALS:
         coarse = problem_mesh(spec, replace(config, n_base=n_coarse))
         ws = _Workspace(spec, params, coarse)
         w0 = np.zeros(len(coarse.nodes))
@@ -385,8 +385,8 @@ def solve_picard(spec: ProblemSpec, config: SolveConfig = SolveConfig()) -> Solv
     """Solve the boundary value problem by fixed-point iteration of T with
     Anderson mixing (see _picard_loop).
 
-    Starts from z = 0, or, from n_base 1024 up, from the solution on the
-    nested mesh with n_base/16 intervals (see _seed). iterations and the
+    Starts from z = 0, or, from n_base 128 up, from the solution on the
+    mesh with n_base // 16 intervals (see _seed). iterations and the
     history describe the iteration on config's mesh only: the history holds
     the fixed-point residual max|T(w_k) - w_k| of each iterate, and the
     solve stops when it is at most config.tol and returns T(w_k).
