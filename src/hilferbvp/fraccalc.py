@@ -21,10 +21,9 @@ relative (see _profile_weighted and _RunningIntegral).
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc as _betainc_reg
-from scipy.special import beta as _beta_sp
 
 from . import specfun
 from .errors import DomainError
@@ -520,6 +519,65 @@ def _profile_far(x, h, beta, eta, w, blocks, c0) -> np.ndarray:
     return _far_field(geometry, len(x), lambda lo, f: c[:, lo:f].ravel())
 
 
+# I_x(a, b) for a, b in (0, 1] from the power series of B_x(a, b) about
+# x = 0, taken at x <= 1/2 (the complement above): every term is positive
+# and the k-th is at most 2^-k of the first, so _BETAINC_TERMS terms reach
+# 2^-56. They are summed in blocks of _BETAINC_BLOCK powers of x.
+_BETAINC_TERMS = 56
+_BETAINC_BLOCK = 8
+
+
+def _beta(a, b):
+    """Euler Beta B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b). On (0, 1]^2
+    it is within 9.2e-16 relative of the exact value, where the
+    log-Gamma route of specfun.beta, built for large arguments, errs by
+    up to 2.4e-15."""
+    return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+
+
+@lru_cache(maxsize=8)
+def _betainc_setup(a, b):
+    """B(a, b) and the series coefficients (1-q)_k / k! / (p+k) of
+    B_x(p, q) / x^p for (p, q) = (a, b) (rows [0, nb)) and (b, a) (rows
+    [nb, 2 nb)), row j holding those of the powers x^{8j} .. x^{8j+7}."""
+    if not (0.0 < a <= 1.0 and 0.0 < b <= 1.0):
+        raise DomainError(f"incomplete Beta needs a, b in (0, 1], got ({a!r}, {b!r})")
+    k = np.arange(1.0, _BETAINC_TERMS)
+    rows = [np.cumprod(np.r_[1.0, (k - q) / k]) / (p + np.r_[0.0, k]) for p, q in ((a, b), (b, a))]
+    C = np.concatenate(rows).reshape(-1, _BETAINC_BLOCK)
+    C.setflags(write=False)
+    return _beta(a, b), C
+
+
+def _betainc_reg(a, b, x) -> np.ndarray:
+    """The regularized incomplete Beta I_x(a, b) at the x in [0, 1] of the
+    1-D array x, for a, b in (0, 1] (DomainError otherwise):
+
+        I_x(a, b)   = x^a S_{a,b}(x) / B(a, b),               x <= 1/2,
+                    = 1 - (1-x)^b S_{b,a}(1-x) / B(a, b),     x > 1/2,
+        S_{p,q}(u)  = sum_k (1-q)_k / k! u^k / (p+k).
+
+    The powers u^0 .. u^7 are formed once, one matrix product applies the
+    coefficients block by block, and Horner in u^8 sums the blocks."""
+    B, C = _betainc_setup(a, b)
+    nb = len(C) // 2
+    flip = x > 0.5
+    u = np.where(flip, 1.0 - x, x)
+    P = np.empty((_BETAINC_BLOCK, len(u)))
+    P[0] = 1.0
+    P[1] = u
+    for i in range(2, _BETAINC_BLOCK):
+        np.multiply(P[i - 1], u, out=P[i])
+    Q = C @ P
+    Q = np.where(flip, Q[nb:], Q[:nb])
+    u8 = P[-1] * u
+    s = Q[-1]
+    for j in range(nb - 2, -1, -1):
+        s = s * u8 + Q[j]
+    r = u ** np.where(flip, b, a) * s / B
+    return np.where(flip, 1.0 - r, r)
+
+
 def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
     """Raw integrals int_a^{t_j} (t_j-s)^{beta-1} (s-a)^{eta} w(s) ds with w
     piecewise linear.
@@ -528,12 +586,15 @@ def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
     either singularity, are integrated in closed form. In
     X = (s-a)/(t_j-a) their weights are differences of the regularized
     incomplete Beta functions I_X(eta+1, beta) (for w) and
-    I_X(eta+2, beta) (for its slope). Only the first is a betainc call,
-    one per node left of t_j (right of it X = 1 and both weights
-    vanish); the second follows from the recurrence (DLMF 8.17.20)
+    I_X(eta+2, beta) (for its slope). Only the first is evaluated
+    (_betainc_reg), once per node left of t_j (right of it X = 1 and both
+    weights vanish); the second follows from the recurrence (DLMF 8.17.20)
 
         I_X(eta+2, beta) = I_X(eta+1, beta)
-                           - X^{eta+1} (1-X)^beta / ((eta+1) B(eta+1, beta)).
+                           - X^{eta+1} (1-X)^beta / ((eta+1) B(eta+1, beta)),
+
+    and B(eta+2, beta) from B(eta+1, beta) (eta+1) / (eta+1+beta), so the
+    one B(eta+1, beta) of the weights is the one inside I.
 
     A far cell, with x = s - a, has x_i >= K h_i and x_j - x_{i+1} >= K h_i,
     so both factors are smooth on it: it takes the _FAR_GAUSS-point
@@ -550,13 +611,13 @@ def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
     grading r), is the same for every row. A scan block that starts at
     x_{j0} >= 4 x_{c0} takes it from the binomial series of the kernel
     about s = a, 27 terms with row-independent moments (_left_series);
-    only the blocks nearer to a take its betainc weights. So O(N
-    (K + _SCAN_ROWS)) entries need betainc, about 32 per row, and the far
-    field is O(N L). Against two betainc calls per entry the profile
-    moves by at most 1.8e-15 relative (beta in {0.1, 0.5, 0.999, 1},
-    eta in {-0.9, -0.5, 0}; r = 4 at n_base 512 and 2047, r = 4.4 at
-    n_base 2048 and 2600, where h_1 ~ 1e-15), and it meets
-    a 30-digit reference to 6.2e-16 (the closed form on every cell:
+    only the blocks nearer to a take its incomplete-Beta weights. So
+    O(N (K + _SCAN_ROWS)) entries need I_X, about 32 per row, and the far
+    field is O(N L). Against scipy's betainc for both I_X on every cell
+    the profile moves by at most 1.8e-15 relative (beta in {0.1, 0.5,
+    0.999, 1}, eta in {-0.9, -0.5, 0}; r = 4 at n_base 512 and 2047,
+    r = 4.4 at n_base 2048 and 2600, where h_1 ~ 1e-15), and it meets
+    a 30-digit reference to 6.7e-16 (the closed form on every cell:
     4e-16). Where far cells exist, constant w is integrated exactly only
     up to that rounding; a mesh without any (small N) gets the closed
     form throughout.
@@ -566,8 +627,8 @@ def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
     n = len(nodes)
     x = nodes - nodes[0]                       # s - a at the nodes
     h = np.diff(nodes)
-    b1 = _beta_sp(eta + 1.0, beta)
-    b2 = _beta_sp(eta + 2.0, beta)
+    b1 = _beta(eta + 1.0, beta)
+    b2 = b1 * (eta + 1.0) / (eta + 1.0 + beta)   # B(p+1, q) = B(p, q) p / (p + q)
     sw = np.diff(w) / h
     out = np.zeros(n)
     # cell 0 always fails x_i >= K h_i

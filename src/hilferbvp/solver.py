@@ -32,7 +32,7 @@ import numpy as np
 
 from . import fraccalc, specfun
 from .errors import DomainError, NoConvergenceError, SingularProblemError
-from .expr import Expr, evaluate
+from .expr import Expr, compile_expr
 from .fraccalc import (
     FracOrder,
     GradedMesh,
@@ -112,9 +112,10 @@ class SolveConfig:
     tol bounds the fixed-point residual max|T(w) - w| of the last iterate,
     and damping is the mixing parameter of the Anderson-mixed iteration:
     1 mixes in T(w) in full, smaller values take shorter steps. From
-    n_base 1024 up, a solve first runs with the same other fields on a
-    mesh 16 times coarser and starts from that solution; max_iter bounds each
-    level, and a report's iterations count the fine one.
+    n_base 128 up, a solve first runs with the same other fields on the
+    mesh with n_base // 16 intervals and starts from that solution (see
+    _seed); max_iter bounds each level, and a report's iterations count
+    the fine one.
 
     grading = None means the default exponent r = max(1, 2/gamma). The
     solver interpolates w, which behaves like w(a) + C (t-a)^sigma near a,
@@ -187,14 +188,14 @@ def problem_mesh(spec: ProblemSpec, config: SolveConfig) -> GradedMesh:
     return build_mesh(spec.a, spec.b, config.n_base, grading_exponent(spec, config), taus)
 
 
-def _f_at_nodes(f: Expr, nodes: np.ndarray, z: np.ndarray, rows=slice(1, None)) -> np.ndarray:
-    """f(t_i, z_i) at the nodes i in rows, one evaluation each; NaN elsewhere.
-    evaluate gets Python floats: numpy scalars would warn where its
+def _f_at_nodes(f, nodes: np.ndarray, z: np.ndarray, rows=slice(1, None)) -> np.ndarray:
+    """f(t_i, z_i) at the nodes i in rows, one call of the compiled f each;
+    NaN elsewhere. f gets Python floats: numpy scalars would warn where its
     arithmetic overflows silently."""
     phi = np.full(len(nodes), math.nan)
     t, z = nodes.tolist(), z.tolist()
     for i in range(len(nodes))[rows]:
-        phi[i] = evaluate(f, t[i], z[i])
+        phi[i] = f(t[i], z[i])
     return phi
 
 
@@ -210,7 +211,8 @@ class _Workspace:
     serves every iteration, the final coefficient and the boundary
     residual. Both integrate the same f samples, with the first
     subinterval under the one-point rule (sampled_first false): sample 0
-    holds f evaluated with the limiting weighted value w(a)."""
+    holds f evaluated with the limiting weighted value w(a). f is compiled
+    once per workspace (expr.compile_expr, bit-identical to evaluate)."""
 
     def __init__(self, spec: ProblemSpec, params: DerivedParams, mesh: GradedMesh):
         self.spec = spec
@@ -220,6 +222,7 @@ class _Workspace:
         gamma = params.gamma
         nodes = mesh.nodes
         self.nodes = nodes
+        self.f = compile_expr(spec.f)
         self.gamma_mu = specfun.gamma(mu)
         self.gamma_gamma = specfun.gamma(gamma)
         self.gamma_bc = specfun.gamma(1.0 - gamma + mu)
@@ -242,8 +245,8 @@ class _Workspace:
     def f_samples(self, w: np.ndarray) -> np.ndarray:
         """f at the nodes (index >= 1); entry 0 holds the first-interval
         model value."""
-        phi = _f_at_nodes(self.spec.f, self.nodes, self.weight_down * w)
-        phi[0] = evaluate(self.spec.f, float(self.nodes[1]), float(self.weight_down[1] * w[0]))
+        phi = _f_at_nodes(self.f, self.nodes, self.weight_down * w)
+        phi[0] = self.f(float(self.nodes[1]), float(self.weight_down[1] * w[0]))
         return phi
 
     def running(self, samples) -> np.ndarray:
@@ -272,17 +275,24 @@ class _Workspace:
         return float(abs(self.spec.c * ia + self.spec.d * ib - acc))
 
     def apply(self, w: np.ndarray):
-        """One application of the fixed-point map, in weighted form."""
-        samples = self.f_samples(w)
-        running = self.running(samples)
-        za = self.init_coeff(running, self.boundary(samples))
-        w_out = za / self.gamma_gamma + self.weight_up * running
+        """One application of the fixed-point map, in weighted form.
+
+        An iterate that overflowed to +-inf gives NaN where the kernel
+        weights meet it with zeros; the iteration stops there with a typed
+        error, so numpy's warnings are silenced here, as in expr."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            samples = self.f_samples(w)
+            running = self.running(samples)
+            za = self.init_coeff(running, self.boundary(samples))
+            w_out = za / self.gamma_gamma + self.weight_up * running
         return w_out, za
 
     def apply_frozen(self, w: np.ndarray, za: float) -> np.ndarray:
-        """Volterra map with a frozen initial coefficient."""
-        running = self.running(self.f_samples(w))
-        return za / self.gamma_gamma + self.weight_up * running
+        """Volterra map with a frozen initial coefficient; numpy's warnings
+        are silenced as in apply."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            running = self.running(self.f_samples(w))
+            return za / self.gamma_gamma + self.weight_up * running
 
 
 def initial_coefficient(spec: ProblemSpec, params: DerivedParams, z: WeightedGrid) -> float:
@@ -464,7 +474,8 @@ def verify_ode(spec: ProblemSpec, z: WeightedGrid) -> float:
     the singular endpoint, so the check skips the first eighth of the base
     index range. A NaN residual at any checked node makes the result NaN."""
     rows = _checked_nodes(z.mesh)
-    return _ode_residual(spec, z, _f_at_nodes(spec.f, z.mesh.nodes, z.z_values(), rows))
+    samples = _f_at_nodes(compile_expr(spec.f), z.mesh.nodes, z.z_values(), rows)
+    return _ode_residual(spec, z, samples)
 
 
 def _checked_nodes(mesh: GradedMesh) -> slice:

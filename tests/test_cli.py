@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hilferbvp import cli, solver
 from hilferbvp.cli import _apply_flag_overrides, build_parser, main
 from hilferbvp.errors import SchemaError
-from hilferbvp.expr import evaluate
+from hilferbvp.expr import compile_expr
 from hilferbvp.problemio import (
     example_problem_path,
     load_problem,
@@ -263,20 +264,28 @@ def test_verify_detects_perturbation(tmp_path):
 
 
 def test_verify_evaluates_f_once_per_node(tmp_path, monkeypatch):
-    # one pass of f over the table serves the boundary and the ODE residual
+    # one pass of the compiled f over the table serves the boundary and the
+    # ODE residual
     table = tmp_path / "table.csv"
     problem = str(DATA / "nontrivial.json")
     assert main(["solve", problem, "--out", str(table)]) == 0
-    calls = []
+    compiled, calls = [], []
 
-    def counting(e, t, z):
-        calls.append(e)
-        return evaluate(e, t, z)
+    def counting_compile(e):
+        compiled.append(e)
+        f = compile_expr(e)
 
-    monkeypatch.setattr(solver, "evaluate", counting)
+        def counting(t, z):
+            calls.append((t, z))
+            return f(t, z)
+
+        return counting
+
+    monkeypatch.setattr(solver, "compile_expr", counting_compile)
     assert main(["verify", problem, str(table)]) == 0
     spec = load_problem(problem)
-    assert calls == [spec.f] * len(problem_mesh(spec, SolveConfig(n_base=64)).nodes)
+    assert compiled == [spec.f]
+    assert len(calls) == len(problem_mesh(spec, SolveConfig(n_base=64)).nodes)
 
 
 def test_solve_stops_at_a_non_finite_iterate(tmp_path):
@@ -288,6 +297,21 @@ def test_solve_stops_at_a_non_finite_iterate(tmp_path):
     doc = json.loads(rep.read_text())
     assert doc["iterations"] == 2
     assert doc["history"][1] == "nan"
+
+
+def test_an_overflowing_iterate_raises_no_runtime_warning(tmp_path, capsys):
+    # f = -8 z|z| + 1 drives the iterate to +-inf; inf times the zero
+    # weights of the running integral is NaN, and the solve stops on it
+    # with its typed message and no numpy warning
+    doc = json.loads((DATA / "nontrivial.json").read_text())
+    doc["f"] = "-8*z*abs(z) + 1"
+    problem = tmp_path / "overflow.json"
+    problem.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", str(problem), "--n", "128", "--out", str(tmp_path / "t.csv")])
+    assert code == 4
+    assert "error: the iterate became non-finite at iteration 38" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "example"])
@@ -522,8 +546,9 @@ def test_check_sweep_reports_an_overflowing_rho(tmp_path, capsys):
 
 def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
     # scipy.integrate pulls in sparse, linalg and optimize: ~26 MB of RSS
-    # and ~0.2 s on every CLI start
-    heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+    # and ~0.2 s on every CLI start; scipy.special alone is ~24 MB, and the
+    # package uses no scipy at all
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special")
     code = f"import sys, hilferbvp.cli; print([m for m in {heavy!r} if m in sys.modules])"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

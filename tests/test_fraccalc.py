@@ -484,6 +484,44 @@ def test_hilfer_endpoint_profiles_are_their_single_stages(gamma):
         assert np.array_equal(fraccalc._hilfer_profile(g, FracOrder(mu, 1.0)), want, equal_nan=True)
 
 
+# seeded (a, b) in (0, 1], the only orders _profile_weighted passes, with
+# a = 1 and b = 1; x across [0, 1] and down to 1e-15 from either end
+_BETAINC_PAIRS = [(1.0, 1.0), (1.0, 0.3), (0.3, 1.0)] + [
+    (1.0 - u, 1.0 - v) for u, v in np.random.default_rng(20).random((20, 2))
+]
+_BETAINC_X = np.r_[
+    np.linspace(0.0, 1.0, 41), np.geomspace(1e-15, 0.5, 30), 1.0 - np.geomspace(1e-15, 0.5, 30)
+]
+
+
+def test_incomplete_beta_matches_mpmath():
+    # x <= 1/2 sums the series of I_x(a, b), with no cancellation: relative
+    # error; x > 1/2 takes 1 - I_{1-x}(b, a), accurate to absolute rounding,
+    # which is what the profile's differences of I read. On these points
+    # scipy.special.betainc errs by 1.10e-15 relative and 6.2e-16 absolute,
+    # the series by 1.14e-15 and 3.5e-16; the bounds leave room for a
+    # libm or SIMD pow that rounds differently.
+    mp = pytest.importorskip("mpmath")
+    low = _BETAINC_X <= 0.5
+    for a, b in _BETAINC_PAIRS:
+        got = fraccalc._betainc_reg(a, b, _BETAINC_X)
+        with mp.workdps(30):
+            want = [mp.betainc(a, b, 0, x, regularized=True) for x in _BETAINC_X]
+            err = np.array([float(abs(g - w)) for g, w in zip(got, want)])
+            scale = np.array([float(w) if w else 1.0 for w in want])
+        assert np.max(err[low] / scale[low]) <= 1.5e-15, (a, b)
+        assert np.max(err[~low]) <= 1e-15, (a, b)
+        assert fraccalc._betainc_reg(a, b, np.array([0.0, 1.0])).tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "a,b", [(0.0, 0.5), (0.5, 0.0), (1.5, 0.5), (0.5, 1.0 + 1e-15), (-0.5, 0.5), (math.nan, 0.5)]
+)
+def test_incomplete_beta_rejects_orders_outside_its_range(a, b):
+    with pytest.raises(DomainError):
+        fraccalc._betainc_reg(a, b, np.array([0.25, 0.75]))
+
+
 def test_weighted_profile_row_zero_is_zero():
     m = uniform_mesh(8)
     out = _profile_weighted(m.nodes, 0.5, -0.5, np.ones(len(m.nodes)))
