@@ -10,8 +10,10 @@ producing numbers that certify nothing.
 Run from the repository root:  python demos/existence_certificate.py
 """
 
+from dataclasses import replace
+
 from hilferbvp import certificate, derive_params, load_problem
-from hilferbvp.existence import certificate_at, sweep_certificates
+from hilferbvp.existence import sweep_certificates
 from hilferbvp.problemio import example_problem_path
 
 spec = load_problem(str(example_problem_path()))
@@ -26,7 +28,7 @@ print("violated conditions:", ", ".join(literal.failed_conditions))
 print(f"(the generalized rho functional still evaluates: {literal.rho_norm:.10f})")
 
 # At an admissible exponent the certificate is conclusive.
-rep = certificate_at(spec, params, 4.0)
+rep = certificate(replace(spec, p=4.0), params)
 print(f"\nexponent p = {rep.p} (conjugate q = {rep.q:.6f}):")
 print(f"  Lambda = {rep.lambda_const:.12f}")
 print(f"  Delta  = {rep.delta_const:.12f}")

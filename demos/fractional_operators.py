@@ -12,7 +12,6 @@ from hilferbvp import (
     build_mesh,
     gamma,
     hilfer_derivative_num,
-    rl_derivative_num,
     rl_integral_monomial,
     rl_integral_quad,
 )
@@ -50,16 +49,17 @@ for n in (32, 64, 128, 256):
     print(line)
     previous = value
 
-# Fractional derivative: D^mu annihilates t^{mu-1} and maps constants to
-# c t^{-mu} / Gamma(1-mu).
+# Riemann-Liouville derivative, the two-parameter derivative at nu = 0:
+# D^mu annihilates t^{mu-1} and maps constants to c t^{-mu} / Gamma(1-mu).
 mu = 0.5
+rl = FracOrder(mu=mu, nu=0.0)
 mesh = build_mesh(0.0, 1.0, 512, 4.0, [0.5])
 power = WeightedGrid(mesh=mesh, gamma=mu, w=np.ones(len(mesh.nodes)))
 print(f"\nD^{mu} of t^(mu-1) at t=0.5 (exactly zero in theory):",
-      f"{rl_derivative_num(power, mu, 0.5):.2e}")
+      f"{hilfer_derivative_num(power, rl, 0.5):.2e}")
 
 const = WeightedGrid(mesh=mesh, gamma=1.0, w=np.full(len(mesh.nodes), 1.0))
-got = rl_derivative_num(const, mu, 0.5)
+got = hilfer_derivative_num(const, rl, 0.5)
 want = 0.5 ** (-mu) / gamma(1.0 - mu)
 print(f"D^{mu} of 1 at t=0.5: {got:.8f}  (closed form {want:.8f})")
 

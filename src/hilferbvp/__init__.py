@@ -32,7 +32,6 @@ from .fraccalc import (
     WeightedGrid,
     build_mesh,
     hilfer_derivative_num,
-    rl_derivative_num,
     rl_integral_monomial,
     rl_integral_quad,
     weighted_norm,
@@ -44,7 +43,6 @@ from .solver import (
     SolveReport,
     apply_T,
     derive_params,
-    initial_coefficient,
     problem_mesh,
     solve_picard,
     solve_volterra_ivp,

@@ -66,28 +66,22 @@ class ExistenceReport:
 
 
 def hoelder_constants(q: float, mu: float, gamma: float):
-    """(Lambda, Delta) for exponent q; Beta-type constants of the kernel
-    estimates. At q = 1 Lambda reduces to B(mu, gamma) and Delta to
-    B(1+mu-gamma, gamma).
+    """(Lambda, Delta) for exponent q, the Beta-type constants of the
+    kernel estimates: Lambda = B(q(mu-1)+1, q(gamma-1)+1) and
+    Delta = B(q(mu-gamma)+1, q(gamma-1)+1), by specfun.beta. At q = 1
+    they are B(mu, gamma) and B(1+mu-gamma, gamma).
 
     Raises InadmissibleExponentError naming the first argument positivity
     condition that fails."""
-    conditions = (
-        ("q*(mu-1)+1", q * (mu - 1.0) + 1.0),
-        ("q*(gamma-1)+1", q * (gamma - 1.0) + 1.0),
-        ("q*(mu-gamma)+1", q * (mu - gamma) + 1.0),
-    )
-    for name, value in conditions:
+    x1 = q * (mu - 1.0) + 1.0
+    x2 = q * (gamma - 1.0) + 1.0
+    x3 = q * (mu - gamma) + 1.0
+    for name, value in (("q*(mu-1)+1", x1), ("q*(gamma-1)+1", x2), ("q*(mu-gamma)+1", x3)):
         if not value > 0.0:
             raise InadmissibleExponentError(
                 f"{name} = {value!r} <= 0 (q={q!r}, mu={mu!r}, gamma={gamma!r})"
             )
-    x1 = q * (mu - 1.0) + 1.0
-    x2 = q * (gamma - 1.0) + 1.0
-    x3 = q * (mu - gamma) + 1.0
-    lam = specfun.gamma(x1) * specfun.gamma(x2) / specfun.gamma(x1 + x2)
-    delta = specfun.gamma(x3) * specfun.gamma(x2) / specfun.gamma(x3 + x2)
-    return lam, delta
+    return specfun.beta(x1, x2), specfun.beta(x3, x2)
 
 
 # Python floats: compiled rho, fed numpy scalars, would warn where it overflows silently
@@ -226,15 +220,10 @@ def certificate(spec: ProblemSpec, params: DerivedParams) -> ExistenceReport:
     )
 
 
-def certificate_at(spec: ProblemSpec, params: DerivedParams, p: float) -> ExistenceReport:
-    """Certificate for the instance with its exponent replaced by p."""
-    return certificate(replace(spec, p=float(p)), params)
-
-
 def sweep_certificates(spec: ProblemSpec, params: DerivedParams):
     """Certificates over a fixed set of admissible exponents, plus the one
     whose binding constant max(G, L*) is smallest."""
-    reports = [certificate_at(spec, params, p) for p in _SWEEP_EXPONENTS]
+    reports = [certificate(replace(spec, p=p), params) for p in _SWEEP_EXPONENTS]
     scored = [r for r in reports if r.G is not None]
     best = min(scored, key=lambda r: max(r.G, r.L_star)) if scored else reports[0]
     return reports, best

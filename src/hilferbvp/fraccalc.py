@@ -36,7 +36,6 @@ __all__ = [
     "kernel_weights",
     "rl_integral_monomial",
     "rl_integral_quad",
-    "rl_derivative_num",
     "hilfer_derivative_num",
     "weighted_norm",
 ]
@@ -162,12 +161,17 @@ class WeightedGrid:
         return z
 
     def w_at(self, t: float) -> float:
+        """w interpolated at t; DomainError unless a <= t <= b."""
+        if not self.mesh.a <= t <= self.mesh.b:
+            raise DomainError(f"t = {t!r} lies outside [{self.mesh.a!r}, {self.mesh.b!r}]")
         return float(np.interp(t, self.mesh.nodes, self.w))
 
     def z_at(self, t: float) -> float:
+        """(t-a)^{gamma-1} w_at(t); at t = a as z_values()."""
+        w = self.w_at(t)
         if t == self.mesh.a:
             return float(self.z_values()[0])
-        return (t - self.mesh.a) ** (self.gamma - 1.0) * self.w_at(t)
+        return (t - self.mesh.a) ** (self.gamma - 1.0) * w
 
 
 def weighted_norm(g: WeightedGrid) -> float:
@@ -527,14 +531,6 @@ _BETAINC_TERMS = 56
 _BETAINC_BLOCK = 8
 
 
-def _beta(a, b):
-    """Euler Beta B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b). On (0, 1]^2
-    it is within 9.2e-16 relative of the exact value, where the
-    log-Gamma route of specfun.beta, built for large arguments, errs by
-    up to 2.4e-15."""
-    return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
-
-
 @lru_cache(maxsize=8)
 def _betainc_setup(a, b):
     """B(a, b) and the series coefficients (1-q)_k / k! / (p+k) of
@@ -546,7 +542,7 @@ def _betainc_setup(a, b):
     rows = [np.cumprod(np.r_[1.0, (k - q) / k]) / (p + np.r_[0.0, k]) for p, q in ((a, b), (b, a))]
     C = np.concatenate(rows).reshape(-1, _BETAINC_BLOCK)
     C.setflags(write=False)
-    return _beta(a, b), C
+    return specfun.beta(a, b), C
 
 
 def _betainc_reg(a, b, x) -> np.ndarray:
@@ -627,7 +623,7 @@ def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
     n = len(nodes)
     x = nodes - nodes[0]                       # s - a at the nodes
     h = np.diff(nodes)
-    b1 = _beta(eta + 1.0, beta)
+    b1 = specfun.beta(eta + 1.0, beta)
     b2 = b1 * (eta + 1.0) / (eta + 1.0 + beta)   # B(p+1, q) = B(p, q) p / (p + q)
     sw = np.diff(w) / h
     out = np.zeros(n)
@@ -714,19 +710,6 @@ def _derivative_profile(nodes: np.ndarray, F: np.ndarray) -> np.ndarray:
     return d
 
 
-def rl_derivative_num(g: WeightedGrid, mu: float, t: float) -> float:
-    """Fractional derivative of order mu in (0,1) at a strictly interior
-    mesh node: tabulate I^{1-mu} g at the nodes, then differentiate with
-    the three-point stencils.
-
-    Each call builds the whole O(N L) profile (L ~ 300 SOE terms) to
-    return one entry, so a loop over nodes costs N times that;
-    solve_picard and verify_ode compute all nodes at once. A one-row
-    build waits for a perfbench change, as its profile.hilfer_s probe
-    times hilfer_derivative_num, which this calls."""
-    return hilfer_derivative_num(g, FracOrder(mu, 0.0), t)
-
-
 def _hilfer_profile(g: WeightedGrid, order: FracOrder) -> np.ndarray:
     """Two-parameter derivative of g at nodes 1..n-2 (NaN elsewhere), for
     every 0 <= nu <= 1 by the Riemann-Liouville identity: with
@@ -765,8 +748,9 @@ def hilfer_derivative_num(g: WeightedGrid, order: FracOrder, t: float) -> float:
     For every 0 <= nu <= 1 it is d/dt [I^{1-mu} z - z_a (t-a)^theta /
     Gamma(theta+1)] with theta = nu(1-mu) and z_a = I^{1-gamma} z(a+):
     Gamma(gamma) w(a) when g's gamma is the order's, 0 when it is larger;
-    for nu > 0 a smaller one raises DomainError. At nu = 1, z_a = z(a)
-    and this is the Caputo derivative D^mu [z - z(a)].
+    for nu > 0 a smaller one raises DomainError. At nu = 0 this is the
+    Riemann-Liouville derivative of order mu (FracOrder(mu, 0.0)); at
+    nu = 1, z_a = z(a) and it is the Caputo derivative D^mu [z - z(a)].
 
     Each call builds the whole O(N L) profile (L ~ 300 SOE terms) to
     return one entry, so a loop over nodes costs N times that;

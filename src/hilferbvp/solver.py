@@ -48,7 +48,6 @@ __all__ = [
     "SolveReport",
     "derive_params",
     "problem_mesh",
-    "initial_coefficient",
     "apply_T",
     "solve_picard",
     "solve_volterra_ivp",
@@ -293,14 +292,6 @@ class _Workspace:
         with np.errstate(invalid="ignore", over="ignore"):
             running = self.running(self.f_samples(w))
             return za / self.gamma_gamma + self.weight_up * running
-
-
-def initial_coefficient(spec: ProblemSpec, params: DerivedParams, z: WeightedGrid) -> float:
-    """The scalar I^{1-gamma} z(a+) induced by the boundary condition for
-    the given iterate."""
-    ws = _Workspace(spec, params, z.mesh)
-    samples = ws.f_samples(z.w)
-    return ws.init_coeff(ws.running(samples), ws.boundary(samples))
 
 
 def apply_T(spec: ProblemSpec, params: DerivedParams, z: WeightedGrid) -> WeightedGrid:

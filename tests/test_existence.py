@@ -4,11 +4,10 @@ from dataclasses import replace
 
 import pytest
 
-from hilferbvp import existence, specfun
+from hilferbvp import existence
 from hilferbvp.errors import DomainError, InadmissibleExponentError
 from hilferbvp.existence import (
     certificate,
-    certificate_at,
     hoelder_constants,
     rho_lp_norm,
     sweep_certificates,
@@ -41,10 +40,14 @@ def example():
 
 
 def test_hoelder_q1_reduces_to_beta():
+    # mpmath, not specfun.beta: hoelder_constants is specfun.beta
+    mp = pytest.importorskip("mpmath")
     for mu, gamma in [(1.0 / 3.0, 0.5), (0.7, 0.85), (0.2, 0.4)]:
         lam, delta = hoelder_constants(1.0, mu, gamma)
-        assert lam == pytest.approx(specfun.beta(mu, gamma), rel=1e-12)
-        assert delta == pytest.approx(specfun.beta(1.0 + mu - gamma, gamma), rel=1e-12)
+        with mp.workdps(40):
+            want = float(mp.beta(mu, gamma)), float(mp.beta(1.0 + mu - gamma, gamma))
+        assert lam == pytest.approx(want[0], rel=1e-14)
+        assert delta == pytest.approx(want[1], rel=1e-14)
 
 
 def test_hoelder_frozen_values():
@@ -148,7 +151,7 @@ def test_certificate_paper_literal_inadmissible():
 
 def test_certificate_p4_satisfied_frozen():
     spec, params = example()
-    rep = certificate_at(spec, params, 4.0)
+    rep = certificate(replace(spec, p=4.0), params)
     assert rep.verdict == "satisfied"
     assert rep.admissible
     assert rep.lambda_const == pytest.approx(LAMBDA_P4, rel=1e-10)
@@ -171,7 +174,7 @@ def test_certificate_scaled_rho_violated():
 
 def test_certificate_scaling_linearity():
     spec, params = example()
-    base = certificate_at(spec, params, 4.0)
+    base = certificate(replace(spec, p=4.0), params)
     s = 7.5
     scaled = certificate(replace(spec, rho=parse(f"{s!r}*(t/16)"), p=4.0), params)
     assert scaled.rho_norm == pytest.approx(s * base.rho_norm, rel=1e-12)
@@ -184,7 +187,7 @@ def test_certificate_scaling_linearity():
 def test_certificate_q_conjugacy():
     spec, params = example()
     for p in (0.5, 1.5, 2.5, 4.0, 8.0, 64.0):
-        rep = certificate_at(spec, params, p)
+        rep = certificate(replace(spec, p=p), params)
         assert abs(1.0 / rep.p + 1.0 / rep.q - 1.0) <= 1e-14
 
 
@@ -201,7 +204,7 @@ def test_certificate_monotone_in_interval_length():
 
 def test_certificate_verdict_stable_under_tiny_perturbation():
     spec, params = example()
-    base = certificate_at(spec, params, 4.0)
+    base = certificate(replace(spec, p=4.0), params)
     assert base.verdict == "satisfied"
     for eps in (1e-12, -1e-12):
         bumped = replace(spec, c=spec.c * (1.0 + eps), p=4.0 * (1.0 + eps))
@@ -212,8 +215,8 @@ def test_certificate_verdict_stable_under_tiny_perturbation():
 def test_certificate_near_one_boundary_admissibility():
     # p slightly above 1/mu = 3 is admissible, slightly below is not
     spec, params = example()
-    assert certificate_at(spec, params, 3.0 + 1e-6).admissible
-    rep = certificate_at(spec, params, 3.0 - 1e-6)
+    assert certificate(replace(spec, p=3.0 + 1e-6), params).admissible
+    rep = certificate(replace(spec, p=3.0 - 1e-6), params)
     assert not rep.admissible
     assert rep.verdict == "inadmissible"
 

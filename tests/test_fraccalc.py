@@ -19,7 +19,6 @@ from hilferbvp.fraccalc import (
     build_mesh,
     hilfer_derivative_num,
     kernel_weights,
-    rl_derivative_num,
     rl_integral_monomial,
     rl_integral_quad,
     weighted_norm,
@@ -117,6 +116,25 @@ def test_weighted_grid_z_values():
     assert g0.z_values()[0] == 0.0
     g1 = WeightedGrid(mesh=m, gamma=1.0, w=m.nodes.copy())
     assert g1.z_values()[0] == 0.0
+
+
+def test_weighted_grid_point_values():
+    m = uniform_mesh(4)
+    g = WeightedGrid(mesh=m, gamma=0.5, w=1.0 + m.nodes)
+    assert g.w_at(0.0) == 1.0 and g.w_at(0.125) == 1.125 and g.w_at(1.0) == 2.0
+    assert g.z_at(0.25) == 0.25**-0.5 * 1.25
+    assert math.isinf(g.z_at(0.0)) and g.z_at(1.0) == 2.0
+
+
+@pytest.mark.parametrize("t", [-0.5, -1e-300, 1.0 + 1e-15, 2.0, math.nan])
+def test_weighted_grid_point_values_outside_the_mesh(t):
+    # past either end np.interp holds the end value, and below a
+    # (t-a)^(gamma-1) is complex
+    g = WeightedGrid(mesh=uniform_mesh(4), gamma=0.5, w=np.ones(5))
+    with pytest.raises(DomainError):
+        g.w_at(t)
+    with pytest.raises(DomainError):
+        g.z_at(t)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +251,7 @@ def test_inversion_derivative_of_integral():
     integral = WeightedGrid(mesh=m, gamma=delta + mu, w=np.full(len(m.nodes), coeff))
     for j in (128, 256, 384, 480):
         t = float(m.nodes[j])
-        got = rl_derivative_num(integral, mu, t)
+        got = hilfer_derivative_num(integral, FracOrder(mu, 0.0), t)
         want = t ** (delta - 1.0)
         assert got == pytest.approx(want, abs=1e-2)
 
@@ -340,7 +358,7 @@ def test_derivative_annihilates_its_power():
     m = build_mesh(0.0, 1.0, 512, 4.0, [])
     g = WeightedGrid(mesh=m, gamma=mu, w=np.ones(len(m.nodes)))
     for j in (64, 200, 400):
-        assert abs(rl_derivative_num(g, mu, float(m.nodes[j]))) <= 1e-2
+        assert abs(hilfer_derivative_num(g, FracOrder(mu, 0.0), float(m.nodes[j]))) <= 1e-2
 
 
 def test_derivative_of_constant():
@@ -349,13 +367,13 @@ def test_derivative_of_constant():
     g = WeightedGrid(mesh=m, gamma=1.0, w=np.full(len(m.nodes), c))
     t = 0.5
     want = c * t ** (-mu) / specfun.gamma(1.0 - mu)
-    assert rl_derivative_num(g, mu, t) == pytest.approx(want, rel=1e-3)
+    assert hilfer_derivative_num(g, FracOrder(mu, 0.0), t) == pytest.approx(want, rel=1e-3)
 
 
 def test_derivative_classical_limit():
     m = build_mesh(0.0, 1.0, 512, 1.0, [0.5])
     g = WeightedGrid(mesh=m, gamma=1.0, w=m.nodes.copy())
-    got = rl_derivative_num(g, 0.999, 0.5)
+    got = hilfer_derivative_num(g, FracOrder(0.999, 0.0), 0.5)
     assert got == pytest.approx(1.0, abs=5e-2)
 
 
@@ -363,22 +381,11 @@ def test_derivative_boundary_rejected():
     m = uniform_mesh(16)
     g = WeightedGrid(mesh=m, gamma=1.0, w=np.ones(len(m.nodes)))
     with pytest.raises(DomainError):
-        rl_derivative_num(g, 0.5, 0.0)
+        hilfer_derivative_num(g, FracOrder(0.5, 0.0), 0.0)
     with pytest.raises(DomainError):
-        rl_derivative_num(g, 0.5, 1.0)
+        hilfer_derivative_num(g, FracOrder(0.5, 0.0), 1.0)
     with pytest.raises(DomainError):
         hilfer_derivative_num(g, FracOrder(mu=0.5, nu=0.5), 1.0)
-
-
-def test_hilfer_nu_zero_matches_rl():
-    m = build_mesh(0.0, 1.0, 128, 2.0, [])
-    g = WeightedGrid(mesh=m, gamma=1.0, w=np.cos(m.nodes))
-    order = FracOrder(mu=0.4, nu=0.0)
-    for j in (10, 40, 90):
-        t = float(m.nodes[j])
-        assert hilfer_derivative_num(g, order, t) == pytest.approx(
-            rl_derivative_num(g, 0.4, t), abs=1e-10
-        )
 
 
 def test_hilfer_nu_one_matches_integral_of_derivative():
@@ -392,7 +399,7 @@ def test_hilfer_nu_one_matches_integral_of_derivative():
     for j in (5, 30, 64, 120):
         t = float(m.nodes[j])
         assert hilfer_derivative_num(g, order, t) == pytest.approx(
-            rl_derivative_num(shifted, mu, t), abs=1e-10
+            hilfer_derivative_num(shifted, FracOrder(mu, 0.0), t), abs=1e-10
         )
 
 
@@ -463,7 +470,7 @@ def test_hilfer_of_a_grid_with_larger_gamma_is_the_rl_derivative(gamma):
     g = WeightedGrid(mesh=m, gamma=gamma, w=np.cos(m.nodes) + 0.5)
     nodes = [float(t) for t in m.nodes[1:-1]]
     got = np.array([hilfer_derivative_num(g, order, t) for t in nodes])
-    want = np.array([rl_derivative_num(g, order.mu, t) for t in nodes])
+    want = np.array([hilfer_derivative_num(g, FracOrder(order.mu, 0.0), t) for t in nodes])
     assert np.array_equal(got, want)
 
 

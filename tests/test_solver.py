@@ -21,7 +21,6 @@ from hilferbvp.solver import (
     apply_T,
     derive_params,
     grading_exponent,
-    initial_coefficient,
     problem_mesh,
     solve_picard,
     solve_volterra_ivp,
@@ -131,20 +130,20 @@ def zero_grid(spec, n=64):
 def test_initial_coefficient_zero_integrand():
     spec = spec_with("0", c=0.25, d=0.75, nonlocal_terms=((0.4, 2.0 / 3.0),))
     params = derive_params(spec)
-    assert initial_coefficient(spec, params, zero_grid(spec)) == 0.0
+    assert apply_T(spec, params, zero_grid(spec)).w[0] == 0.0
 
 
 def test_initial_coefficient_no_boundary_terms():
     spec = spec_with("sin(t)+2", c=1.0, d=0.0)
     params = derive_params(spec)
-    assert initial_coefficient(spec, params, zero_grid(spec)) == 0.0
+    assert apply_T(spec, params, zero_grid(spec)).w[0] == 0.0
 
 
 def test_initial_coefficient_example_zero_iterate():
     spec = example_spec()
     params = derive_params(spec)
     # f(s, 0) = (1/16) s sin(0) = 0 kills both integrals
-    assert initial_coefficient(spec, params, zero_grid(spec)) == 0.0
+    assert apply_T(spec, params, zero_grid(spec)).w[0] == 0.0
 
 
 def test_apply_T_constant_rhs_closed_form():

@@ -3,9 +3,10 @@
 The C library's gamma/lgamma is the implementation under test, so it is
 not an oracle here. Accuracy is judged against reference values computed
 ahead of time with an arbitrary-precision library (50 digits) and frozen
-here, and against the recurrence and reflection identities. The sweeps
-against math.gamma/math.lgamma check that the wrappers pass libm's values
-through unchanged, with no spurious PoleError, DomainError or overflow.
+here, against the recurrence and reflection identities, and for Beta
+against mpmath at 40 digits on both of its routes. The sweeps against
+math.gamma/math.lgamma check that the wrappers pass libm's values through
+unchanged, with no spurious PoleError, DomainError or overflow.
 """
 
 import math
@@ -158,3 +159,59 @@ def test_beta_large_arguments_no_overflow():
         math.exp(math.lgamma(400.0) + math.lgamma(300.0) - math.lgamma(700.0)),
         rel=1e-10,
     )
+
+
+def _ratio(x, y):
+    return math.gamma(x) * math.gamma(y) / math.gamma(x + y)
+
+
+def _log_route(x, y):
+    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
+
+
+def _relative_errors(pairs):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        exact = [mp.beta(x, y) for x, y in pairs]
+        return [float(abs(beta(x, y) - e) / e) for (x, y), e in zip(pairs, exact)]
+
+
+def test_beta_on_the_unit_square_matches_mpmath():
+    # every Beta the package takes has both arguments in (0, 2]; the Gamma
+    # ratio reads 1.05e-15 here, the log-Gamma route 2.44e-15
+    rng = np.random.default_rng(1)
+    pairs = [(float(x), float(y)) for x, y in 1.0 - rng.random((2000, 2))]
+    assert max(_relative_errors(pairs)) <= 1.5e-15
+    assert all(beta(x, y) == _ratio(x, y) for x, y in pairs)
+
+
+def test_beta_ratio_route_up_to_170_matches_mpmath():
+    # libm's Gamma loses accuracy as its argument grows: 7.2e-14 at worst
+    rng = np.random.default_rng(2)
+    pairs = [(float(x), float(y)) for x, y in 85.0 * (1.0 - rng.random((300, 2)))]
+    pairs += [(1.0, 169.0), (0.5, 169.5), (85.0, 85.0), (1e-3, 169.0)]
+    assert all(beta(x, y) == _ratio(x, y) for x, y in pairs)
+    assert max(_relative_errors(pairs)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "x, y, bound",
+    [
+        # Gamma(x) Gamma(y) is inf
+        (1e-10, 170.0, 5e-14),
+        (1e-300, 1e-300, 1.5e-13),
+        (100.0, 100.0, 6e-14),
+        # a Gamma raises OverflowError
+        (0.5, 171.5, 8e-14),
+        (100.0, 80.0, 3e-14),
+        (400.0, 300.0, 1.5e-13),
+    ],
+)
+def test_beta_log_route_matches_mpmath(x, y, bound):
+    assert beta(x, y) == _log_route(x, y)
+    assert _relative_errors([(x, y)])[0] <= bound
+
+
+def test_beta_past_the_double_range_overflows():
+    with pytest.raises(OverflowError):
+        beta(1e-320, 1e-320)
