@@ -33,11 +33,12 @@ class EvalError(HilferError):
 
     Attributes:
         pos: character offset of the offending node in the original source,
-             or -1 for programmatically built trees.
+             or -1 for programmatically built trees. A pos >= 0 is named at
+             the end of the message, as " (offset N)".
     """
 
     def __init__(self, message, pos=-1):
-        super().__init__(message)
+        super().__init__(f"{message} (offset {pos})" if pos >= 0 else message)
         self.pos = pos
 
 

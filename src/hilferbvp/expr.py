@@ -236,106 +236,63 @@ def compile_expr(e: Expr):
     """A callable (t, z) -> float that equals evaluate(e, t, z) bit for bit.
 
     Each node becomes one closure over its children's closures, with its
-    operator chosen once here rather than on every call. Each closure makes
-    the same math calls and checks as evaluate, in the same order, and
-    raises the same EvalError, message and pos; an unknown operator or a
-    malformed node raises when called, after its operands, as there."""
+    operator chosen once here rather than on every call. The closures
+    check nothing: they make evaluate's float operations and math calls in
+    evaluate's order. Those raise ArithmeticError or ValueError on exactly
+    the inputs where evaluate raises EvalError, save a power that is NaN,
+    which the '^' closure tests for; an unknown operator or a malformed
+    node compiles to a closure that raises ValueError. When a closure
+    raises, the callable returns evaluate(e, t, z), which raises that
+    EvalError, message and pos, so evaluate alone holds the domain rules."""
+    run = _closure(e)
+
+    def compiled(t, z):
+        try:
+            return run(t, z)
+        except (ArithmeticError, ValueError):
+            return evaluate(e, t, z)
+
+    return compiled
+
+
+def _defer(t, z):
+    raise ValueError("evaluate reports this node")
+
+
+def _closure(e):
     if isinstance(e, Num):
         value = e.value
         return lambda t, z: value
     if isinstance(e, Var):
         return (lambda t, z: t) if e.name == "t" else (lambda t, z: z)
     if isinstance(e, Unary):
-        return _compile_unary(e.op, compile_expr(e.arg), e.pos)
-    if isinstance(e, Binary):
-        return _compile_binary(e.op, compile_expr(e.lhs), compile_expr(e.rhs), e.pos)
+        arg, op = _closure(e.arg), e.op
+        if op == "neg":
+            return lambda t, z: -arg(t, z)
+        if op == "abs":
+            return lambda t, z: abs(arg(t, z))
+        if op in ("sin", "cos", "exp", "log", "sqrt"):
+            fn = getattr(math, op)
+            return lambda t, z: fn(arg(t, z))
+    elif isinstance(e, Binary):
+        lhs, rhs, op = _closure(e.lhs), _closure(e.rhs), e.op
+        if op == "+":
+            return lambda t, z: lhs(t, z) + rhs(t, z)
+        if op == "-":
+            return lambda t, z: lhs(t, z) - rhs(t, z)
+        if op == "*":
+            return lambda t, z: lhs(t, z) * rhs(t, z)
+        if op == "/":
+            return lambda t, z: lhs(t, z) / rhs(t, z)
+        if op == "^":
+            def power(t, z):
+                r = math.pow(lhs(t, z), rhs(t, z))
+                if r != r:
+                    raise ValueError("NaN power")
+                return r
 
-    def malformed(t, z):
-        raise EvalError(f"malformed node {e!r}")
-
-    return malformed
-
-
-def _compile_unary(op, arg, pos):
-    if op == "neg":
-        return lambda t, z: -arg(t, z)
-    if op == "abs":
-        return lambda t, z: abs(arg(t, z))
-    if op == "log":
-        def log(t, z):
-            v = arg(t, z)
-            if v <= 0.0:
-                raise EvalError(f"log of non-positive value {v!r}", pos)
-            return math.log(v)
-
-        return log
-    if op == "sqrt":
-        def sqrt(t, z):
-            v = arg(t, z)
-            if v < 0.0:
-                raise EvalError(f"sqrt of negative value {v!r}", pos)
-            return math.sqrt(v)
-
-        return sqrt
-    if op in ("sin", "cos", "exp"):
-        fn = getattr(math, op)
-
-        def call(t, z):
-            v = arg(t, z)
-            try:
-                return fn(v)
-            except OverflowError:
-                raise EvalError(f"overflow in {op}({v!r})", pos) from None
-            except ValueError:  # sin/cos of +-inf
-                raise EvalError(f"{op} of {v!r} is undefined", pos) from None
-
-        return call
-
-    def unknown(t, z):
-        arg(t, z)
-        raise EvalError(f"unknown function {op!r}", pos)
-
-    return unknown
-
-
-def _compile_binary(op, lhs, rhs, pos):
-    if op == "+":
-        return lambda t, z: lhs(t, z) + rhs(t, z)
-    if op == "-":
-        return lambda t, z: lhs(t, z) - rhs(t, z)
-    if op == "*":
-        return lambda t, z: lhs(t, z) * rhs(t, z)
-    if op == "/":
-        def divide(t, z):
-            x = lhs(t, z)
-            y = rhs(t, z)
-            if y == 0.0:
-                raise EvalError("division by zero", pos)
-            return x / y
-
-        return divide
-    if op == "^":
-        def power(t, z):
-            x = lhs(t, z)
-            y = rhs(t, z)
-            try:
-                r = math.pow(x, y)
-            except (ValueError, OverflowError) as exc:
-                raise EvalError(f"invalid power {x!r}^{y!r}: {exc}", pos) from None
-            if math.isnan(r):
-                raise EvalError(f"invalid power {x!r}^{y!r}", pos)
-            if math.isinf(r) and not (math.isinf(x) or math.isinf(y)):
-                raise EvalError(f"overflow in power {x!r}^{y!r}", pos)
-            return r
-
-        return power
-
-    def unknown(t, z):
-        lhs(t, z)
-        rhs(t, z)
-        raise EvalError(f"unknown operator {op!r}", pos)
-
-    return unknown
+            return power
+    return _defer
 
 
 def variables_used(e: Expr):

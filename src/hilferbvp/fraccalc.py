@@ -147,8 +147,8 @@ class WeightedGrid:
         self.w.setflags(write=False)
 
     def z_values(self) -> np.ndarray:
-        """Pointwise z_i = (t_i - a)^{gamma-1} w_i; inf at the left endpoint
-        when gamma < 1 and w(a) != 0."""
+        """Pointwise z_i = (t_i - a)^{gamma-1} w_i; at the left endpoint,
+        when gamma < 1, +-inf for a nonzero w(a) and NaN for a NaN one."""
         t = self.mesh.nodes
         z = np.empty_like(self.w)
         z[1:] = (t[1:] - self.mesh.a) ** (self.gamma - 1.0) * self.w[1:]
@@ -157,7 +157,7 @@ class WeightedGrid:
         elif self.w[0] == 0.0:
             z[0] = 0.0
         else:
-            z[0] = math.inf if self.w[0] > 0 else -math.inf
+            z[0] = self.w[0] * math.inf       # NaN stays NaN
         return z
 
     def w_at(self, t: float) -> float:
@@ -221,15 +221,13 @@ def _pow_diffs(A0, A1, h, beta):
     """A0**e - A1**e for e = beta and e = beta+1, elementwise over 1-D
     arrays with 0 <= A1 <= A0 and A0 - A1 = h, without cancellation.
 
-    Each entry is evaluated by one branch: at the target (A1 = 0) by A0**e;
-    far from it (h/A1 < 0.5) by A1**e * expm1(e*log1p(h/A1)), with the
-    log1p shared by both exponents; near it by the direct difference."""
+    Each entry is evaluated by one branch: far from the target (h/A1 < 0.5)
+    by A1**e * expm1(e*log1p(h/A1)), with the log1p shared by both
+    exponents; near it by the direct difference, which at the target
+    (A1 = 0) is A0**e exactly, as e > 0."""
     b1 = beta + 1.0
     P = np.empty_like(A1)
     Q = np.empty_like(A1)
-    end = A1 == 0.0
-    P[end] = A0[end] ** beta
-    Q[end] = A0[end] ** b1
     with np.errstate(divide="ignore"):
         ratio = h / A1                    # inf at the target: not far
     far = ratio < 0.5
@@ -237,7 +235,7 @@ def _pow_diffs(A0, A1, h, beta):
     a1 = A1[far]
     P[far] = a1**beta * np.expm1(beta * L)
     Q[far] = a1**b1 * np.expm1(b1 * L)
-    near = ~(end | far)
+    near = ~far
     a0, a1 = A0[near], A1[near]
     P[near] = a0**beta - a1**beta
     Q[near] = a0**b1 - a1**b1

@@ -325,6 +325,15 @@ def test_failed_solve_says_why_on_stderr(tmp_path, monkeypatch, capsys, command)
     assert main(argv + ["--n", "64", "--out", str(out), "--report", str(rep)]) == 4
     assert "error: the iterate became non-finite at iteration 2" in capsys.readouterr().err
     assert out.exists() and json.loads(rep.read_text())["converged"] is False
+    # the table's NaN w(a) gives z(a) = NaN, not -inf
+    assert out.read_text().splitlines()[1] == "0.0,nan,nan"
+
+
+def test_an_f_outside_its_domain_names_its_offset(tmp_path, capsys):
+    problem = write_problem(tmp_path, f="sqrt(z - 10) + 1")
+    assert main(["solve", problem, "--n", "64", "--out", str(tmp_path / "t.csv")]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: sqrt of negative value -10.0 (offset 0)"]
 
 
 def test_verify_trivial_solution(tmp_path):

@@ -188,10 +188,10 @@ def _outcome(fn, t, z):
 
 
 # 180 points in [-4, 4]^2 and 20 from edges where the checks fire
-_SPECIAL = (0.0, -0.0, 1.0, -1.0, 1e308, -math.inf, math.inf)
+_SPECIAL = (0.0, -0.0, 1.0, -1.0, 1e308, -math.inf, math.inf, math.nan)
 _RNG = random.Random("compile")
 _POINTS = [(_RNG.uniform(-4.0, 4.0), _RNG.uniform(-4.0, 4.0)) for _ in range(180)]
-_POINTS += [(_SPECIAL[k % 7], _SPECIAL[(3 * k + 1) % 7]) for k in range(20)]
+_POINTS += [(_SPECIAL[k % 8], _SPECIAL[(3 * k + 1) % 8]) for k in range(20)]
 
 
 def test_compiled_tree_matches_evaluate_on_the_corpus():
@@ -227,6 +227,35 @@ def test_compiled_tree_raises_the_same_eval_error(tree, t, z):
     want = _outcome(lambda t, z: evaluate(tree, t, z), t, z)
     assert isinstance(want, tuple), want
     assert _outcome(compile_expr(tree), t, z) == want
+
+
+# Programmatic trees over every function and operator, with leaves and
+# (t, z) from the finite doubles and the specials: the compiled fast path
+# must fall back to evaluate exactly where evaluate raises
+_VALUES = st.floats() | st.sampled_from(_SPECIAL + (710.0, 0.5, 2.0))
+_TREES = st.recursive(
+    st.builds(Num, value=_VALUES) | st.sampled_from([Var(name="t"), Var(name="z")]),
+    lambda kids: st.builds(
+        Unary, op=st.sampled_from(("neg", "sin", "cos", "abs", "exp", "log", "sqrt")), arg=kids,
+        pos=st.integers(-1, 40),
+    ) | st.builds(
+        Binary, op=st.sampled_from("+-*/^"), lhs=kids, rhs=kids, pos=st.integers(-1, 40),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_TREES, _VALUES, _VALUES)
+def test_compiled_random_tree_matches_evaluate(tree, t, z):
+    want = _outcome(lambda t, z: evaluate(tree, t, z), t, z)
+    assert _outcome(compile_expr(tree), t, z) == want
+
+
+def test_eval_error_names_its_offset():
+    with pytest.raises(EvalError, match=r"^sqrt of negative value -10\.0 \(offset 0\)$"):
+        evaluate(parse("sqrt(z - 10) + 1"), 0.0, 0.0)
+    assert str(EvalError("division by zero")) == "division by zero"   # no position, no offset
 
 
 def test_parsed_nodes_are_slotted_and_frozen():

@@ -118,6 +118,16 @@ def test_weighted_grid_z_values():
     assert g1.z_values()[0] == 0.0
 
 
+def test_weighted_grid_keeps_a_nan_at_the_endpoint():
+    # w(a) = NaN with gamma < 1 gives z(a) = NaN, not -inf
+    m = uniform_mesh(4)
+    w = np.ones(5)
+    w[0] = math.nan
+    g = WeightedGrid(mesh=m, gamma=0.5, w=w)
+    assert math.isnan(g.z_values()[0]) and math.isnan(g.z_at(0.0))
+    assert g.z_values()[1] == 0.25**-0.5
+
+
 def test_weighted_grid_point_values():
     m = uniform_mesh(4)
     g = WeightedGrid(mesh=m, gamma=0.5, w=1.0 + m.nodes)
