@@ -49,57 +49,23 @@ _VERIFY_ODE_TOL = 5e-2
 # ---------------------------------------------------------------------------
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return f"{x:.12g}"
-
-
-def _emit(obj, out, indent):
-    pad = "  " * indent
-    if obj is None:
-        out.append("null")
-    elif obj is True or obj is False:
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_fmt_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(pad + "  " + json.dumps(str(key)) + ": ")
-            _emit(value, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(pad + "  ")
-            _emit(value, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot emit {type(obj)!r}")
+def _rounded(obj):
+    """obj (dicts, lists and tuples walked) with each finite float as the
+    JSON number its %.12g text reads as, so 8.0 becomes the int 8, and
+    each non-finite one as the string nan, inf or -inf."""
+    if isinstance(obj, float):
+        return json.loads(f"{obj:.12g}") if math.isfinite(obj) else str(obj)
+    if isinstance(obj, dict):
+        return {key: _rounded(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(value) for value in obj]
+    return obj
 
 
 def dumps_report(doc: dict) -> str:
     """Stable JSON rendering: key order as inserted, floats at 12
-    significant digits, newline terminated."""
-    out = []
-    _emit(doc, out, 0)
-    out.append("\n")
-    return "".join(out)
+    significant digits (see _rounded), newline terminated."""
+    return json.dumps(_rounded(doc), indent=2) + "\n"
 
 
 def _write(text, path):
@@ -117,16 +83,11 @@ def _write(text, path):
 
 def format_table(grid: WeightedGrid) -> str:
     """Comma-delimited node table with header t,z,w; numbers use shortest
-    round-trip decimals. The z entry at t = a is the string inf when the
+    round-trip decimals. The z entry at t = a is inf or -inf when the
     solution genuinely blows up there (gamma < 1, w(a) != 0)."""
     lines = ["t,z,w"]
-    zvals = grid.z_values()
-    for t, z, w in zip(grid.mesh.nodes, zvals, grid.w):
-        if math.isinf(z):
-            ztext = "inf" if z > 0 else "-inf"
-        else:
-            ztext = repr(float(z))
-        lines.append(f"{float(t)!r},{ztext},{float(w)!r}")
+    for t, z, w in zip(grid.mesh.nodes, grid.z_values(), grid.w):
+        lines.append(f"{float(t)!r},{float(z)!r},{float(w)!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -34,12 +34,17 @@ class EvalError(HilferError):
     Attributes:
         pos: character offset of the offending node in the original source,
              or -1 for programmatically built trees. A pos >= 0 is named at
-             the end of the message, as " (offset N)".
+             the end of str(exc), as " (offset N)"; args[0] is the message
+             without it.
     """
 
     def __init__(self, message, pos=-1):
-        super().__init__(f"{message} (offset {pos})" if pos >= 0 else message)
+        super().__init__(message)
         self.pos = pos
+
+    def __str__(self):
+        message = super().__str__()
+        return f"{message} (offset {self.pos})" if self.pos >= 0 else message
 
 
 class SingularProblemError(HilferError):

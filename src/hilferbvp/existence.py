@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, InadmissibleExponentError
+from .errors import DomainError, EvalError, InadmissibleExponentError
 from .expr import Expr, compile_expr, pretty
 from .solver import DerivedParams, ProblemSpec
 
@@ -121,7 +121,8 @@ def rho_lp_norm(rho: Expr, p: float, a: float, b: float) -> float:
     one. Accepts any p > 0; the H2 admissibility constraints on p are
     enforced by the certificate, not here. Raises DomainError when a
     sample of |rho|^p or the integral is not a finite double (NaN, inf or
-    past the double range)."""
+    past the double range), and an EvalError of rho again with the t it
+    was met at before its message."""
     if not p > 0.0:
         raise DomainError(f"exponent p must be positive, got {p!r}")
     if not a < b:
@@ -129,7 +130,10 @@ def rho_lp_norm(rho: Expr, p: float, a: float, b: float) -> float:
     rho_at = compile_expr(rho)
 
     def integrand(s):
-        return abs(rho_at(s, 0.0)) ** p
+        try:
+            return abs(rho_at(s, 0.0)) ** p
+        except EvalError as exc:
+            raise EvalError(f"rho at t = {s!r}: {exc.args[0]}", exc.pos) from exc
 
     try:
         value = _adaptive(integrand, a, b, _gl_panel(integrand, a, b), 1e-10, 0)

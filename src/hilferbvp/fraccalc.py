@@ -81,9 +81,6 @@ class GradedMesh:
     def __post_init__(self):
         self.nodes.setflags(write=False)
 
-    def __len__(self):
-        return len(self.nodes)
-
     def index_of(self, t: float) -> int:
         """Index of the node equal to t (within 1e-12 of the span)."""
         tol = _NODE_LOOKUP_REL_TOL * (self.b - self.a)

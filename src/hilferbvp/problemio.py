@@ -63,14 +63,7 @@ def _scalar(doc, key, path=None):
             raise SchemaError(path, f"expected a finite number or expression string, got {raw!r}")
         return value
     try:
-        tree = parse(raw)
-    except ParseError as exc:
-        raise SchemaError(path, f"expression error: {exc}") from exc
-    used = variables_used(tree)
-    if used:
-        raise SchemaError(path, f"expression must not reference {sorted(used)}")
-    try:
-        value = evaluate(tree, 0.0, 0.0)
+        value = evaluate(_expression(doc, key, (), path), 0.0, 0.0)
     except EvalError as exc:
         raise SchemaError(path, f"evaluation error: {exc}") from exc
     if not math.isfinite(value):
@@ -91,19 +84,22 @@ def _number(raw):
     return value if math.isfinite(value) else None
 
 
-def _expression(doc, key, allowed_vars):
+def _expression(doc, key, allowed_vars, path=None):
+    """The parsed doc[key], an expression string in allowed_vars only;
+    errors name `path` (default: key)."""
+    path = path or key
     if key not in doc:
-        raise SchemaError(key, "missing required key")
+        raise SchemaError(path, "missing required key")
     raw = doc[key]
     if not isinstance(raw, str):
-        raise SchemaError(key, f"expected an expression string, got {raw!r}")
+        raise SchemaError(path, f"expected an expression string, got {raw!r}")
     try:
         tree = parse(raw)
     except ParseError as exc:
-        raise SchemaError(key, f"expression error: {exc}") from exc
+        raise SchemaError(path, f"expression error: {exc}") from exc
     extra = variables_used(tree) - set(allowed_vars)
     if extra:
-        raise SchemaError(key, f"unexpected variables {sorted(extra)}")
+        raise SchemaError(path, f"unexpected variables {sorted(extra)}")
     return tree
 
 

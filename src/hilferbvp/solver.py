@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fraccalc, specfun
-from .errors import DomainError, NoConvergenceError, SingularProblemError
+from .errors import DomainError, EvalError, NoConvergenceError, SingularProblemError
 from .expr import Expr, compile_expr
 from .fraccalc import (
     FracOrder,
@@ -187,14 +187,18 @@ def problem_mesh(spec: ProblemSpec, config: SolveConfig) -> GradedMesh:
     return build_mesh(spec.a, spec.b, config.n_base, grading_exponent(spec, config), taus)
 
 
-def _f_at_nodes(f, nodes: np.ndarray, z: np.ndarray, rows=slice(1, None)) -> np.ndarray:
-    """f(t_i, z_i) at the nodes i in rows, one call of the compiled f each;
-    NaN elsewhere. f gets Python floats: numpy scalars would warn where its
-    arithmetic overflows silently."""
-    phi = np.full(len(nodes), math.nan)
-    t, z = nodes.tolist(), z.tolist()
-    for i in range(len(nodes))[rows]:
-        phi[i] = f(t[i], z[i])
+def _f_at_nodes(f, t: np.ndarray, z: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """f(t_i, z_i) for the i in rows, one call of the compiled f each; NaN
+    elsewhere. f gets Python floats: numpy scalars would warn where its
+    arithmetic overflows silently. An EvalError is raised again, same pos,
+    with the (t, z) it was met at before its message."""
+    phi = np.full(len(t), math.nan)
+    t, z = t.tolist(), z.tolist()
+    try:
+        for i in range(len(t))[rows]:
+            phi[i] = f(t[i], z[i])
+    except EvalError as exc:
+        raise EvalError(f"f at t = {t[i]!r}, z = {z[i]!r}: {exc.args[0]}", exc.pos) from exc
     return phi
 
 
@@ -210,8 +214,10 @@ class _Workspace:
     serves every iteration, the final coefficient and the boundary
     residual. Both integrate the same f samples, with the first
     subinterval under the one-point rule (sampled_first false): sample 0
-    holds f evaluated with the limiting weighted value w(a). f is compiled
-    once per workspace (expr.compile_expr, bit-identical to evaluate)."""
+    holds f at t_1 with the limiting weighted value w(a). f is compiled
+    once per workspace (expr.compile_expr, bit-identical to evaluate).
+    apply is the one fixed-point map, of solve_picard and, with z_a held
+    fixed, of solve_volterra_ivp."""
 
     def __init__(self, spec: ProblemSpec, params: DerivedParams, mesh: GradedMesh):
         self.spec = spec
@@ -221,6 +227,7 @@ class _Workspace:
         gamma = params.gamma
         nodes = mesh.nodes
         self.nodes = nodes
+        self.sample_nodes = np.r_[nodes[1], nodes[1:]]  # where f_samples reads f
         self.f = compile_expr(spec.f)
         self.gamma_mu = specfun.gamma(mu)
         self.gamma_gamma = specfun.gamma(gamma)
@@ -243,10 +250,10 @@ class _Workspace:
 
     def f_samples(self, w: np.ndarray) -> np.ndarray:
         """f at the nodes (index >= 1); entry 0 holds the first-interval
-        model value."""
-        phi = _f_at_nodes(self.f, self.nodes, self.weight_down * w)
-        phi[0] = self.f(float(self.nodes[1]), float(self.weight_down[1] * w[0]))
-        return phi
+        model value f(t_1, (t_1-a)^{gamma-1} w(a))."""
+        z = self.weight_down * w
+        z[0] = self.weight_down[1] * w[0]
+        return _f_at_nodes(self.f, self.sample_nodes, z)
 
     def running(self, samples) -> np.ndarray:
         """(1/Gamma(mu)) int_a^{t_j} (t_j-s)^{mu-1} f ds at every node."""
@@ -273,8 +280,10 @@ class _Workspace:
         )
         return float(abs(self.spec.c * ia + self.spec.d * ib - acc))
 
-    def apply(self, w: np.ndarray):
-        """One application of the fixed-point map, in weighted form.
+    def apply(self, w: np.ndarray, za: float = None) -> np.ndarray:
+        """One application of the fixed-point map, in weighted form: its
+        value at a is za/Gamma(gamma), with za the initial coefficient of
+        w's f samples, or the given za held fixed.
 
         An iterate that overflowed to +-inf gives NaN where the kernel
         weights meet it with zeros; the iteration stops there with a typed
@@ -282,15 +291,8 @@ class _Workspace:
         with np.errstate(invalid="ignore", over="ignore"):
             samples = self.f_samples(w)
             running = self.running(samples)
-            za = self.init_coeff(running, self.boundary(samples))
-            w_out = za / self.gamma_gamma + self.weight_up * running
-        return w_out, za
-
-    def apply_frozen(self, w: np.ndarray, za: float) -> np.ndarray:
-        """Volterra map with a frozen initial coefficient; numpy's warnings
-        are silenced as in apply."""
-        with np.errstate(invalid="ignore", over="ignore"):
-            running = self.running(self.f_samples(w))
+            if za is None:
+                za = self.init_coeff(running, self.boundary(samples))
             return za / self.gamma_gamma + self.weight_up * running
 
 
@@ -302,8 +304,7 @@ def apply_T(spec: ProblemSpec, params: DerivedParams, z: WeightedGrid) -> Weight
     w(a) = init_coeff/Gamma(gamma) exactly.
     """
     ws = _Workspace(spec, params, z.mesh)
-    w_out, _ = ws.apply(z.w)
-    return WeightedGrid(mesh=z.mesh, gamma=params.gamma, w=w_out)
+    return WeightedGrid(mesh=z.mesh, gamma=params.gamma, w=ws.apply(z.w))
 
 
 def _picard_loop(step, w0, config: SolveConfig):
@@ -376,7 +377,7 @@ def _seed(spec: ProblemSpec, params: DerivedParams, config: SolveConfig, mesh) -
         coarse = problem_mesh(spec, replace(config, n_base=n_coarse))
         ws = _Workspace(spec, params, coarse)
         w0 = np.zeros(len(coarse.nodes))
-        w, _, converged = _picard_loop(lambda v: ws.apply(v)[0], w0, config)
+        w, _, converged = _picard_loop(ws.apply, w0, config)
         if converged:
             return np.interp(mesh.nodes, coarse.nodes, w)
     return np.zeros(len(mesh.nodes))
@@ -401,7 +402,7 @@ def solve_picard(spec: ProblemSpec, config: SolveConfig = SolveConfig()) -> Solv
     mesh = problem_mesh(spec, config)
     w0 = _seed(spec, params, config, mesh)
     ws = _Workspace(spec, params, mesh)
-    w, history, converged = _picard_loop(lambda v: ws.apply(v)[0], w0, config)
+    w, history, converged = _picard_loop(ws.apply, w0, config)
     samples = ws.f_samples(w)
     boundary = ws.boundary(samples)
     init_coeff = ws.init_coeff(ws.running(samples), boundary)
@@ -429,15 +430,16 @@ def solve_volterra_ivp(
 
         z(t) = z_a/Gamma(gamma) (t-a)^{gamma-1} + I^mu[f(., z)](t)
 
-    with the first term frozen; the oracle for checking equivalence with
-    the boundary-value solve."""
+    with the first term frozen: the iteration of _Workspace.apply with
+    z_a held fixed, from w = 0 and unseeded; the oracle for checking
+    equivalence with the boundary-value solve."""
     if not math.isfinite(z_a):
         raise DomainError(f"z_a must be finite, got {z_a!r}")
     params = derive_params(spec)
     mesh = problem_mesh(spec, config)
     ws = _Workspace(spec, params, mesh)
     w0 = np.zeros(len(mesh.nodes))
-    w, history, converged = _picard_loop(lambda v: ws.apply_frozen(v, z_a), w0, config)
+    w, history, converged = _picard_loop(lambda v: ws.apply(v, z_a), w0, config)
     grid = WeightedGrid(mesh=mesh, gamma=params.gamma, w=w)
     if not converged:
         raise NoConvergenceError(_no_convergence_message(history, config), report=grid)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilferbvp import cli, solver
 from hilferbvp.cli import _apply_flag_overrides, build_parser, main
@@ -329,11 +332,38 @@ def test_failed_solve_says_why_on_stderr(tmp_path, monkeypatch, capsys, command)
     assert out.read_text().splitlines()[1] == "0.0,nan,nan"
 
 
+def _error_lines(capsys):
+    return [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+
+
 def test_an_f_outside_its_domain_names_its_offset(tmp_path, capsys):
     problem = write_problem(tmp_path, f="sqrt(z - 10) + 1")
     assert main(["solve", problem, "--n", "64", "--out", str(tmp_path / "t.csv")]) == 1
-    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-    assert errors == ["error: sqrt of negative value -10.0 (offset 0)"]
+    # the first sample fails: f at t_1, on the iterate w = 0
+    t1 = float(problem_mesh(load_problem(problem), SolveConfig(n_base=64)).nodes[1])
+    assert _error_lines(capsys) == [
+        f"error: f at t = {t1!r}, z = 0.0: sqrt of negative value -10.0 (offset 0)"
+    ]
+
+
+def test_an_f_outside_its_domain_names_the_point(tmp_path, capsys):
+    problem = write_problem(tmp_path, f="z + sqrt(1/2 - t)")
+    assert main(["solve", problem, "--n", "64", "--out", str(tmp_path / "t.csv")]) == 1
+    nodes = problem_mesh(load_problem(problem), SolveConfig(n_base=64)).nodes
+    t = float(nodes[nodes > 0.5][0])  # the first node past the domain
+    assert _error_lines(capsys) == [
+        f"error: f at t = {t!r}, z = 0.0: sqrt of negative value {0.5 - t!r} (offset 4)"
+    ]
+
+
+def test_a_rho_outside_its_domain_names_the_point(tmp_path, capsys):
+    problem = write_problem(tmp_path, rho="sqrt(t - 0.5)")
+    assert main(["check", problem]) == 1
+    [line] = _error_lines(capsys)
+    found = re.fullmatch(r"error: rho at t = (\S+): sqrt of negative value (\S+) \(offset 0\)", line)
+    assert found, line
+    t, value = float(found[1]), float(found[2])
+    assert 0.0 <= t < 0.5 and value == t - 0.5
 
 
 def test_verify_trivial_solution(tmp_path):
@@ -467,6 +497,53 @@ def test_solver_flags_and_solver_block_give_the_same_config(tmp_path):
 # ---------------------------------------------------------------------------
 # golden outputs (12 significant digits, byte-compared)
 # ---------------------------------------------------------------------------
+
+
+def test_dumps_report_text():
+    doc = {
+        "whole": 8.0,
+        "third": 1 / 3,
+        "small": 1e-5,
+        "nan": math.nan,
+        "inf": math.inf,
+        "minus_inf": -math.inf,
+        "empty_list": [],
+        "empty_dict": {},
+        "nested": (1, (2.5, "x")),
+        "flags": [True, None],
+        "name": "\u00b5-\u03bd",
+    }
+    assert cli.dumps_report(doc) == """{
+  "whole": 8,
+  "third": 0.333333333333,
+  "small": 1e-05,
+  "nan": "nan",
+  "inf": "inf",
+  "minus_inf": "-inf",
+  "empty_list": [],
+  "empty_dict": {},
+  "nested": [
+    1,
+    [
+      2.5,
+      "x"
+    ]
+  ],
+  "flags": [
+    true,
+    null
+  ],
+  "name": "\\u00b5-\\u03bd"
+}
+"""
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_dumps_report_reads_back_as_the_12_digit_value(v):
+    got = json.loads(cli.dumps_report({"x": v}))["x"]
+    want = json.loads(f"{v:.12g}")
+    assert got == want and type(got) is type(want)
 
 
 @pytest.mark.parametrize(

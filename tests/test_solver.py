@@ -287,9 +287,7 @@ def _unseeded(spec, config):
     """(w, iterations, converged) of the iteration from zero on config's mesh."""
     mesh = problem_mesh(spec, config)
     ws = solver._Workspace(spec, derive_params(spec), mesh)
-    w, history, converged = solver._picard_loop(
-        lambda v: ws.apply(v)[0], np.zeros(len(mesh.nodes)), config
-    )
+    w, history, converged = solver._picard_loop(ws.apply, np.zeros(len(mesh.nodes)), config)
     return w, len(history), converged
 
 
