@@ -44,6 +44,7 @@ from .solver import (
     apply_T,
     derive_params,
     problem_mesh,
+    residuals,
     solve_picard,
     solve_volterra_ivp,
     verify_bc,

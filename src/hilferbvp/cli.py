@@ -29,7 +29,7 @@ from .errors import (
 from .existence import certificate, sweep_certificates
 from .fraccalc import WeightedGrid
 from .problemio import example_problem_path, load_problem_document
-from .solver import _ode_residual, _Workspace, derive_params, problem_mesh, solve_picard
+from .solver import derive_params, problem_mesh, residuals, solve_picard
 
 __all__ = ["main", "main_entry"]
 
@@ -265,11 +265,7 @@ def run_verify(path, table_path, args) -> int:
     if not np.all(np.abs(nodes - mesh.nodes) <= 1e-12):  # NaN fails too
         raise MeshMismatchError("table nodes do not match the problem mesh")
     grid = WeightedGrid(mesh=mesh, gamma=params.gamma, w=w)
-    # one pass of f over the table serves both residuals, as in a solve
-    ws = _Workspace(spec, params, mesh)
-    samples = ws.f_samples(w)
-    residual_bc = ws.bc_residual(w, ws.boundary(samples))
-    residual_ode = _ode_residual(spec, grid, samples)
+    residual_bc, residual_ode = residuals(spec, params, grid)
     ok = bool(residual_bc <= _VERIFY_BC_TOL and residual_ode <= _VERIFY_ODE_TOL)
     doc = {
         "residual_bc": residual_bc,
@@ -368,9 +364,6 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return run_verify(args.problem, args.table, args)
         return run_example(args)
-    except NoConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except (HilferError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -176,7 +176,8 @@ def certificate(spec: ProblemSpec, params: DerivedParams) -> ExistenceReport:
 
     terms_g = terms_l = None
     G = L = None
-    if lam is not None:
+    # p just below 1 (q near -1000) underflows Lambda to 0: no Lambda^{1/q}
+    if lam is not None and all(0.0 < x < math.inf for x in (lam, delta)):
         gg = specfun.gamma(gamma)
         gm = specfun.gamma(mu)
         gm1 = specfun.gamma(mu + 1.0)

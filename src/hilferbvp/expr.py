@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 _FUNCTIONS = ("sin", "cos", "abs", "exp", "log", "sqrt")
+# the functions evaluate and the closures take from math
+_MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
 _VARIABLES = ("t", "z")
 
 
@@ -184,26 +186,18 @@ def evaluate(e: Expr, t: float, z: float) -> float:
             return -v
         if op == "abs":
             return abs(v)
+        if op not in _MATH:
+            raise EvalError(f"unknown function {op!r}", e.pos)
+        if op == "log" and v <= 0.0:
+            raise EvalError(f"log of non-positive value {v!r}", e.pos)
+        if op == "sqrt" and v < 0.0:
+            raise EvalError(f"sqrt of negative value {v!r}", e.pos)
         try:
-            if op == "sin":
-                return math.sin(v)
-            if op == "cos":
-                return math.cos(v)
-            if op == "exp":
-                return math.exp(v)
-            if op == "log":
-                if v <= 0.0:
-                    raise EvalError(f"log of non-positive value {v!r}", e.pos)
-                return math.log(v)
-            if op == "sqrt":
-                if v < 0.0:
-                    raise EvalError(f"sqrt of negative value {v!r}", e.pos)
-                return math.sqrt(v)
+            return _MATH[op](v)
         except OverflowError:
             raise EvalError(f"overflow in {op}({v!r})", e.pos) from None
         except ValueError:  # sin/cos of +-inf
             raise EvalError(f"{op} of {v!r} is undefined", e.pos) from None
-        raise EvalError(f"unknown function {op!r}", e.pos)
     if isinstance(e, Binary):
         x = evaluate(e.lhs, t, z)
         y = evaluate(e.rhs, t, z)
@@ -271,8 +265,8 @@ def _closure(e):
             return lambda t, z: -arg(t, z)
         if op == "abs":
             return lambda t, z: abs(arg(t, z))
-        if op in ("sin", "cos", "exp", "log", "sqrt"):
-            fn = getattr(math, op)
+        if op in _MATH:
+            fn = _MATH[op]
             return lambda t, z: fn(arg(t, z))
     elif isinstance(e, Binary):
         lhs, rhs, op = _closure(e.lhs), _closure(e.rhs), e.op

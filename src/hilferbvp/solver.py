@@ -51,6 +51,7 @@ __all__ = [
     "apply_T",
     "solve_picard",
     "solve_volterra_ivp",
+    "residuals",
     "verify_bc",
     "verify_ode",
 ]
@@ -217,12 +218,11 @@ class _Workspace:
     holds f at t_1 with the limiting weighted value w(a). f is compiled
     once per workspace (expr.compile_expr, bit-identical to evaluate).
     apply is the one fixed-point map, of solve_picard and, with z_a held
-    fixed, of solve_volterra_ivp."""
+    fixed, of solve_volterra_ivp, and residuals the one residual pass."""
 
     def __init__(self, spec: ProblemSpec, params: DerivedParams, mesh: GradedMesh):
         self.spec = spec
         self.params = params
-        self.mesh = mesh
         mu = spec.order.mu
         gamma = params.gamma
         nodes = mesh.nodes
@@ -269,16 +269,20 @@ class _Workspace:
         )
         return (acc - self.spec.d * boundary) / self.params.denom
 
-    def bc_residual(self, w: np.ndarray, boundary: float) -> float:
+    def bc_residual(self, w: np.ndarray, samples) -> float:
         """Residual of the nonlocal boundary condition for the iterate w,
-        given its boundary integral."""
+        given its f samples."""
         ia = self.gamma_gamma * w[0]
-        ib = ia + boundary
+        ib = ia + self.boundary(samples)
         acc = sum(
             lam * self.weight_down[j] * w[j]
             for lam, j in zip(self.lambdas, self.tau_indices)
         )
         return float(abs(self.spec.c * ia + self.spec.d * ib - acc))
+
+    def residuals(self, grid: WeightedGrid, samples) -> tuple:
+        """(residual_bc, residual_ode) of grid, given the f samples of its w."""
+        return self.bc_residual(grid.w, samples), _ode_residual(self.spec, grid, samples)
 
     def apply(self, w: np.ndarray, za: float = None) -> np.ndarray:
         """One application of the fixed-point map, in weighted form: its
@@ -396,7 +400,7 @@ def solve_picard(spec: ProblemSpec, config: SolveConfig = SolveConfig()) -> Solv
     the partial report attached) when the iteration budget is exhausted or
     the residual becomes non-finite.
     The f samples of the final iterate serve its coefficient and both
-    residuals.
+    residuals, through the pass that residuals makes.
     """
     params = derive_params(spec)
     mesh = problem_mesh(spec, config)
@@ -404,18 +408,17 @@ def solve_picard(spec: ProblemSpec, config: SolveConfig = SolveConfig()) -> Solv
     ws = _Workspace(spec, params, mesh)
     w, history, converged = _picard_loop(ws.apply, w0, config)
     samples = ws.f_samples(w)
-    boundary = ws.boundary(samples)
-    init_coeff = ws.init_coeff(ws.running(samples), boundary)
-    residual_bc = ws.bc_residual(w, boundary)
-    del ws  # frees the running operator before the ODE residual adds its temporaries
+    init_coeff = ws.init_coeff(ws.running(samples), ws.boundary(samples))
+    del ws.running_operator  # freed before the ODE residual adds its temporaries
     grid = WeightedGrid(mesh=mesh, gamma=params.gamma, w=w)
+    residual_bc, residual_ode = ws.residuals(grid, samples)
     report = SolveReport(
         solution=grid,
         init_coeff=init_coeff,
         iterations=len(history),
         history=tuple(history),
         residual_bc=residual_bc,
-        residual_ode=_ode_residual(spec, grid, samples),
+        residual_ode=residual_ode,
         converged=converged,
     )
     if not converged:
@@ -455,7 +458,14 @@ def verify_bc(spec: ProblemSpec, params: DerivedParams, z: WeightedGrid) -> floa
     (solve_picard computes the same residual from its own operator and f
     samples)."""
     ws = _Workspace(spec, params, z.mesh)
-    return ws.bc_residual(z.w, ws.boundary(ws.f_samples(z.w)))
+    return ws.bc_residual(z.w, ws.f_samples(z.w))
+
+
+def residuals(spec: ProblemSpec, params: DerivedParams, z: WeightedGrid) -> tuple:
+    """(verify_bc, verify_ode) of z from one pass of f over its nodes: the
+    pair solve_picard reports, through the same code, bit for bit."""
+    ws = _Workspace(spec, params, z.mesh)
+    return ws.residuals(z, ws.f_samples(z.w))
 
 
 def verify_ode(spec: ProblemSpec, z: WeightedGrid) -> float:

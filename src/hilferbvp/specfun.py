@@ -5,9 +5,10 @@ wrappers add the package's DomainError, PoleError and OverflowError
 contract. They are pure functions and safe to call from any thread.
 
 ``beta`` is the package's one Euler Beta: the Gamma ratio wherever that is
-a finite double, which covers every argument the package passes (all lie
-in (0, 2]), and log-Gamma past it. Errors against 40-digit mpmath are in
-its docstring and in tests/test_specfun.py.
+a finite double, which covers the arguments of every admissible p (all in
+(0, 2]), and log-Gamma past it (p just below 1 gives arguments in the
+hundreds). Errors against 40-digit mpmath are in its docstring and in
+tests/test_specfun.py.
 """
 
 import math

@@ -214,6 +214,20 @@ def test_check_exits(tmp_path):
     assert main(["check", violated, "--sweep-p"]) == 2
 
 
+@pytest.mark.parametrize("p", ["0.999", "0.9999"])
+def test_check_at_p_just_below_one_is_inadmissible(tmp_path, capsys, p):
+    # q is near -1000 and Lambda = B(q(mu-1)+1, q(gamma-1)+1) underflows to
+    # 0, so Lambda^{1/q} has no value: G and L* are left null, as at p = 1
+    doc = json.loads(Path(EXAMPLE).read_text())
+    doc["p"] = p
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(doc))
+    assert main(["check", str(problem)]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["lambda"] == 0
+    assert (out["G"], out["L_star"], out["terms"]) == (None, None, {"G": None, "L_star": None})
+
+
 def test_solve_exits(tmp_path):
     out = tmp_path / "table.csv"
     rep = tmp_path / "report.json"
@@ -247,6 +261,19 @@ def test_verify_round_trip(tmp_path):
         assert main(["solve", problem, "--out", str(table)]) == 0
         assert main(["verify", problem, str(table), "--report", str(rep)]) == 0
         assert json.loads(rep.read_text())["residual_ode"] <= 1e-4, name
+
+
+@pytest.mark.parametrize("size", [[], ["--n", "256"]])
+@pytest.mark.parametrize("name", ["nontrivial.json", "caputo.json"])
+def test_verify_reproduces_the_solve_residuals(tmp_path, name, size):
+    # at the file's n_base 64 and at 256, where the solve is seeded
+    problem = str(DATA / name)
+    table, rep, ver = tmp_path / "t.csv", tmp_path / "r.json", tmp_path / "v.json"
+    assert main(["solve", problem, *size, "--out", str(table), "--report", str(rep)]) == 0
+    assert main(["verify", problem, str(table), *size, "--report", str(ver)]) == 0
+    solved, verified = json.loads(rep.read_text()), json.loads(ver.read_text())
+    for key in ("residual_bc", "residual_ode"):
+        assert verified[key] == solved[key], key
 
 
 def test_verify_detects_perturbation(tmp_path):

@@ -22,6 +22,7 @@ from hilferbvp.solver import (
     derive_params,
     grading_exponent,
     problem_mesh,
+    residuals,
     solve_picard,
     solve_volterra_ivp,
     verify_bc,
@@ -690,6 +691,8 @@ def test_solve_reports_the_residual_that_verify_ode_computes(n_base, nu):
     assert (len(report.solution.mesh.nodes) >= fraccalc._FAR_MIN_NODES) == (n_base > 64)
     assert report.residual_ode == verify_ode(spec, report.solution)
     assert report.residual_bc == verify_bc(spec, derive_params(spec), report.solution)
+    pair = residuals(spec, derive_params(spec), report.solution)
+    assert pair == (report.residual_bc, report.residual_ode)
 
 
 def test_verify_ode_pure_power():
