@@ -123,29 +123,7 @@ def _apply_flag_overrides(config, args):
     return replace(config, **{k: v for k, v in given.items() if v is not None})
 
 
-def _report_from_certificate(params, rep, notes, sweep_rows):
-    return {
-        "gamma": params.gamma,
-        "A": params.A,
-        "denom": params.denom,
-        "p": rep.p,
-        "q": rep.q,
-        "lambda": rep.lambda_const,
-        "delta": rep.delta_const,
-        "rho_norm": rep.rho_norm,
-        "G": rep.G,
-        "L_star": rep.L_star,
-        "terms": {
-            "G": list(rep.terms_G) if rep.terms_G else None,
-            "L_star": list(rep.terms_L) if rep.terms_L else None,
-        },
-        "verdict": rep.verdict,
-        "notes": notes,
-        "sweep": sweep_rows,
-    }
-
-
-def _inadmissibility_notes(spec, rep):
+def _certificate_notes(spec, rep):
     notes = []
     if not rep.admissible:
         mu = spec.order.mu
@@ -155,6 +133,10 @@ def _inadmissibility_notes(spec, rep):
             + ", ".join(rep.failed_conditions)
             + f" (1/mu = {1.0 / mu:.12g}, 1/gamma = {1.0 / gamma:.12g})"
         )
+    for name, value in (("Lambda", rep.lambda_const), ("Delta", rep.delta_const)):
+        if value is not None and not 0.0 < value < math.inf:
+            notes.append(f"{name} = {value:.12g} at p = {rep.p:.12g} is not a positive "
+                         "finite double, so G and L_star are not computed")
     return notes
 
 
@@ -166,18 +148,14 @@ def _reference_notes(spec, rep, reference):
         return notes
 
     q_ref, q_raw = reference.get("q", (None, None))
-    if q_ref is not None:
-        conjugate_ok = (
-            math.isfinite(rep.q) and abs(1.0 / rep.p + 1.0 / q_ref - 1.0) <= 1e-12
-            if q_ref != 0
-            else False
+    if q_ref is not None and not (
+        q_ref != 0 and math.isfinite(rep.q) and abs(1.0 / rep.p + 1.0 / q_ref - 1.0) <= 1e-12
+    ):
+        notes.append(
+            f"declared q = {q_raw} = {q_ref:.12g} is not the Hoelder conjugate "
+            f"of p = {rep.p:.12g} (p/(p-1) = {rep.q:.12g}); the pair p = q = "
+            f"{rep.p:.12g} does not satisfy 1/p + 1/q = 1"
         )
-        if not conjugate_ok:
-            notes.append(
-                f"declared q = {q_raw} = {q_ref:.12g} is not the Hoelder conjugate "
-                f"of p = {rep.p:.12g} (p/(p-1) = {rep.q:.12g}); the pair p = q = "
-                f"{rep.p:.12g} does not satisfy 1/p + 1/q = 1"
-            )
     rho_ref, rho_raw = reference.get("rho_norm", (None, None))
     if rho_ref is not None and not _close(rho_ref, rep.rho_norm):
         notes.append(
@@ -215,27 +193,34 @@ def run_check(path, args) -> int:
         ]
     else:
         rep = certificate(spec, params)
-        notes.extend(_inadmissibility_notes(spec, rep))
+        notes.extend(_certificate_notes(spec, rep))
         if args.paper_literal:
             notes.extend(_reference_notes(spec, rep, reference))
-    doc = _report_from_certificate(params, rep, notes, sweep_rows)
+    doc = {
+        "gamma": params.gamma,
+        "A": params.A,
+        "denom": params.denom,
+        "p": rep.p,
+        "q": rep.q,
+        "lambda": rep.lambda_const,
+        "delta": rep.delta_const,
+        "rho_norm": rep.rho_norm,
+        "G": rep.G,
+        "L_star": rep.L_star,
+        "terms": {
+            "G": list(rep.terms_G) if rep.terms_G else None,
+            "L_star": list(rep.terms_L) if rep.terms_L else None,
+        },
+        "verdict": rep.verdict,
+        "notes": notes,
+        "sweep": sweep_rows,
+    }
     _write(dumps_report(doc), args.report)
     if rep.verdict == "satisfied":
         return EXIT_OK
     if rep.verdict == "violated":
         return EXIT_VIOLATED
     return EXIT_INADMISSIBLE
-
-
-def _solve_report_doc(report) -> dict:
-    return {
-        "iterations": report.iterations,
-        "history": list(report.history),
-        "residual_bc": report.residual_bc,
-        "residual_ode": report.residual_ode,
-        "init_coeff": report.init_coeff,
-        "converged": report.converged,
-    }
 
 
 def run_solve(path, args) -> int:
@@ -248,7 +233,15 @@ def run_solve(path, args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         report, code = exc.report, EXIT_NO_CONVERGENCE
     _write(format_table(report.solution), args.out)
-    _write(dumps_report(_solve_report_doc(report)), args.report)
+    doc = {
+        "iterations": report.iterations,
+        "history": list(report.history),
+        "residual_bc": report.residual_bc,
+        "residual_ode": report.residual_ode,
+        "init_coeff": report.init_coeff,
+        "converged": report.converged,
+    }
+    _write(dumps_report(doc), args.report)
     return code
 
 

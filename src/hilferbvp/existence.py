@@ -169,7 +169,7 @@ def certificate(spec: ProblemSpec, params: DerivedParams) -> ExistenceReport:
 
     try:
         lam, delta = hoelder_constants(q, mu, gamma)
-    except (InadmissibleExponentError, OverflowError, DomainError):
+    except (InadmissibleExponentError, OverflowError):
         lam = delta = None
 
     rho_norm = rho_lp_norm(spec.rho, p, spec.a, spec.b)

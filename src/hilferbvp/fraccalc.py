@@ -40,8 +40,7 @@ __all__ = [
     "weighted_norm",
 ]
 
-_MERGE_REL_TOL = 1e-14
-_NODE_LOOKUP_REL_TOL = 1e-12
+_NODE_REL_TOL = 1e-12   # of b - a: the node rule of index_of and build_mesh
 
 
 @dataclass(frozen=True)
@@ -82,20 +81,21 @@ class GradedMesh:
         self.nodes.setflags(write=False)
 
     def index_of(self, t: float) -> int:
-        """Index of the node equal to t (within 1e-12 of the span)."""
-        tol = _NODE_LOOKUP_REL_TOL * (self.b - self.a)
-        i = int(np.searchsorted(self.nodes, t))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(self.nodes) and abs(self.nodes[j] - t) <= tol:
-                return j
-        raise DomainError(f"t = {t!r} is not a mesh node")
+        """Index of the node nearest to t, the node rule that build_mesh
+        merges by; DomainError when it is farther than 1e-12*(b-a) from t."""
+        gaps = np.abs(self.nodes - t)
+        j = int(np.argmin(gaps))
+        if not gaps[j] <= _NODE_REL_TOL * (self.b - self.a):
+            raise DomainError(f"t = {t!r} is not a mesh node")
+        return j
 
 
 def build_mesh(a, b, n_base, r, extra_nodes=()) -> GradedMesh:
     """Graded mesh with extra nodes merged in.
 
-    Extra nodes must lie in (a, b]; nodes closer than 1e-14*(b-a) to an
-    existing node are merged (the existing node wins).
+    Extra nodes must lie in (a, b]. By the node rule of index_of, taken
+    in increasing order, an extra node within 1e-12*(b-a) of its nearest
+    node so far is merged into that node, so index_of finds every one.
     """
     if not a < b:
         raise DomainError(f"need a < b, got a={a!r}, b={b!r}")
@@ -107,20 +107,18 @@ def build_mesh(a, b, n_base, r, extra_nodes=()) -> GradedMesh:
     nodes = a + (b - a) * (j / n_base) ** float(r)
     nodes[0] = a
     nodes[-1] = b
-    merged = list(nodes)
-    tol = _MERGE_REL_TOL * (b - a)
+    tol = _NODE_REL_TOL * (b - a)
+    kept = []
     for extra in sorted(set(float(e) for e in extra_nodes)):
         if not (a < extra <= b):
             raise DomainError(f"extra node {extra!r} outside (a, b]")
-        i = int(np.searchsorted(merged, extra))
-        near = [merged[k] for k in (i - 1, i) if 0 <= k < len(merged)]
-        if any(abs(v - extra) <= tol for v in near):
-            continue
-        merged.insert(i, extra)
-    out = np.asarray(merged, dtype=float)
-    if np.any(np.diff(out) <= 0):
+        gap = np.min(np.abs(nodes - extra))
+        if gap > tol and not (kept and extra - kept[-1] <= tol):
+            kept.append(extra)
+    nodes = np.insert(nodes, np.searchsorted(nodes, kept), kept)
+    if np.any(np.diff(nodes) <= 0):
         raise DomainError("mesh nodes are not strictly increasing after merge")
-    return GradedMesh(a=float(a), b=float(b), n_base=int(n_base), r=float(r), nodes=out)
+    return GradedMesh(a=float(a), b=float(b), n_base=int(n_base), r=float(r), nodes=nodes)
 
 
 @dataclass(frozen=True)
@@ -319,8 +317,11 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_FAR_GAUSS)
 _GAUSS_X, _GAUSS_W = 0.5 * (_GAUSS_X + 1.0), 0.5 * _GAUSS_W   # on [0, 1]
 _SCAN_ROWS = 32
 # from this node count on, the running integral takes the far field; below
-# it every cell is near. A build plus ten applications broke even at
-# n_base 384-512 on a 2-vCPU x86-64 host with one BLAS thread (CHANGES.md)
+# it every cell is near. A build plus 6 applications (a seeded solve makes
+# 3-9), dense / split: 0.7/1.4, 1.2/1.8, 2.0/2.4, 3.3/3.8, 5.5-6.8/4.7-5.4 ms
+# at 130/194/258/386/514 nodes (gamma 1/2, r = 4; 2-vCPU x86-64, one BLAS
+# thread). Split wins near 514 nodes, where the default n_base 512 stays
+# dense so that its outputs stay as they are (CHANGES.md)
 _FAR_MIN_NODES = 600
 _SOE_X, _SOE_W = np.polynomial.legendre.leggauss(12)
 # a scan block keeps the SOE terms with lambda_l d <= _SOE_CUT, d its
@@ -672,7 +673,6 @@ def rl_integral_quad(phi, mu: float, t: float, mesh: GradedMesh = None) -> float
         raise DomainError(f"kernel order must lie in (0, 1], got {mu!r}")
     if isinstance(phi, WeightedGrid):
         mesh = phi.mesh
-        j = mesh.index_of(t)
         prof = _profile_weighted(mesh.nodes, mu, phi.gamma - 1.0, phi.w)
     else:
         if mesh is None:
@@ -680,9 +680,8 @@ def rl_integral_quad(phi, mu: float, t: float, mesh: GradedMesh = None) -> float
         values = np.asarray(phi, dtype=float)
         if len(values) != len(mesh.nodes):
             raise DomainError("sampled integrand length does not match mesh")
-        j = mesh.index_of(t)
         prof = _RunningIntegral(mesh.nodes, mu) @ values
-    return float(prof[j]) / specfun.gamma(mu)
+    return float(prof[mesh.index_of(t)]) / specfun.gamma(mu)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import math
 from dataclasses import fields
 from importlib import resources
 
-from .errors import EvalError, ParseError, SchemaError
+from .errors import DomainError, EvalError, ParseError, SchemaError
 from .expr import evaluate, parse, pretty, variables_used
 from .fraccalc import FracOrder
 from .solver import ProblemSpec, SolveConfig
@@ -103,6 +103,14 @@ def _expression(doc, key, allowed_vars, path=None):
     return tree
 
 
+def _checked(path, make, *args, **kwargs):
+    """make(*args, **kwargs), a DomainError raised as a SchemaError at path."""
+    try:
+        return make(*args, **kwargs)
+    except DomainError as exc:
+        raise SchemaError(path, str(exc)) from exc
+
+
 def _solver_config(block) -> SolveConfig:
     if block is None:
         return SolveConfig()
@@ -118,10 +126,10 @@ def _solver_config(block) -> SolveConfig:
         elif _number(value) is None:
             raise SchemaError(f"solver.{key}", f"expected a finite number, got {value!r}")
         kwargs[key] = types[key](value)
-    try:
-        return SolveConfig(**kwargs)
-    except Exception as exc:
-        raise SchemaError("solver", str(exc)) from exc
+        # each SolveConfig check reads one field: checked alone, the
+        # defaults standing in for the rest, a field names its own key
+        _checked(f"solver.{key}", SolveConfig, **{key: kwargs[key]})
+    return SolveConfig(**kwargs)
 
 
 def load_problem_document(path):
@@ -141,10 +149,8 @@ def load_problem_document(path):
     _reject_unknown(doc, _TOP_KEYS)
 
     scalars = {key: _scalar(doc, key) for key in _SCALAR_KEYS}
-    try:
-        order = FracOrder(mu=scalars["mu"], nu=scalars["nu"])
-    except Exception as exc:
-        raise SchemaError("mu", str(exc)) from exc
+    _checked("mu", FracOrder, mu=scalars["mu"], nu=0.0)
+    order = _checked("nu", FracOrder, mu=scalars["mu"], nu=scalars["nu"])
     a, b = scalars["a"], scalars["b"]
     if not a < b:
         raise SchemaError("b", f"need a < b, got a={a!r}, b={b!r}")

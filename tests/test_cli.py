@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from hilferbvp import cli, solver
 from hilferbvp.cli import _apply_flag_overrides, build_parser, main
-from hilferbvp.errors import SchemaError
+from hilferbvp.errors import MeshMismatchError, SchemaError
 from hilferbvp.expr import compile_expr
 from hilferbvp.problemio import (
     example_problem_path,
@@ -175,6 +175,102 @@ def test_load_rejects_bad_solver_block(tmp_path):
     assert err.value.key == "solver.tol"
 
 
+@pytest.mark.parametrize(
+    "overrides, key, message",
+    [
+        ({"nu": "2"}, "nu", "nu must lie in [0, 1], got 2.0"),
+        ({"nu": "-1/4"}, "nu", "nu must lie in [0, 1]"),
+        ({"mu": "1"}, "mu", "mu must lie in (0, 1), got 1.0"),
+        ({"mu": "0", "nu": "2"}, "mu", "mu must lie in (0, 1)"),
+        ({"solver": {"n_base": 4}}, "solver.n_base", "n_base must be >= 8, got 4"),
+        ({"solver": {"tol": 0}}, "solver.tol", "tol must be positive"),
+        ({"solver": {"max_iter": 0}}, "solver.max_iter", "max_iter must be >= 1"),
+        ({"solver": {"damping": 2}}, "solver.damping", "damping must lie in (0, 1]"),
+        ({"solver": {"n_base": 64, "grading": 0.5}}, "solver.grading", "grading must be >= 1"),
+    ],
+    ids=["nu", "nu-negative", "mu", "mu-and-nu", "n_base", "tol", "max_iter", "damping",
+         "grading"],
+)
+def test_load_files_a_range_error_under_its_own_key(tmp_path, capsys, overrides, key, message):
+    path = write_problem(tmp_path, **overrides)
+    with pytest.raises(SchemaError) as err:
+        load_problem_document(path)
+    assert err.value.key == key
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}: {message}")
+
+
+def _not_an_object(doc):
+    return [doc]
+
+
+def _without_f(doc):
+    del doc["f"]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit, key, message",
+    [
+        (_not_an_object, None, "top level must be an object"),
+        ({"b": "0"}, "b", "need a < b"),
+        ({"a": "1"}, "b", "need a < b"),
+        ({"nonlocal": {"lambda": "1", "tau": "1/2"}}, "nonlocal", "expected a list"),
+        ({"nonlocal": [["1", "1/2"]]}, "nonlocal[0]", "expected a {lambda, tau} object"),
+        ({"p": "0"}, "p", "exponent must be positive"),
+        ({"p": "-1/2"}, "p", "exponent must be positive"),
+        ({"reference": ["q", "1/2"]}, "reference", "expected an object"),
+        ({"solver": [512]}, "solver", "expected an object"),
+        ({"c": "1e308*10"}, "c", "non-finite value inf"),
+        (_without_f, "f", "missing required key"),
+        ({"f": 3}, "f", "expected an expression string"),
+    ],
+    ids=["top-level", "b=a", "b<a", "nonlocal-object", "nonlocal-item", "p=0", "p<0",
+         "reference", "solver", "c-inf", "f-missing", "f-number"],
+)
+def test_load_problem_document_input_checks(tmp_path, edit, key, message):
+    path = write_problem(tmp_path)
+    doc = json.loads(Path(path).read_text())
+    doc = edit(doc) if callable(edit) else {**doc, **edit}
+    Path(path).write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as err:
+        load_problem_document(path)
+    assert err.value.key == (path if key is None else key)
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        (None, SchemaError, "cannot read table"),
+        ("t,w\n0.0,1.0\n", MeshMismatchError, "missing 't,z,w' header"),
+        ("t,z,w\n0.0,1.0\n", MeshMismatchError, ":2: expected 3 columns"),
+        ("t,z,w\n0.0,1.0,1.0\n0.5,x,one\n", MeshMismatchError, ":3: could not convert"),
+    ],
+    ids=["unreadable", "header", "columns", "number"],
+)
+def test_parse_table_input_checks(tmp_path, text, error, message):
+    table = tmp_path / "table.csv"
+    if text is not None:
+        table.write_text(text)
+    with pytest.raises(error, match=re.escape(message)):
+        cli.parse_table(str(table))
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: hilferbvp" in capsys.readouterr().out
+
+
+def test_example_stops_at_a_failed_check(tmp_path, monkeypatch, capsys):
+    violated = write_problem(tmp_path, rho="1000*(t/16)", p="4")
+    monkeypatch.setattr(cli, "example_problem_path", lambda: violated)
+    table = tmp_path / "table.csv"
+    assert main(["example", "--out", str(table)]) == 2
+    assert '"verdict": "violated"' in capsys.readouterr().out
+    assert not table.exists()
+
+
 def test_load_rejects_expression_error(tmp_path):
     path = write_problem(tmp_path, f="sin(")
     with pytest.raises(SchemaError) as err:
@@ -226,6 +322,9 @@ def test_check_at_p_just_below_one_is_inadmissible(tmp_path, capsys, p):
     out = json.loads(capsys.readouterr().out)
     assert out["lambda"] == 0
     assert (out["G"], out["L_star"], out["terms"]) == (None, None, {"G": None, "L_star": None})
+    # a note says why, beside the one on inadmissibility
+    assert f"Lambda = 0 at p = {p} " in out["notes"][1]
+    assert "G and L_star are not computed" in out["notes"][1]
 
 
 def test_solve_exits(tmp_path):

@@ -389,3 +389,25 @@ def test_parse_rejects_a_literal_that_overflows(source, offset):
     with pytest.raises(ParseError) as err:
         parse(source)
     assert (err.value.offset, err.value.expected) == (offset, "a finite number")
+
+
+def test_an_overflowing_power_is_an_invalid_power_at_its_offset():
+    # math.pow raises OverflowError for every finite overflow
+    with pytest.raises(EvalError, match=r"^invalid power 10\.0\^400\.0: ") as err:
+        evaluate(parse("1 + 10^t"), 400.0, 0.0)
+    assert err.value.pos == 6
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: parse(b"t"), ParseError),
+        (lambda: parse(None), ParseError),
+        (lambda: pretty("t"), ValueError),
+        (lambda: pretty(Binary(op="+", lhs=Num(value=1.0), rhs=[1])), ValueError),
+    ],
+    ids=["parse-bytes", "parse-none", "pretty-str", "pretty-list-child"],
+)
+def test_parse_and_pretty_reject_what_is_not_their_input(call, error):
+    with pytest.raises(error):
+        call()

@@ -15,6 +15,7 @@ from hilferbvp.fraccalc import (
     FracOrder,
     WeightedGrid,
     _derivative_profile,
+    _hilfer_profile,
     _profile_weighted,
     build_mesh,
     hilfer_derivative_num,
@@ -77,6 +78,80 @@ def test_index_of():
         assert m.index_of(float(t)) == j
     with pytest.raises(DomainError):
         m.index_of(0.123456789)
+
+
+# meshes whose first nodes lie closer together than 1e-12: the default for
+# mu = 0.2, nu = 0.1 (gamma = 0.28, r = 2/gamma), r = 4.4 and r = 12
+STEEP_MESHES = {
+    "gamma0.28": (0.0, 1.0, 512, 2.0 / FracOrder(0.2, 0.1).gamma),
+    "r4.4": (0.0, 1.0, 2048, 4.4),
+    "r12": (0.0, 1.0, 64, 12.0),
+}
+
+
+@pytest.mark.parametrize("args", STEEP_MESHES.values(), ids=STEEP_MESHES.keys())
+def test_index_of_finds_every_node_of_a_steep_mesh(args):
+    m = build_mesh(*args)
+    assert m.nodes[1] - m.nodes[0] < 1e-12
+    assert [m.index_of(float(t)) for t in m.nodes] == list(range(len(m.nodes)))
+
+
+def test_index_of_takes_the_nearest_node_within_the_tolerance():
+    m = build_mesh(0.0, 1.0, 512, 2.0 / FracOrder(0.2, 0.1).gamma)
+    t = float(m.nodes[5])
+    assert m.index_of(t + 0.4 * (m.nodes[6] - t)) == 5
+    assert m.index_of(t + 0.6 * (m.nodes[6] - t)) == 6
+    mid = float(m.nodes[300])
+    assert m.index_of(mid + 9e-13) == m.index_of(mid - 9e-13) == 300
+    for off in (0.123456789, mid + 2e-12, math.nan):
+        with pytest.raises(DomainError):
+            m.index_of(off)
+
+
+def test_build_mesh_merges_an_extra_node_within_the_node_tolerance():
+    # 5e-13 from a skeleton node it is that node; 2e-12 away it is a node of
+    # its own, and a third extra within 1e-12 of it is merged into it
+    m = build_mesh(0.0, 1.0, 4, 1.0, [0.25 + 5e-13])
+    assert np.array_equal(m.nodes, uniform_mesh(4).nodes)
+    assert m.index_of(0.25 + 5e-13) == 1
+    m = build_mesh(0.0, 1.0, 4, 1.0, [0.25 + 2e-12, 0.25 + 2.8e-12])
+    assert m.nodes[2] == 0.25 + 2e-12 and len(m.nodes) == 6
+    assert m.index_of(0.25 + 2.8e-12) == 2
+
+
+def test_rl_integral_quad_next_to_the_left_end_of_a_steep_mesh():
+    # nodes[5] lies 1e-15 from a: the closed form of I^mu (t-a)^{gamma-1}
+    gamma = FracOrder(0.2, 0.1).gamma
+    m = build_mesh(*STEEP_MESHES["gamma0.28"])
+    g = WeightedGrid(mesh=m, gamma=gamma, w=np.ones(len(m.nodes)))
+    t = float(m.nodes[5])
+    want = rl_integral_monomial(0.2, gamma, 0.0, t)
+    assert rl_integral_quad(g, 0.2, t) == pytest.approx(want, rel=1e-12)
+
+
+def test_hilfer_derivative_num_at_the_first_interior_node_of_a_steep_mesh():
+    m = build_mesh(*STEEP_MESHES["r4.4"])
+    order = FracOrder(0.5, 0.0)
+    g = WeightedGrid(mesh=m, gamma=order.gamma, w=np.ones(len(m.nodes)))
+    got = hilfer_derivative_num(g, order, float(m.nodes[1]))
+    assert math.isfinite(got) and got == _hilfer_profile(g, order)[1]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: build_mesh(1.0, 2.0, 64, 12.0),  # nodes 0 and 1 coincide
+        lambda: WeightedGrid(mesh=uniform_mesh(4), gamma=0.0, w=np.ones(5)),
+        lambda: WeightedGrid(mesh=uniform_mesh(4), gamma=1.5, w=np.ones(5)),
+        lambda: WeightedGrid(mesh=uniform_mesh(4), gamma=0.5, w=np.ones(4)),
+        lambda: rl_integral_monomial(-0.5, 1.0, 0.0, 1.0),
+        lambda: rl_integral_quad(np.ones(4), 0.5, 0.5, uniform_mesh(4)),
+    ],
+    ids=["coinciding-nodes", "gamma0", "gamma1.5", "w-length", "monomial-mu", "quad-length"],
+)
+def test_fraccalc_input_checks(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 # ---------------------------------------------------------------------------

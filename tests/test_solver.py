@@ -501,6 +501,31 @@ def test_volterra_requires_finite_seed():
         solve_volterra_ivp(spec, math.inf)
 
 
+def test_volterra_non_convergence_attaches_the_partial_grid():
+    spec = spec_with("4*z + 1")
+    config = SolveConfig(n_base=32, max_iter=2)
+    with pytest.raises(NoConvergenceError) as err:
+        solve_volterra_ivp(spec, 1.0, config)
+    grid = err.value.report
+    assert isinstance(grid, WeightedGrid)
+    assert np.array_equal(grid.mesh.nodes, problem_mesh(spec, config).nodes)
+    assert np.all(np.isfinite(grid.w)) and np.any(grid.w != 0.0)
+
+
+@pytest.mark.parametrize(
+    "bounds, terms",
+    [((1.0, 1.0), ()), ((1.0, 0.0), ()), ((0.0, 1.0), ((0.5, 0.0),)), ((0.0, 1.0), ((0.5, 1.5),))],
+    ids=["b=a", "b<a", "tau=a", "tau>b"],
+)
+def test_problem_spec_rejects_bad_bounds_and_taus(bounds, terms):
+    a, b = bounds
+    with pytest.raises(DomainError):
+        ProblemSpec(
+            order=FracOrder(0.5, 0.5), a=a, b=b, c=1.0, d=0.0, nonlocal_terms=terms,
+            f=parse("z"), rho=parse("1"), p=4.0,
+        )
+
+
 def test_equivalence_example():
     spec = example_spec()
     config = SolveConfig(n_base=512)
