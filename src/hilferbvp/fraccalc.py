@@ -1,9 +1,11 @@
 r"""Graded meshes, weighted grids, and numerical fractional operators.
 
 Solutions of the problems handled by this package behave like
-(t-a)^{gamma-1} near the left endpoint, so grid functions are stored in
-weighted form w(t) = (t-a)^{1-gamma} z(t): w is continuous up to t = a
-even when z blows up. All quadrature is product integration: only the
+(t-a)^{gamma-1} near the left endpoint, so every kernel reads t - a: a
+mesh holds the offsets x = t - a of its nodes (absolute t serve only f,
+rho and tables), and grid functions are stored in weighted form
+w(t) = (t-a)^{1-gamma} z(t), continuous up to t = a even when z blows
+up. All quadrature is product integration: only the
 smooth factor of an integrand is interpolated (piecewise linearly); the
 singular kernel factors (t-s)^{mu-1} and (s-a)^{gamma-1} are integrated
 in closed form on every subinterval where they are singular or nearly
@@ -67,23 +69,34 @@ class FracOrder:
 
 @dataclass(frozen=True)
 class GradedMesh:
-    """Strictly increasing nodes on [a, b] with a power-law skeleton
-    a + (b-a)*(j/n_base)^r plus optional extra nodes (e.g. nonlocal points).
-    """
+    """A graded mesh on [a, b], stored as the offsets x = t - a of its
+    nodes, its one array: the power-law skeleton (b-a)*(j/n_base)^r plus
+    optional extra nodes (e.g. nonlocal points), strictly increasing from
+    x[0] = 0 to x[-1] = b - a. Every kernel reads x."""
 
     a: float
     b: float
     n_base: int
     r: float
-    nodes: np.ndarray
+    x: np.ndarray
 
     def __post_init__(self):
-        self.nodes.setflags(write=False)
+        self.x.setflags(write=False)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The absolute nodes a + x, formed here only, with nodes[-1]
+        pinned to b (a + (b - a) need not be b), for sampling f and rho
+        and for tables. Next to a they may repeat where a + x rounds."""
+        nodes = self.a + self.x
+        nodes[-1] = self.b
+        return nodes
 
     def index_of(self, t: float) -> int:
         """Index of the node nearest to t, the node rule that build_mesh
-        merges by; DomainError when it is farther than 1e-12*(b-a) from t."""
-        gaps = np.abs(self.nodes - t)
+        merges by, applied to t - a; DomainError when it is farther than
+        1e-12*(b-a) from t."""
+        gaps = np.abs(self.x - (t - self.a))
         j = int(np.argmin(gaps))
         if not gaps[j] <= _NODE_REL_TOL * (self.b - self.a):
             raise DomainError(f"t = {t!r} is not a mesh node")
@@ -91,11 +104,12 @@ class GradedMesh:
 
 
 def build_mesh(a, b, n_base, r, extra_nodes=()) -> GradedMesh:
-    """Graded mesh with extra nodes merged in.
+    """Graded mesh with extra nodes merged in, built on the offsets from a.
 
-    Extra nodes must lie in (a, b]. By the node rule of index_of, taken
-    in increasing order, an extra node within 1e-12*(b-a) of its nearest
-    node so far is merged into that node, so index_of finds every one.
+    Extra nodes must lie in (a, b], more than 1e-12*(b-a) from a. By the
+    node rule of index_of, on tau - a and taken in increasing order, an
+    extra node within 1e-12*(b-a) of its nearest node so far is merged
+    into that node, so index_of finds every one.
     """
     if not a < b:
         raise DomainError(f"need a < b, got a={a!r}, b={b!r}")
@@ -104,21 +118,20 @@ def build_mesh(a, b, n_base, r, extra_nodes=()) -> GradedMesh:
     if not r >= 1.0:
         raise DomainError(f"grading exponent must be >= 1, got {r!r}")
     j = np.arange(n_base + 1, dtype=float)
-    nodes = a + (b - a) * (j / n_base) ** float(r)
-    nodes[0] = a
-    nodes[-1] = b
+    x = (b - a) * (j / n_base) ** float(r)    # x[0] = 0, x[-1] = b - a exactly
     tol = _NODE_REL_TOL * (b - a)
     kept = []
     for extra in sorted(set(float(e) for e in extra_nodes)):
-        if not (a < extra <= b):
-            raise DomainError(f"extra node {extra!r} outside (a, b]")
-        gap = np.min(np.abs(nodes - extra))
-        if gap > tol and not (kept and extra - kept[-1] <= tol):
-            kept.append(extra)
-    nodes = np.insert(nodes, np.searchsorted(nodes, kept), kept)
-    if np.any(np.diff(nodes) <= 0):
+        e = extra - a
+        if not (tol < e and extra <= b):
+            raise DomainError(f"extra node {extra!r} outside (a, b] or within {tol!r} of a")
+        gap = np.min(np.abs(x - e))
+        if gap > tol and not (kept and e - kept[-1] <= tol):
+            kept.append(e)
+    x = np.insert(x, np.searchsorted(x, kept), kept)
+    if np.any(np.diff(x) <= 0):
         raise DomainError("mesh nodes are not strictly increasing after merge")
-    return GradedMesh(a=float(a), b=float(b), n_base=int(n_base), r=float(r), nodes=nodes)
+    return GradedMesh(a=float(a), b=float(b), n_base=int(n_base), r=float(r), x=x)
 
 
 @dataclass(frozen=True)
@@ -137,16 +150,15 @@ class WeightedGrid:
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
             raise DomainError(f"gamma must lie in (0, 1], got {self.gamma!r}")
-        if len(self.w) != len(self.mesh.nodes):
+        if len(self.w) != len(self.mesh.x):
             raise DomainError("w values and mesh nodes differ in length")
         self.w.setflags(write=False)
 
     def z_values(self) -> np.ndarray:
         """Pointwise z_i = (t_i - a)^{gamma-1} w_i; at the left endpoint,
         when gamma < 1, +-inf for a nonzero w(a) and NaN for a NaN one."""
-        t = self.mesh.nodes
         z = np.empty_like(self.w)
-        z[1:] = (t[1:] - self.mesh.a) ** (self.gamma - 1.0) * self.w[1:]
+        z[1:] = self.mesh.x[1:] ** (self.gamma - 1.0) * self.w[1:]
         if self.gamma == 1.0:
             z[0] = self.w[0]
         elif self.w[0] == 0.0:
@@ -159,7 +171,7 @@ class WeightedGrid:
         """w interpolated at t; DomainError unless a <= t <= b."""
         if not self.mesh.a <= t <= self.mesh.b:
             raise DomainError(f"t = {t!r} lies outside [{self.mesh.a!r}, {self.mesh.b!r}]")
-        return float(np.interp(t, self.mesh.nodes, self.w))
+        return float(np.interp(t - self.mesh.a, self.mesh.x, self.w))
 
     def z_at(self, t: float) -> float:
         """(t-a)^{gamma-1} w_at(t); at t = a as z_values()."""
@@ -279,8 +291,9 @@ def kernel_weights(nodes: np.ndarray, beta: float, rows=None, sampled_first=True
     node 0 and nothing on node 1: the one-point rule for a phi[0] that
     is not a sample.
 
-    The solver reads only the t = b row from here; _RunningIntegral gives
-    every row of W @ phi without holding W, and W is its dense reference."""
+    The solver reads only the t = b row, on the offsets t - a (W reads
+    node differences only); _RunningIntegral gives every row of W @ phi
+    without holding W, and W is its dense reference."""
     rows = np.arange(len(nodes)) if rows is None else np.asarray(rows)
     return _moment_rows(nodes, rows, 0, len(nodes) - 1, beta, sampled_first)
 
@@ -437,7 +450,7 @@ def _far_field(terms, n, samples) -> np.ndarray:
 
 class _RunningIntegral:
     """The raw integrals int_a^{t_j} (t_j-s)^{beta-1} phi(s) ds at every
-    node t_j, phi piecewise linear: kernel_weights(nodes, beta,
+    node offset x_j = t_j - a, phi piecewise linear: kernel_weights(x, beta,
     sampled_first=sampled_first) @ phi, built once and applied to many phi.
 
     From _FAR_MIN_NODES nodes on, a row is split in two. The near band is
@@ -448,20 +461,18 @@ class _RunningIntegral:
     N x N array. Below that node count every cell is near, and the
     operator is W itself."""
 
-    def __init__(self, nodes: np.ndarray, beta: float, sampled_first=True):
-        t = nodes
-        n = len(t)
+    def __init__(self, x: np.ndarray, beta: float, sampled_first=True):
+        n = len(x)
         rows = np.arange(n)
         if n < _FAR_MIN_NODES:
-            self.W = _moment_rows(t, rows, 0, n - 1, beta, sampled_first)
+            self.W = _moment_rows(x, rows, 0, n - 1, beta, sampled_first)
             return
         self.W = None
-        x = t - t[0]
-        h = np.diff(t)
+        h = np.diff(x)
         blocks = _scan_blocks(x, h, 1)
-        self.cell0 = _moment_rows(t, rows, 0, 1, beta, sampled_first)
+        self.cell0 = _moment_rows(x, rows, 0, 1, beta, sampled_first)
         self.bands = [
-            (j0, j1, f, _moment_rows(t, rows[j0:j1], f, j1 - 1, beta, sampled_first))
+            (j0, j1, f, _moment_rows(x, rows[j0:j1], f, j1 - 1, beta, sampled_first))
             for j0, j1, f in blocks
         ]
         self.factors = list(_far_factors(x, beta, _GAUSS_W[:, None] * h, blocks, 1))
@@ -570,9 +581,9 @@ def _betainc_reg(a, b, x) -> np.ndarray:
     return np.where(flip, 1.0 - r, r)
 
 
-def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
+def _profile_weighted(x, beta, eta, w) -> np.ndarray:
     """Raw integrals int_a^{t_j} (t_j-s)^{beta-1} (s-a)^{eta} w(s) ds with w
-    piecewise linear.
+    piecewise linear, at the node offsets x = t - a.
 
     Near cells, those within K = _FAR_WIDTHS of their own widths h_i of
     either singularity, are integrated in closed form. In
@@ -616,9 +627,8 @@ def _profile_weighted(nodes, beta, eta, w) -> np.ndarray:
 
     Row j reads the nodes up to t_j only, and the near cells are
     integrated block by block, so no N x N array is ever held."""
-    n = len(nodes)
-    x = nodes - nodes[0]                       # s - a at the nodes
-    h = np.diff(nodes)
+    n = len(x)
+    h = np.diff(x)
     b1 = specfun.beta(eta + 1.0, beta)
     b2 = b1 * (eta + 1.0) / (eta + 1.0 + beta)   # B(p+1, q) = B(p, q) p / (p + q)
     sw = np.diff(w) / h
@@ -673,14 +683,14 @@ def rl_integral_quad(phi, mu: float, t: float, mesh: GradedMesh = None) -> float
         raise DomainError(f"kernel order must lie in (0, 1], got {mu!r}")
     if isinstance(phi, WeightedGrid):
         mesh = phi.mesh
-        prof = _profile_weighted(mesh.nodes, mu, phi.gamma - 1.0, phi.w)
+        prof = _profile_weighted(mesh.x, mu, phi.gamma - 1.0, phi.w)
     else:
         if mesh is None:
             raise DomainError("mesh is required for sampled integrands")
         values = np.asarray(phi, dtype=float)
-        if len(values) != len(mesh.nodes):
+        if len(values) != len(mesh.x):
             raise DomainError("sampled integrand length does not match mesh")
-        prof = _RunningIntegral(mesh.nodes, mu) @ values
+        prof = _RunningIntegral(mesh.x, mu) @ values
     return float(prof[mesh.index_of(t)]) / specfun.gamma(mu)
 
 
@@ -689,18 +699,19 @@ def rl_integral_quad(phi, mu: float, t: float, mesh: GradedMesh = None) -> float
 # ---------------------------------------------------------------------------
 
 
-def _derivative_profile(nodes: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Derivative of F at nodes 1..n-2 from values of F at nodes 1..n-2.
+def _derivative_profile(x: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Derivative of F at nodes 1..n-2 from values of F at nodes 1..n-2,
+    on the node offsets x = t - a (or any translate of them).
 
     np.gradient with edge_order=2: three-point stencils, exact for
     quadratics on the non-uniform mesh, centered in the interior and
     one-sided at the first and last usable node (node 0 and node n-1 are
     never touched). Entries 0 and n-1 of the result are NaN.
     """
-    if len(nodes) < 5:
+    if len(x) < 5:
         raise DomainError("derivative stencils need at least 4 subintervals")
-    d = np.full(len(nodes), np.nan)
-    d[1:-1] = np.gradient(F[1:-1], nodes[1:-1], edge_order=2)
+    d = np.full(len(x), np.nan)
+    d[1:-1] = np.gradient(F[1:-1], x[1:-1], edge_order=2)
     return d
 
 
@@ -722,9 +733,9 @@ def _hilfer_profile(g: WeightedGrid, order: FracOrder) -> np.ndarray:
     """
     mu = order.mu
     theta = order.nu * (1.0 - mu)
-    nodes = g.mesh.nodes
+    x = g.mesh.x
     inner = 1.0 - mu
-    F = _profile_weighted(nodes, inner, g.gamma - 1.0, g.w) / specfun.gamma(inner)
+    F = _profile_weighted(x, inner, g.gamma - 1.0, g.w) / specfun.gamma(inner)
     if theta > 0.0:
         if g.gamma < order.gamma:
             raise DomainError(
@@ -732,8 +743,8 @@ def _hilfer_profile(g: WeightedGrid, order: FracOrder) -> np.ndarray:
                 f"{order.gamma!r}: I^(1-gamma) z is unbounded at a"
             )
         za = specfun.gamma(g.gamma) * g.w[0] if g.gamma == order.gamma else 0.0
-        F -= za * (nodes - g.mesh.a) ** theta / specfun.gamma(theta + 1.0)
-    return _derivative_profile(nodes, F)
+        F -= za * x ** theta / specfun.gamma(theta + 1.0)
+    return _derivative_profile(x, F)
 
 
 def hilfer_derivative_num(g: WeightedGrid, order: FracOrder, t: float) -> float:
@@ -752,6 +763,6 @@ def hilfer_derivative_num(g: WeightedGrid, order: FracOrder, t: float) -> float:
     build waits for a perfbench change, as its profile.hilfer_s probe
     times this call."""
     j = g.mesh.index_of(t)
-    if j == 0 or j == len(g.mesh.nodes) - 1:
+    if j == 0 or j == len(g.mesh.x) - 1:
         raise DomainError("derivative is not available at boundary nodes")
     return float(_hilfer_profile(g, order)[j])

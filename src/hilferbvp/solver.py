@@ -225,28 +225,27 @@ class _Workspace:
         self.params = params
         mu = spec.order.mu
         gamma = params.gamma
-        nodes = mesh.nodes
-        self.nodes = nodes
-        self.sample_nodes = np.r_[nodes[1], nodes[1:]]  # where f_samples reads f
+        x = self.x = mesh.x
+        self.sample_nodes = np.r_[mesh.nodes[1], mesh.nodes[1:]]  # the t at which f is read
         self.f = compile_expr(spec.f)
         self.gamma_mu = specfun.gamma(mu)
         self.gamma_gamma = specfun.gamma(gamma)
         self.gamma_bc = specfun.gamma(1.0 - gamma + mu)
         self.tau_indices = tuple(mesh.index_of(tau) for _, tau in spec.nonlocal_terms)
         self.lambdas = tuple(lam for lam, _ in spec.nonlocal_terms)
-        self.weight_up = (nodes - nodes[0]) ** (1.0 - gamma)  # (t-a)^{1-gamma}
-        self.weight_down = np.zeros_like(nodes)
-        self.weight_down[1:] = (nodes[1:] - nodes[0]) ** (gamma - 1.0)
+        self.weight_up = x ** (1.0 - gamma)  # (t-a)^{1-gamma}
+        self.weight_down = np.zeros_like(x)
+        self.weight_down[1:] = x[1:] ** (gamma - 1.0)
 
     @cached_property
     def running_operator(self) -> fraccalc._RunningIntegral:
-        return fraccalc._RunningIntegral(self.nodes, self.spec.order.mu, sampled_first=False)
+        return fraccalc._RunningIntegral(self.x, self.spec.order.mu, sampled_first=False)
 
     @cached_property
     def boundary_weights(self) -> np.ndarray:
         beta = 1.0 - self.params.gamma + self.spec.order.mu
-        last = [len(self.nodes) - 1]
-        return fraccalc.kernel_weights(self.nodes, beta, last, sampled_first=False)
+        last = [len(self.x) - 1]
+        return fraccalc.kernel_weights(self.x, beta, last, sampled_first=False)
 
     def f_samples(self, w: np.ndarray) -> np.ndarray:
         """f at the nodes (index >= 1); entry 0 holds the first-interval
@@ -380,11 +379,11 @@ def _seed(spec: ProblemSpec, params: DerivedParams, config: SolveConfig, mesh) -
     if n_coarse >= _MIN_INTERVALS:
         coarse = problem_mesh(spec, replace(config, n_base=n_coarse))
         ws = _Workspace(spec, params, coarse)
-        w0 = np.zeros(len(coarse.nodes))
+        w0 = np.zeros(len(coarse.x))
         w, _, converged = _picard_loop(ws.apply, w0, config)
         if converged:
-            return np.interp(mesh.nodes, coarse.nodes, w)
-    return np.zeros(len(mesh.nodes))
+            return np.interp(mesh.x, coarse.x, w)
+    return np.zeros(len(mesh.x))
 
 
 def solve_picard(spec: ProblemSpec, config: SolveConfig = SolveConfig()) -> SolveReport:
@@ -441,7 +440,7 @@ def solve_volterra_ivp(
     params = derive_params(spec)
     mesh = problem_mesh(spec, config)
     ws = _Workspace(spec, params, mesh)
-    w0 = np.zeros(len(mesh.nodes))
+    w0 = np.zeros(len(mesh.x))
     w, history, converged = _picard_loop(lambda v: ws.apply(v, z_a), w0, config)
     grid = WeightedGrid(mesh=mesh, gamma=params.gamma, w=w)
     if not converged:
@@ -482,7 +481,7 @@ def verify_ode(spec: ProblemSpec, z: WeightedGrid) -> float:
 
 
 def _checked_nodes(mesh: GradedMesh) -> slice:
-    return slice(max(1, mesh.n_base // 8), len(mesh.nodes) - 1)
+    return slice(max(1, mesh.n_base // 8), len(mesh.x) - 1)
 
 
 def _ode_residual(spec: ProblemSpec, z: WeightedGrid, samples: np.ndarray) -> float:
@@ -491,5 +490,5 @@ def _ode_residual(spec: ProblemSpec, z: WeightedGrid, samples: np.ndarray) -> fl
     mesh = z.mesh
     j = _checked_nodes(mesh)
     profile = _hilfer_profile(z, spec.order)
-    resid = np.abs(profile[j] - samples[j]) * (mesh.nodes[j] - mesh.a) ** (1.0 - z.gamma)
+    resid = np.abs(profile[j] - samples[j]) * mesh.x[j] ** (1.0 - z.gamma)
     return float(np.max(resid, initial=0.0))  # a NaN residual propagates

@@ -492,6 +492,46 @@ def test_a_rho_outside_its_domain_names_the_point(tmp_path, capsys):
     assert 0.0 <= t < 0.5 and value == t - 0.5
 
 
+def write_nontrivial(tmp_path, **overrides):
+    """tests/data/nontrivial.json at the default n_base, with overrides."""
+    doc = json.loads((DATA / "nontrivial.json").read_text())
+    del doc["solver"]
+    doc.update(overrides)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_a_tau_next_to_a_is_refused(tmp_path, capsys):
+    # merged into node 0, tau would read z(tau) and its running integral as 0
+    problem = write_nontrivial(tmp_path, **{"nonlocal": [{"lambda": "2/5", "tau": "1e-13"}]})
+    assert main(["solve", problem, "--out", str(tmp_path / "t.csv")]) == 1
+    [line] = _error_lines(capsys)
+    assert line.startswith("error: extra node 1e-13 ")
+
+
+def test_a_strongly_graded_problem_away_from_zero_solves_and_verifies(tmp_path, capsys):
+    # gamma 0.145, default r = 13.8: on [1, 2] the first nodes a + x round onto a
+    problem = write_nontrivial(
+        tmp_path, a="1", b="2", mu="1/10", nu="1/20",
+        **{"nonlocal": [{"lambda": "2/5", "tau": "1 + 2/3"}]},
+    )
+    table = tmp_path / "t.csv"
+    assert main(["solve", problem, "--out", str(table)]) == 0
+    assert main(["verify", problem, str(table)]) == 0
+    # at a = 100, with f and rho in t - a, the table's first t cells repeat
+    problem = write_nontrivial(
+        tmp_path, a="100", b="101", mu="1/10", nu="1/20",
+        f="(1/16)*(t - 100)*sin(abs(z)) + 1/4", rho="(t - 100)/16",
+        **{"nonlocal": [{"lambda": "2/5", "tau": "100 + 2/3"}]},
+    )
+    assert main(["solve", problem, "--out", str(table)]) == 0
+    t_cells = [line.split(",")[0] for line in table.read_text().splitlines()[1:4]]
+    assert t_cells == ["100.0"] * 3
+    assert main(["verify", problem, str(table)]) == 0
+    assert _error_lines(capsys) == []
+
+
 def test_verify_trivial_solution(tmp_path):
     table = tmp_path / "table.csv"
     problem = str(DATA / "zero_rhs.json")

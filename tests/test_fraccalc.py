@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
@@ -68,6 +70,9 @@ def test_build_mesh_errors():
         build_mesh(0.0, 1.0, 4, 0.5, [])
     with pytest.raises(DomainError):
         build_mesh(0.0, 1.0, 4, 1.0, [0.0])
+    for a in (0.0, 1.0):  # within 1e-12 (b - a) of a, tau would be merged into node 0
+        with pytest.raises(DomainError, match=repr(a + 1e-13)):
+            build_mesh(a, a + 1.0, 4, 1.0, [a + 1e-13])
     with pytest.raises(DomainError):
         build_mesh(0.0, 1.0, 4, 1.0, [1.5])
 
@@ -137,10 +142,47 @@ def test_hilfer_derivative_num_at_the_first_interior_node_of_a_steep_mesh():
     assert math.isfinite(got) and got == _hilfer_profile(g, order)[1]
 
 
+def test_a_mesh_away_from_zero_holds_the_offsets_of_the_mesh_at_zero():
+    m = build_mesh(1, 2, 64, 12)
+    assert np.array_equal(m.x, build_mesh(0, 1, 64, 12).nodes)
+    assert m.nodes[0] == 1.0 and m.nodes[1] == 1.0   # a + x rounds onto a
+    assert [m.index_of(1.0 + float(x)) for x in m.x[20:]] == list(range(20, 65))
+
+
+def test_the_absolute_nodes_end_on_a_and_b():
+    # a + (b - a) is not b here
+    a, b = -1.7, 0.3
+    assert a + (b - a) != b
+    m = build_mesh(a, b, 64, 4.0)
+    assert m.nodes[0] == a and m.nodes[-1] == b
+    assert m.x[0] == 0.0 and m.x[-1] == b - a
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.floats(-1e3, 1e3),
+    st.floats(1e-3, 1e3),
+    st.floats(1.0, 16.0),
+    st.integers(8, 512),
+    st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=3),
+)
+def test_build_mesh_builds_on_every_interval(a, length, r, n_base, fractions):
+    b = a + length
+    tol = 1e-12 * (b - a)
+    taus = [min(a + u * (b - a), b) for u in fractions]
+    assume(all(tau - a > tol for tau in taus))
+    m = build_mesh(a, b, n_base, r, taus)
+    assert np.all(np.diff(m.x) > 0)
+    assert m.x[0] == 0.0 and m.x[-1] == b - a
+    assert m.nodes[0] == a and m.nodes[-1] == b
+    for tau in taus:
+        assert abs(m.x[m.index_of(tau)] - (tau - a)) <= tol
+
+
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: build_mesh(1.0, 2.0, 64, 12.0),  # nodes 0 and 1 coincide
+        lambda: build_mesh(0.0, 1.0, 64, 200.0),  # the skeleton underflows to repeated zeros
         lambda: WeightedGrid(mesh=uniform_mesh(4), gamma=0.0, w=np.ones(5)),
         lambda: WeightedGrid(mesh=uniform_mesh(4), gamma=1.5, w=np.ones(5)),
         lambda: WeightedGrid(mesh=uniform_mesh(4), gamma=0.5, w=np.ones(4)),

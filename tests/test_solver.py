@@ -792,3 +792,46 @@ def test_verify_ode_holds_no_square_array(nu):
     finally:
         tracemalloc.stop()
     assert peak / ((n - 1) * n * 8) <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# problems away from a = 0
+# ---------------------------------------------------------------------------
+
+
+def shifted_spec(a, mu, nu):
+    """tests/data/nontrivial.json moved to [a, a + 1], with f and rho written in
+    t - a (regular at a) and tau = a + 2/3."""
+    return ProblemSpec(
+        order=FracOrder(mu=mu, nu=nu), a=a, b=a + 1.0, c=0.25, d=0.75,
+        nonlocal_terms=((0.4, a + 2.0 / 3.0),),
+        f=parse(f"(1/16)*(t - {a!r})*sin(abs(z)) + 1/4"), rho=parse(f"(t - {a!r})/16"), p=4.0,
+    )
+
+
+# (mu, nu, grading): the default r = 2/gamma (4 and 13.8), r = 4.4 and r = 8
+SHIFTED_CASES = [(1 / 3, 1 / 4, None), (1 / 10, 1 / 20, None), (1 / 3, 1 / 4, 4.4), (1 / 3, 1 / 4, 8.0)]
+
+
+@pytest.mark.parametrize("mu, nu, grading", SHIFTED_CASES)
+def test_a_shifted_solve_matches_the_solve_at_zero(mu, nu, grading):
+    # the meshes hold the same offsets x = t - a, so the solves differ only
+    # in the points a + x at which f is sampled
+    config = SolveConfig(n_base=512, grading=grading, tol=1e-13)
+    w0 = solve_picard(shifted_spec(0.0, mu, nu), config).solution.w
+    for a in (1.0, 10.0, 100.0):
+        w = solve_picard(shifted_spec(a, mu, nu), config).solution.w
+        assert np.max(np.abs(w - w0)) <= 1e-13, a
+
+
+def test_a_shifted_grid_reads_as_the_grid_at_zero():
+    config = SolveConfig(n_base=512, grading=8.0, tol=1e-13)
+    g0 = solve_picard(shifted_spec(0.0, 1 / 3, 1 / 4), config).solution
+    a = 100.0
+    g = solve_picard(shifted_spec(a, 1 / 3, 1 / 4), config).solution
+    assert g.mesh.nodes[1] == a                       # a + x_1 rounds onto a
+    assert np.max(np.abs(g.mesh.x - g0.mesh.x)) <= 1e-13   # tau - a rounds
+    assert g.mesh.index_of(a + 2.0 / 3.0) == g0.mesh.index_of(2.0 / 3.0)
+    for s in (2.0 / 3.0, 0.1, 0.5, 1.0):
+        assert g.w_at(a + s) == pytest.approx(g0.w_at(s), rel=0, abs=1e-13)
+        assert g.z_at(a + s) == pytest.approx(g0.z_at(s), rel=1e-12)
