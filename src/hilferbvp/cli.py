@@ -92,16 +92,17 @@ def format_table(grid: WeightedGrid) -> str:
 
 
 def parse_table(path):
-    """Read a solution table; returns (nodes, w) arrays."""
+    """Read a solution table; returns (nodes, w) arrays. Blank lines are
+    skipped, and an error names the physical line of the bad row."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
+            lines = [(ln, line.strip()) for ln, line in enumerate(fh, 1) if line.strip()]
     except OSError as exc:
         raise SchemaError(str(path), f"cannot read table: {exc}") from exc
-    if not lines or lines[0] != "t,z,w":
+    if not lines or lines[0][1] != "t,z,w":
         raise MeshMismatchError(f"{path}: missing 't,z,w' header")
     ts, ws = [], []
-    for ln, line in enumerate(lines[1:], start=2):
+    for ln, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 3:
             raise MeshMismatchError(f"{path}:{ln}: expected 3 columns")
@@ -140,13 +141,10 @@ def _certificate_notes(spec, rep):
     return notes
 
 
-def _reference_notes(spec, rep, reference):
+def _reference_notes(rep, reference):
     """Compare computed certificate values against the file's declared
-    reference block (paper-literal mode only)."""
+    reference block; a file without one yields no notes."""
     notes = []
-    if not reference:
-        return notes
-
     q_ref, q_raw = reference.get("q", (None, None))
     if q_ref is not None and not (
         q_ref != 0 and math.isfinite(rep.q) and abs(1.0 / rep.p + 1.0 / q_ref - 1.0) <= 1e-12
@@ -157,7 +155,7 @@ def _reference_notes(spec, rep, reference):
             f"{rep.p:.12g} does not satisfy 1/p + 1/q = 1"
         )
     rho_ref, rho_raw = reference.get("rho_norm", (None, None))
-    if rho_ref is not None and not _close(rho_ref, rep.rho_norm):
+    if rho_ref is not None and not math.isclose(rho_ref, rep.rho_norm, rel_tol=1e-9):
         notes.append(
             f"declared rho_norm = {rho_raw} = {rho_ref:.12g} differs from the "
             f"computed (int |rho|^p)^(1/p) = {rep.rho_norm:.12g} at p = {rep.p:.12g}"
@@ -166,7 +164,7 @@ def _reference_notes(spec, rep, reference):
         ref_val, ref_raw = reference.get(key, (None, None))
         if ref_val is None:
             continue
-        if computed is None or not _close(ref_val, computed, 0.05):
+        if computed is None or not math.isclose(ref_val, computed, rel_tol=0.05):
             shown = "not computable" if computed is None else f"{computed:.12g}"
             notes.append(
                 f"declared {key} = {ref_raw} is not reproduced: computed value "
@@ -175,27 +173,15 @@ def _reference_notes(spec, rep, reference):
     return notes
 
 
-def _close(x, y, rel=1e-9):
-    return abs(x - y) <= rel * max(abs(x), abs(y), 1e-300)
-
-
 def run_check(path, args) -> int:
     spec, _, reference = load_problem_document(path)
     params = derive_params(spec)
-    sweep_rows = []
-    notes = []
     if args.sweep_p:
-        reports, best = sweep_certificates(spec, params)
-        rep = best
-        sweep_rows = [
-            {"p": r.p, "q": r.q, "G": r.G, "L_star": r.L_star, "verdict": r.verdict}
-            for r in reports
-        ]
+        reports, rep = sweep_certificates(spec, params)
+        reference = {}  # the declared values belong to the file's own p
     else:
-        rep = certificate(spec, params)
-        notes.extend(_certificate_notes(spec, rep))
-        if args.paper_literal:
-            notes.extend(_reference_notes(spec, rep, reference))
+        reports, rep = [], certificate(spec, params)
+    notes = _certificate_notes(spec, rep) + _reference_notes(rep, reference)
     doc = {
         "gamma": params.gamma,
         "A": params.A,
@@ -213,7 +199,10 @@ def run_check(path, args) -> int:
         },
         "verdict": rep.verdict,
         "notes": notes,
-        "sweep": sweep_rows,
+        "sweep": [
+            {"p": r.p, "q": r.q, "G": r.G, "L_star": r.L_star, "verdict": r.verdict}
+            for r in reports
+        ],
     }
     _write(dumps_report(doc), args.report)
     if rep.verdict == "satisfied":
@@ -273,7 +262,7 @@ def run_verify(path, table_path, args) -> int:
 
 def run_example(args) -> int:
     path = str(example_problem_path())
-    check_args = argparse.Namespace(sweep_p=True, paper_literal=False, report=None)
+    check_args = argparse.Namespace(sweep_p=True, report=None)
     code = run_check(path, check_args)
     if code != EXIT_OK:
         return code
@@ -317,12 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = subs.add_parser("check", help="evaluate the existence certificate")
     check.add_argument("problem", help="problem file (JSON)")
-    mode = check.add_mutually_exclusive_group()
-    mode.add_argument("--sweep-p", action="store_true", dest="sweep_p",
-                      help="sweep admissible exponents p in {4, 8, 16, 64}")
-    mode.add_argument("--paper-literal", action="store_true", dest="paper_literal",
-                      help="use the file's p verbatim and compare against its "
-                           "declared reference values")
+    check.add_argument("--sweep-p", action="store_true", dest="sweep_p",
+                       help="sweep admissible exponents p in {4, 8, 16, 64}")
     check.add_argument("--report", help=_REPORT_HELP)
 
     solve = subs.add_parser("solve", help="solve by fixed-point iteration")

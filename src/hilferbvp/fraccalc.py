@@ -670,7 +670,7 @@ def rl_integral_quad(phi, mu: float, t: float, mesh: GradedMesh = None) -> float
     phi may be a WeightedGrid (its (s-a)^{gamma-1} factor is peeled off and
     integrated in closed form together with the kernel) or an array of node
     values (then mesh is required and phi is interpolated piecewise
-    linearly as-is).
+    linearly as-is). A t that several nodes round to is a DomainError.
 
     Each call builds the whole profile, O(N L) with L ~ 300 SOE terms
     (O(N^2) for a sampled phi below _FAR_MIN_NODES nodes), to return one
@@ -691,7 +691,15 @@ def rl_integral_quad(phi, mu: float, t: float, mesh: GradedMesh = None) -> float
         if len(values) != len(mesh.x):
             raise DomainError("sampled integrand length does not match mesh")
         prof = _RunningIntegral(mesh.x, mu) @ values
-    return float(prof[mesh.index_of(t)]) / specfun.gamma(mu)
+    return float(prof[_node_index(mesh, t)]) / specfun.gamma(mu)
+
+
+def _node_index(mesh: GradedMesh, t: float) -> int:
+    """mesh.index_of(t), refused where a + x rounds several nodes to t."""
+    same = np.flatnonzero(mesh.nodes == t)
+    if len(same) > 1:
+        raise DomainError(f"t = {float(t)!r} is the value of nodes {', '.join(map(str, same))}")
+    return mesh.index_of(t)
 
 
 # ---------------------------------------------------------------------------
@@ -756,13 +764,14 @@ def hilfer_derivative_num(g: WeightedGrid, order: FracOrder, t: float) -> float:
     for nu > 0 a smaller one raises DomainError. At nu = 0 this is the
     Riemann-Liouville derivative of order mu (FracOrder(mu, 0.0)); at
     nu = 1, z_a = z(a) and it is the Caputo derivative D^mu [z - z(a)].
+    A t that several nodes round to is a DomainError.
 
     Each call builds the whole O(N L) profile (L ~ 300 SOE terms) to
     return one entry, so a loop over nodes costs N times that;
     solve_picard and verify_ode compute all nodes at once. A one-row
     build waits for a perfbench change, as its profile.hilfer_s probe
     times this call."""
-    j = g.mesh.index_of(t)
+    j = _node_index(g.mesh, t)
     if j == 0 or j == len(g.mesh.x) - 1:
         raise DomainError("derivative is not available at boundary nodes")
     return float(_hilfer_profile(g, order)[j])

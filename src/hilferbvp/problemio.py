@@ -18,8 +18,8 @@ variables t or z. Example:
 
 The optional "solver" block overrides SolveConfig defaults; the optional
 "reference" block declares externally claimed certificate values (q,
-rho_norm, G, L_star), read by the scalar rules, that the check command
-compares against in paper-literal mode. An unknown key at any level is a
+rho_norm, G, L_star), read by the scalar rules, that a check at the
+file's own p compares against. An unknown key at any level is a
 SchemaError naming its path, e.g. "nonlocal[0].tua".
 """
 

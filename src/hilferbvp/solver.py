@@ -474,7 +474,12 @@ def verify_ode(spec: ProblemSpec, z: WeightedGrid) -> float:
 
     The finite-difference stage of the derivative loses accuracy next to
     the singular endpoint, so the check skips the first eighth of the base
-    index range. A NaN residual at any checked node makes the result NaN."""
+    index range. A NaN residual at any checked node makes the result NaN.
+    Where w - w(a) ~ (t-a)^sigma with sigma < mu, (t-a)^(1-gamma) f is
+    unbounded and the skipped residual at node 1 grows like
+    (t-a)^(sigma-mu): 0.47, 0.80, 1.39 at n_base 128, 512, 2048 on the
+    "order/batch" problem (mu = 0.621, sigma = 0.454; the exact w gives
+    the same), against 2.3e-3, 1.4e-4, 9.0e-6 over the checked nodes."""
     rows = _checked_nodes(z.mesh)
     samples = _f_at_nodes(compile_expr(spec.f), z.mesh.nodes, z.z_values(), rows)
     return _ode_residual(spec, z, samples)

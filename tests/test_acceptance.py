@@ -137,7 +137,7 @@ def test_criterion_3_existence_certificate():
 
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = main(["check", EXAMPLE, "--paper-literal"])
+        code = main(["check", EXAMPLE])
     doc = json.loads(buf.getvalue())
     notes = " | ".join(doc["notes"])
     notes_ok = (
@@ -289,7 +289,7 @@ def test_criterion_6_property_suites(tmp_path):
         (["check", EXAMPLE, "--sweep-p"], 0),
         (["no-such-command"], 1),
         (["check", violated], 2),
-        (["check", EXAMPLE, "--paper-literal"], 3),
+        (["check", EXAMPLE], 3),
         (["solve", problem, "--max-iter", "1"], 4),
         (["verify", problem, str(table)], 0),
     ]

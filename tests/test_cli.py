@@ -127,7 +127,7 @@ def test_load_rejects_malformed_reference_values(tmp_path, value):
     with pytest.raises(SchemaError) as err:
         load_problem_document(path)
     assert err.value.key == "reference.G"
-    assert main(["check", path, "--paper-literal"]) == 1
+    assert main(["check", path]) == 1
 
 
 @pytest.mark.parametrize(
@@ -145,7 +145,7 @@ def test_load_rejects_unknown_keys(tmp_path, overrides, key):
     with pytest.raises(SchemaError) as err:
         load_problem_document(path)
     assert err.value.key == key
-    assert main(["check", path, "--paper-literal"]) == 1
+    assert main(["check", path]) == 1
 
 
 def test_load_rejects_variables_in_scalars(tmp_path):
@@ -246,8 +246,9 @@ def test_load_problem_document_input_checks(tmp_path, edit, key, message):
         ("t,w\n0.0,1.0\n", MeshMismatchError, "missing 't,z,w' header"),
         ("t,z,w\n0.0,1.0\n", MeshMismatchError, ":2: expected 3 columns"),
         ("t,z,w\n0.0,1.0,1.0\n0.5,x,one\n", MeshMismatchError, ":3: could not convert"),
+        ("t,z,w\n\n0.0,1,2\n\n0.5,1\n", MeshMismatchError, ":5: expected 3 columns"),
     ],
-    ids=["unreadable", "header", "columns", "number"],
+    ids=["unreadable", "header", "columns", "number", "blank-lines"],
 )
 def test_parse_table_input_checks(tmp_path, text, error, message):
     table = tmp_path / "table.csv"
@@ -304,7 +305,6 @@ def test_serialize_round_trip(tmp_path):
 
 def test_check_exits(tmp_path):
     assert main(["check", EXAMPLE, "--sweep-p"]) == 0
-    assert main(["check", EXAMPLE, "--paper-literal"]) == 3
     assert main(["check", EXAMPLE]) == 3  # default uses the file's p verbatim
     violated = write_problem(tmp_path, rho="1000*(t/16)", p="4")
     assert main(["check", violated, "--sweep-p"]) == 2
@@ -568,18 +568,33 @@ def test_example_command_coarse_mesh(capsys):
     assert '"converged": true' in captured.out
 
 
-def test_usage_errors(tmp_path):
+def test_usage_errors(tmp_path, capsys):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
     assert main(["check"]) == 1
     assert main(["check", "/nonexistent.json"]) == 1
-    assert main(["check", EXAMPLE, "--sweep-p", "--paper-literal"]) == 1
+    capsys.readouterr()
+    # the reference block, not a flag, says whether there is anything to compare
+    assert main(["check", EXAMPLE, "--paper-literal"]) == 1
+    assert capsys.readouterr().err == "error: unrecognized arguments: --paper-literal\n"
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["check", str(bad)]) == 1
     assert main(["solve", write_problem(tmp_path, c=math.nan)]) == 1
     bad.write_text('{"c": ' + "1" * 5000 + "}")  # past Python's int-parsing limit
     assert main(["check", str(bad)]) == 1
+
+
+def test_sweep_names_the_conditions_an_inadmissible_exponent_violates(tmp_path, capsys):
+    doc = json.loads((DATA / "nontrivial.json").read_text())
+    doc["mu"] = "1/100"  # 1/mu = 100 exceeds every swept p
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--sweep-p"]) == 3
+    notes = json.loads(capsys.readouterr().out)["notes"]
+    assert len(notes) == 1
+    assert notes[0].startswith("exponent p = 4 is inadmissible: violated p > 1/mu")
+    assert "(1/mu = 100," in notes[0]
 
 
 def test_singular_problem_exit(tmp_path):
@@ -607,7 +622,7 @@ def test_exit_code_matrix(tmp_path):
         (["example"], 0),
         (["bogus-command"], 1),
         (["check", violated], 2),
-        (["check", EXAMPLE, "--paper-literal"], 3),
+        (["check", EXAMPLE], 3),
         (["solve", problem, "--max-iter", "1"], 4),
         (["verify", problem, str(table)], 0),
     ]
@@ -715,7 +730,7 @@ def test_dumps_report_reads_back_as_the_12_digit_value(v):
 @pytest.mark.parametrize(
     "argv,golden",
     [
-        (["check", EXAMPLE, "--paper-literal"], "check_paper_literal.json"),
+        (["check", EXAMPLE], "check_paper_literal.json"),
         (["check", EXAMPLE, "--sweep-p"], "check_sweep.json"),
         (["solve", str(DATA / "nontrivial.json")], "solve_nontrivial_report.json"),
     ],

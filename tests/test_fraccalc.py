@@ -149,6 +149,16 @@ def test_a_mesh_away_from_zero_holds_the_offsets_of_the_mesh_at_zero():
     assert [m.index_of(1.0 + float(x)) for x in m.x[20:]] == list(range(20, 65))
 
 
+def test_the_per_node_functions_refuse_a_t_that_names_several_nodes():
+    m = build_mesh(1, 2, 64, 12)
+    assert m.nodes[0] == m.nodes[1] == m.nodes[2] == 1.0 != m.nodes[3]
+    g = WeightedGrid(mesh=m, gamma=0.5, w=np.ones(len(m.nodes)))
+    with pytest.raises(DomainError, match="t = 1.0 is the value of nodes 0, 1, 2$"):
+        rl_integral_quad(np.ones(len(m.nodes)), 0.5, m.nodes[2], m)
+    with pytest.raises(DomainError, match="t = 1.0 is the value of nodes 0, 1, 2$"):
+        hilfer_derivative_num(g, FracOrder(0.5, 0.0), m.nodes[2])
+
+
 def test_the_absolute_nodes_end_on_a_and_b():
     # a + (b - a) is not b here
     a, b = -1.7, 0.3
