@@ -17,8 +17,8 @@ from hilferbvp import (
 )
 
 # A graded mesh clusters nodes at the left endpoint via (j/n)^r. With the
-# default r = 2/gamma the (t-a)^{gamma-1} endpoint behaviour of solutions
-# is resolved to second order.
+# default r = 2/gamma, a solution whose w(t) - w(a) ~ (t-a)^sigma is
+# resolved to order min(r sigma, 2): second order only when sigma >= gamma.
 mesh = build_mesh(0.0, 1.0, 8, 2.0, extra_nodes=[2.0 / 3.0])
 print("graded mesh with an inserted nonlocal point 2/3:")
 print(" ", np.array2string(mesh.nodes, precision=6))

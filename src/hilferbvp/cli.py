@@ -27,7 +27,7 @@ from .errors import (
     SchemaError,
 )
 from .existence import certificate, sweep_certificates
-from .fraccalc import WeightedGrid
+from .fraccalc import _NODE_REL_TOL, WeightedGrid
 from .problemio import example_problem_path, load_problem_document
 from .solver import derive_params, problem_mesh, residuals, solve_picard
 
@@ -244,7 +244,8 @@ def run_verify(path, table_path, args) -> int:
         raise MeshMismatchError(
             f"table has {len(nodes)} nodes, problem mesh has {len(mesh.nodes)}"
         )
-    if not np.all(np.abs(nodes - mesh.nodes) <= 1e-12):  # NaN fails too
+    # row by row (t may repeat next to a), by the mesh's node rule; NaN fails
+    if not np.all(np.abs(nodes - mesh.nodes) <= _NODE_REL_TOL * (mesh.b - mesh.a)):
         raise MeshMismatchError("table nodes do not match the problem mesh")
     grid = WeightedGrid(mesh=mesh, gamma=params.gamma, w=w)
     residual_bc, residual_ode = residuals(spec, params, grid)

@@ -99,7 +99,7 @@ class GradedMesh:
         gaps = np.abs(self.x - (t - self.a))
         j = int(np.argmin(gaps))
         if not gaps[j] <= _NODE_REL_TOL * (self.b - self.a):
-            raise DomainError(f"t = {t!r} is not a mesh node")
+            raise DomainError(f"t = {float(t)!r} is not a mesh node")
         return j
 
 
@@ -610,20 +610,20 @@ def _profile_weighted(x, beta, eta, w) -> np.ndarray:
     the first row of a scan block, so every far cell meets both, also
     next to an inserted node.
 
-    The left block, the cells [0, c0) next to a (c0 ~ 16 r on a mesh of
-    grading r), is the same for every row. A scan block that starts at
-    x_{j0} >= 4 x_{c0} takes it from the binomial series of the kernel
-    about s = a, 27 terms with row-independent moments (_left_series);
-    only the blocks nearer to a take its incomplete-Beta weights. So
+    Every scan block takes one path, as _RunningIntegral applies a row:
+    the left block, then the far range [c0, f), then the near band [f, j).
+    The left block, the cells [0, c0) next to a (c0 ~ 16 r at grading r),
+    is the same for every row: the blocks from j_series, the first at
+    x_{j0} >= 4 x_{c0}, take it from the binomial series of the kernel
+    about s = a, 27 terms with row-independent moments (_left_series),
+    and the blocks before j_series from its incomplete-Beta weights. So
     O(N (K + _SCAN_ROWS)) entries need I_X, about 32 per row, and the far
     field is O(N L). Against scipy's betainc for both I_X on every cell
     the profile moves by at most 1.8e-15 relative (beta in {0.1, 0.5,
     0.999, 1}, eta in {-0.9, -0.5, 0}; r = 4 at n_base 512 and 2047,
     r = 4.4 at n_base 2048 and 2600, where h_1 ~ 1e-15), and it meets
     a 30-digit reference to 6.7e-16 (the closed form on every cell:
-    4e-16). Where far cells exist, constant w is integrated exactly only
-    up to that rounding; a mesh without any (small N) gets the closed
-    form throughout.
+    4e-16). Constant w is integrated exactly only up to that rounding.
 
     Row j reads the nodes up to t_j only, and the near cells are
     integrated block by block, so no N x N array is ever held."""
@@ -638,8 +638,7 @@ def _profile_weighted(x, beta, eta, w) -> np.ndarray:
     blocks = _scan_blocks(x, h, c0)
     far = _profile_far(x, h, beta, eta, w, blocks, c0)
     j_series = next((j0 for j0, _, _ in blocks if x[j0] >= _SERIES_SPAN * x[c0]), n)
-    if j_series < n:
-        out[j_series:] = _left_series(x, c0, beta, eta, w, sw, x[j_series:])
+    out[j_series:] = _left_series(x, c0, beta, eta, w, sw, x[j_series:])
 
     def near(span, lo, hi):
         # closed-form weights of the cells [lo, hi - 1), applied to w
@@ -654,12 +653,8 @@ def _profile_weighted(x, beta, eta, w) -> np.ndarray:
 
     for j0, j1, f in blocks:
         span = x[j0:j1, None]                  # t_j - a
-        series = j0 >= j_series                # then out holds the left block
-        if f <= c0:
-            out[j0:j1] += near(span, c0 if series else 0, j1)
-        else:
-            left = 0.0 if series else near(span, 0, c0 + 1)
-            out[j0:j1] += left + far[j0:j1] + near(span, f, j1)
+        left = 0.0 if j0 >= j_series else near(span, 0, c0 + 1)
+        out[j0:j1] += left + far[j0:j1] + near(span, f, j1)
     return out
 
 

@@ -555,6 +555,39 @@ def test_verify_mesh_mismatch(tmp_path):
     assert main(["verify", EXAMPLE, str(example), "--n", "64"]) == 1
 
 
+def _rewrite_t_cells(table, rewrite):
+    lines = table.read_text().splitlines()
+    rows = [f"{rewrite(float(t))!r},{rest}" for t, rest in (ln.split(",", 1) for ln in lines[1:])]
+    table.write_text("\n".join([lines[0], *rows]) + "\n")
+
+
+def test_verify_reads_a_long_interval_table_written_at_15_digits(tmp_path, capsys):
+    # on [0, 1e4] the rounded t cells are up to 5.5e-12 off, 5.5e-16 (b - a):
+    # within the node rule, though not within an absolute 1e-12
+    problem = write_nontrivial(
+        tmp_path, b="10000", f="1/4", **{"nonlocal": [{"lambda": "2/5", "tau": "10000*2/3"}]}
+    )
+    table = tmp_path / "t.csv"
+    assert main(["solve", problem, "--out", str(table)]) == 0
+    before = table.read_text()
+    _rewrite_t_cells(table, lambda t: float(f"{t:.15g}"))
+    assert table.read_text() != before
+    assert main(["verify", problem, str(table)]) == 0
+    assert _error_lines(capsys) == []
+
+
+def test_verify_refuses_a_short_interval_table_off_its_nodes(tmp_path, capsys):
+    # on [0, 1e-6] a shift of 5e-13 is 5e-7 (b - a), far beyond the node rule
+    problem = write_nontrivial(
+        tmp_path, b="1e-6", **{"nonlocal": [{"lambda": "2/5", "tau": "2/3*1e-6"}]}
+    )
+    table = tmp_path / "t.csv"
+    assert main(["solve", problem, "--out", str(table)]) == 0
+    _rewrite_t_cells(table, lambda t: t + 5e-13)
+    assert main(["verify", problem, str(table)]) == 1
+    assert _error_lines(capsys) == ["error: table nodes do not match the problem mesh"]
+
+
 def test_example_command(capsys):
     assert main(["example"]) == 0
     captured = capsys.readouterr()

@@ -113,6 +113,14 @@ def test_index_of_takes_the_nearest_node_within_the_tolerance():
             m.index_of(off)
 
 
+def test_a_numpy_scalar_off_the_mesh_is_named_as_a_float():
+    m = build_mesh(0.0, 1.0, 16, 1.0)
+    for call in (lambda: m.index_of(np.float64(0.33)),
+                 lambda: rl_integral_quad(np.ones(17), 0.5, np.float64(0.33), m)):
+        with pytest.raises(DomainError, match=r"^t = 0\.33 is not a mesh node$"):
+            call()
+
+
 def test_build_mesh_merges_an_extra_node_within_the_node_tolerance():
     # 5e-13 from a skeleton node it is that node; 2e-12 away it is a node of
     # its own, and a third extra within 1e-12 of it is merged into it
@@ -806,13 +814,17 @@ def test_running_integral_matches_the_dense_reference(n_base, r, far, monkeypatc
 @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0])
 @pytest.mark.parametrize("eta", [-0.9, -0.5, 0.0])
 def test_weighted_profile_recurrence_matches_two_betainc(eta, beta):
-    # eta = -0.5 is gamma - 1 for mu = 1/3, nu = 1/4
-    m, _ = _mesh_with_close_tau(512, 4.0)
-    w = 2.0 + np.cos(3.0 * m.nodes)
-    got = _profile_weighted(m.nodes, beta, eta, w)
-    want = _two_betainc_profile(m.nodes, beta, eta, w)
-    assert got[0] == 0.0
-    assert np.max(np.abs(got[1:] - want[1:]) / np.abs(want[1:])) <= 1e-14
+    # eta = -0.5 is gamma - 1 for mu = 1/3, nu = 1/4. Every mesh has scan
+    # blocks without far cells; at n_base 16, and 64 with r = 4, no block
+    # is far enough from a for the left-block series
+    for n_base, r in [(512, 4.0), (16, 1.0), (16, 4.0), (64, 1.0), (64, 4.0), (96, 1.0), (96, 4.0)]:
+        m, _ = _mesh_with_close_tau(n_base, r)
+        w = 2.0 + np.cos(3.0 * m.nodes)
+        got = _profile_weighted(m.nodes, beta, eta, w)
+        want = _two_betainc_profile(m.nodes, beta, eta, w)
+        assert got[0] == 0.0
+        gap = np.max(np.abs(got[1:] - want[1:]) / np.abs(want[1:]))
+        assert gap <= 1e-14, (n_base, r, gap)
 
 
 @pytest.mark.parametrize("n_base", [511, 2047])
