@@ -344,8 +344,12 @@ _SOE_CUT = 50.0
 
 def _soe(alpha, delta):
     """Exponents lam and weights omega with sum_l omega_l exp(-lam_l x)
-    = x^{-alpha} to 1e-15 relative for x in [delta, 1], 0 <= alpha < 1;
-    alpha = 0 (the kernel of order beta = 1) is the single term 1.
+    = x^{-alpha} for x in [delta, 1], 0 <= alpha < 1; alpha = 0 (the
+    kernel of order beta = 1) is the single term 1. The relative error
+    is at most 1.38e-15 (alpha = 0.005, delta = 1e-14), measured at
+    alpha = 0.001, 0.002, 0.003, 0.005, 0.01, 0.02, ..., 0.99, 0.995,
+    0.999 and delta = 1e-2, 1e-3, ..., 1e-15 on geometric grids of 500
+    and 2000 points in [delta, 1]; 38 of those 2940 cases exceed 1e-15.
 
     It is the quadrature of x^{-alpha} = Gamma(alpha)^{-1}
     int exp(alpha u - e^u x) du by 12-point Gauss-Legendre panels: unit
@@ -581,7 +585,7 @@ def _betainc_reg(a, b, x) -> np.ndarray:
     return np.where(flip, 1.0 - r, r)
 
 
-def _profile_weighted(x, beta, eta, w) -> np.ndarray:
+def _profile_weighted(x, beta, eta, w, first=0) -> np.ndarray:
     """Raw integrals int_a^{t_j} (t_j-s)^{beta-1} (s-a)^{eta} w(s) ds with w
     piecewise linear, at the node offsets x = t - a.
 
@@ -626,7 +630,12 @@ def _profile_weighted(x, beta, eta, w) -> np.ndarray:
     4e-16). Constant w is integrated exactly only up to that rounding.
 
     Row j reads the nodes up to t_j only, and the near cells are
-    integrated block by block, so no N x N array is ever held."""
+    integrated block by block, so no N x N array is ever held.
+
+    Rows below first, which the caller does not read, are NaN: the scan
+    blocks that end before first take no near cells, while the far-field
+    history still runs over every cell. The rows from first on are those
+    of the whole profile, bit for bit."""
     n = len(x)
     h = np.diff(x)
     b1 = specfun.beta(eta + 1.0, beta)
@@ -652,9 +661,12 @@ def _profile_weighted(x, beta, eta, w) -> np.ndarray:
         return B0 @ w[lo:hi - 1] + B1 @ sw[lo:hi - 1]
 
     for j0, j1, f in blocks:
+        if j1 <= first:
+            continue
         span = x[j0:j1, None]                  # t_j - a
         left = 0.0 if j0 >= j_series else near(span, 0, c0 + 1)
         out[j0:j1] += left + far[j0:j1] + near(span, f, j1)
+    out[:first] = np.nan
     return out
 
 
@@ -718,7 +730,7 @@ def _derivative_profile(x: np.ndarray, F: np.ndarray) -> np.ndarray:
     return d
 
 
-def _hilfer_profile(g: WeightedGrid, order: FracOrder) -> np.ndarray:
+def _hilfer_profile(g: WeightedGrid, order: FracOrder, first=0) -> np.ndarray:
     """Two-parameter derivative of g at nodes 1..n-2 (NaN elsewhere), for
     every 0 <= nu <= 1 by the Riemann-Liouville identity: with
     theta = nu(1-mu),
@@ -733,12 +745,16 @@ def _hilfer_profile(g: WeightedGrid, order: FracOrder) -> np.ndarray:
     unbounded at a, and the derivative does not exist for nu > 0. At
     nu = 0, theta = 0 and nothing is subtracted. At nu = 1, gamma = 1 and
     z_a = z(a), so this is the Caputo derivative D^mu [z - z(a)].
+
+    The profile is built from row first on (_profile_weighted), so the
+    derivative at every node past first is that of first = 0 bit for bit,
+    and a node whose stencil reads a row below first is NaN.
     """
     mu = order.mu
     theta = order.nu * (1.0 - mu)
     x = g.mesh.x
     inner = 1.0 - mu
-    F = _profile_weighted(x, inner, g.gamma - 1.0, g.w) / specfun.gamma(inner)
+    F = _profile_weighted(x, inner, g.gamma - 1.0, g.w, first) / specfun.gamma(inner)
     if theta > 0.0:
         if g.gamma < order.gamma:
             raise DomainError(

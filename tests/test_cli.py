@@ -766,6 +766,9 @@ def test_dumps_report_reads_back_as_the_12_digit_value(v):
         (["check", EXAMPLE], "check_paper_literal.json"),
         (["check", EXAMPLE, "--sweep-p"], "check_sweep.json"),
         (["solve", str(DATA / "nontrivial.json")], "solve_nontrivial_report.json"),
+        # rho vanishes inside [a, b]: |rho|^p has a kink where the rho norm's
+        # panels stop by the integral's tolerance
+        (["check", str(DATA / "kinked_rho.json")], "check_kinked_rho.json"),
     ],
 )
 def test_golden_reports(tmp_path, argv, golden):
@@ -781,7 +784,12 @@ def test_golden_solution_table(tmp_path):
 
 
 def test_golden_reports_are_json():
-    for name in ("check_paper_literal.json", "check_sweep.json", "solve_nontrivial_report.json"):
+    for name in (
+        "check_paper_literal.json",
+        "check_sweep.json",
+        "solve_nontrivial_report.json",
+        "check_kinked_rho.json",
+    ):
         doc = json.loads((DATA / name).read_text())
         assert isinstance(doc, dict)
 

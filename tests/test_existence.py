@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -128,9 +129,55 @@ def test_rho_norm_is_bit_identical_to_sampling_by_evaluate(rho):
 
     for p in existence._SWEEP_EXPONENTS:
         whole = existence._gl_panel(integrand, 0.0, 1.0)
-        want = existence._adaptive(integrand, 0.0, 1.0, whole, 1e-10, 0) ** (1.0 / p)
+        value = existence._adaptive(integrand, 0.0, 1.0, whole, 1e-10, 1e-12 * abs(whole), 0)
+        want = value ** (1.0 / p)
         assert rho_lp_norm(tree, p, 0.0, 1.0) == want, p
         assert math.isfinite(want) and want > 0.0
+
+
+def _panels(monkeypatch, limit):
+    # counts the 15-point panels that rho_lp_norm evaluates, and fails at
+    # once past limit: a rule that runs away fails instead of hanging
+    calls = itertools.count(1)
+    panel = existence._gl_panel
+
+    def counted(fn, lo, hi):
+        assert next(calls) <= limit, f"more than {limit} panels"
+        return panel(fn, lo, hi)
+
+    monkeypatch.setattr(existence, "_gl_panel", counted)
+
+
+@pytest.mark.parametrize("p", [2.5, 2.93, 3.3])
+def test_rho_norm_of_a_kink_stops_at_the_integrals_tolerance(p, monkeypatch):
+    # |rho|^p vanishes at the kink t0 like |t - t0|^p; a pair test relative
+    # to each pair's own sum halved there 4563-6475 times, the one global
+    # tolerance, 1e-12 of the integral, needs 31-43 panels
+    _panels(monkeypatch, 64)
+    k, t0 = 0.7, 0.4132
+    want = (k**p * (t0 ** (p + 1.0) + (1.0 - t0) ** (p + 1.0)) / (p + 1.0)) ** (1.0 / p)
+    got = rho_lp_norm(parse("0.7*abs(t - 0.4132)"), p, 0.0, 1.0)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_rho_norm_resolves_a_peak_the_first_panel_misses(monkeypatch):
+    # the first 15 nodes miss the peak of width ~2e-3, so the global
+    # tolerance from that estimate is far too tight; the per-pair relative
+    # test still ends the halving, in no more panels than it alone takes
+    _panels(monkeypatch, 291)
+    got = rho_lp_norm(parse("exp(-1e5*(t - 0.35)^2)"), 2.0, 0.0, 1.0)
+    assert got == pytest.approx((math.pi / 2e5) ** 0.25, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [0.9999, 1.0001])
+@pytest.mark.parametrize("rho, t0", [("t/16", 0.0), ("t/16 - 1/32", 0.5)])
+def test_rho_norm_near_p_one_keeps_the_last_digits(rho, t0, p):
+    # |rho|^p ~ |t - t0|^p next to a zero differs from a line by only
+    # |p - 1| there, so consecutive panel sums agree long before the
+    # panels are exact: 1e-10 of the integral left 3.4e-12 of it
+    want = ((t0 ** (p + 1.0) + (1.0 - t0) ** (p + 1.0)) / (p + 1.0)) ** (1.0 / p) / 16.0
+    got = rho_lp_norm(parse(rho), p, 0.0, 1.0)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -864,6 +864,33 @@ def test_weighted_profile_left_series_under_strong_grading(eta, beta):
     assert np.max(np.abs(got[rows] - want) / np.abs(want)) <= 1e-14
 
 
+@pytest.mark.parametrize("r", [1.0, 4.0])
+@pytest.mark.parametrize("n_base", [16, 64, 512, 2048])
+def test_weighted_profile_from_a_first_row_is_the_whole_profile_there(n_base, r):
+    # the order-(1 - mu) profile of a verification, built from a first row
+    # in the left block [0, c0), on a scan-block edge and past the first
+    # series row (where the mesh has them): bit for bit the whole profile
+    # from that row on, NaN below it; so is the derivative past it
+    order = FracOrder(mu=1.0 / 3.0, nu=1.0 / 4.0)
+    m, _ = _mesh_with_close_tau(n_base, r)
+    x, n = m.x, len(m.x)
+    g = WeightedGrid(mesh=m, gamma=order.gamma, w=2.0 + np.cos(3.0 * m.nodes))
+    beta, eta = 1.0 - order.mu, order.gamma - 1.0
+    whole = _profile_weighted(x, beta, eta, g.w)
+    derivative = _hilfer_profile(g, order)
+    h = np.diff(x)
+    c0 = 1 + np.flatnonzero(x[:-1] < fraccalc._FAR_WIDTHS * h)[-1]
+    edges = [j0 for j0, _, _ in fraccalc._scan_blocks(x, h, c0)]
+    j_series = next((j0 for j0 in edges if x[j0] >= fraccalc._SERIES_SPAN * x[c0]), n)
+    firsts = {c0 // 2, c0 - 1, edges[len(edges) // 2], edges[-1], j_series + 5, n // 8 - 1}
+    for first in sorted(j for j in firsts if 0 < j < n - 1):
+        got = _profile_weighted(x, beta, eta, g.w, first)
+        assert np.array_equal(got[first:], whole[first:]), first
+        assert np.isnan(got[:first]).all(), first
+        got = _hilfer_profile(g, order, first)
+        assert np.array_equal(got[first + 1:], derivative[first + 1:], equal_nan=True), first
+
+
 def _mp_profile_row(mp, x, beta, eta, w, j):
     """int_0^{x_j} (x_j - s)^{beta-1} s^eta w(s) ds, w linear on each
     cell, as incomplete Beta integrals in X = s / x_j at mp's precision."""

@@ -662,6 +662,28 @@ def test_solve_is_bit_identical_to_recorded_values(nu, n_base):
     assert (h.hexdigest()[:16], report.iterations) == SOLVE_DIGESTS[(nu, n_base)]
 
 
+# verify_ode of the solutions above, as float.hex, recorded with the whole
+# derivative profile built: the residual reads only the stencils of the
+# checked nodes, so building the profile from their first row moves no bit
+VERIFY_ODE_BITS = {
+    (0.0, 64): "0x1.7526e825cc1cep-9",
+    (0.0, 256): "0x1.8c8e9a91b83c4p-11",
+    (0.25, 64): "0x1.117e7cfeb7280p-8",
+    (0.25, 256): "0x1.70085b1d58c60p-12",
+    (0.6, 64): "0x1.e942895cd6019p-12",
+    (0.6, 256): "0x1.262ecfc679ba4p-15",
+    (1.0, 64): "0x1.be79bd4c60000p-13",
+    (1.0, 256): "0x1.36b1ca5734000p-15",
+}
+
+
+@pytest.mark.parametrize("nu, n_base", sorted(VERIFY_ODE_BITS))
+def test_verify_ode_is_bit_identical_to_recorded_values(nu, n_base):
+    spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),), nu=nu)
+    report = solve_picard(spec, SolveConfig(n_base=n_base))
+    assert verify_ode(spec, report.solution).hex() == VERIFY_ODE_BITS[(nu, n_base)]
+
+
 def test_solve_frees_its_moments_before_verify_ode():
     # below the crossover the running integral holds the N x N weights W;
     # they are dropped before verify_ode runs, which builds none
