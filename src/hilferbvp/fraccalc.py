@@ -10,8 +10,9 @@ smooth factor of an integrand is interpolated (piecewise linearly); the
 singular kernel factors (t-s)^{mu-1} and (s-a)^{gamma-1} are integrated
 in closed form on every subinterval where they are singular or nearly
 so. Cells that lie at least 16 of their widths from the singularities
-take 4-point Gauss-Legendre instead, with the kernel at the Gauss points
-a sum of L ~ 300 exponentials carried from row to row. In the weighted
+take 4-point Gauss-Legendre instead, every product-integration weight
+alike; in the O(N L) stages below the kernel at the Gauss points is a
+sum of L ~ 300 exponentials carried from row to row. In the weighted
 profile the block of cells next to t = a, the same for every row, reaches
 the rows at least four times its length from a through the binomial
 series of the kernel about s = a, 27 terms with row-independent moments,
@@ -211,42 +212,23 @@ def rl_integral_monomial(mu, delta, a, t) -> float:
 # with A0 = t-u, A1 = t-v, b1 = beta+1. With phi linear on [u, v] the
 # subinterval contributes M0 phi(u) + M1 (phi(v) - phi(u))/(v-u), so the
 # moments fold into node weights: M0 - M1/h on node u, M1/h on node v.
-# kernel_weights returns them as one matrix W, one row per target node;
-# the solver builds it for the t = b row only, and _RunningIntegral
-# builds the near band of every row from the same moments (all of W
-# below _FAR_MIN_NODES nodes). Only the entries that are read,
-# subintervals left of the target node, are evaluated, and each by the
-# one branch of _pow_diffs that it takes. Rows are built in blocks of
-# about _BLOCK_ENTRIES entries, so the temporaries of a build stay small
-# next to its output.
+# Each cell takes one rule, by the far-field criterion of _scan_blocks. A
+# near cell (A1 < _FAR_WIDTHS h) takes the closed forms as direct
+# differences, whose cancellation is bounded, as A0 < 17 h. A far cell,
+# where M1 would cancel down to the rounding of A0^{b1}, takes the
+# _FAR_GAUSS-point Gauss rule of the far field, the kernel evaluated at
+# its points s_q = u + g_q h:
+#   M0 = h sum_q omega_q (t-s_q)^{beta-1},  M1/h = h sum_q omega_q g_q (t-s_q)^{beta-1}.
+# kernel_weights returns the node weights as one matrix W, one row
+# per target node; the solver builds it for the t = b row only, and
+# _RunningIntegral builds the band of every row by the same rules
+# (all of W below _FAR_MIN_NODES nodes). Only the entries that are read,
+# subintervals left of the target node, are evaluated, and rows are built
+# in blocks of about _BLOCK_ENTRIES entries, so the temporaries of a build
+# stay small next to its output.
 # ---------------------------------------------------------------------------
 
-_BLOCK_ENTRIES = 1 << 14
-
-
-def _pow_diffs(A0, A1, h, beta):
-    """A0**e - A1**e for e = beta and e = beta+1, elementwise over 1-D
-    arrays with 0 <= A1 <= A0 and A0 - A1 = h, without cancellation.
-
-    Each entry is evaluated by one branch: far from the target (h/A1 < 0.5)
-    by A1**e * expm1(e*log1p(h/A1)), with the log1p shared by both
-    exponents; near it by the direct difference, which at the target
-    (A1 = 0) is A0**e exactly, as e > 0."""
-    b1 = beta + 1.0
-    P = np.empty_like(A1)
-    Q = np.empty_like(A1)
-    with np.errstate(divide="ignore"):
-        ratio = h / A1                    # inf at the target: not far
-    far = ratio < 0.5
-    L = np.log1p(ratio[far])
-    a1 = A1[far]
-    P[far] = a1**beta * np.expm1(beta * L)
-    Q[far] = a1**b1 * np.expm1(b1 * L)
-    near = ~far
-    a0, a1 = A0[near], A1[near]
-    P[near] = a0**beta - a1**beta
-    Q[near] = a0**b1 - a1**b1
-    return P, Q
+_BLOCK_ENTRIES = 1 << 13
 
 
 def _moment_rows(t, rows, lo, hi, beta, sampled_first) -> np.ndarray:
@@ -266,12 +248,26 @@ def _moment_rows(t, rows, lo, hi, beta, sampled_first) -> np.ndarray:
         A0 = (tj - t[lo:m])[inside]       # t_j - t_i
         A1 = (tj - t[lo + 1:m + 1])[inside]   # t_j - t_{i+1}
         width = np.broadcast_to(np.diff(t[lo:m + 1]), inside.shape)[inside]
-        P, Q = _pow_diffs(A0, A1, width, beta)
-        m0 = P / beta
+        far = A1 >= _FAR_WIDTHS * width
+        near = ~far
+        m0 = np.empty_like(A0)
+        g = np.empty_like(A0)             # M1/h
+        a0, a1, h = A0[near], A1[near], width[near]
+        m0[near] = p = (a0**beta - a1**beta) / beta
+        g[near] = (a0 * p - (a0 ** (beta + 1.0) - a1 ** (beta + 1.0)) / (beta + 1.0)) / h
+        h = width[far]
+        K = np.multiply.outer(-_GAUSS_X, h)
+        K += A0[far]                              # t_j - s_q, one row per Gauss point
+        K **= beta - 1.0
+        K *= h
+        K *= _GAUSS_W[:, None]
+        m0[far] = K.sum(axis=0)
+        K *= _GAUSS_X[:, None]
+        g[far] = K.sum(axis=0)
         B = W[k0:k1, :m - lo + 1]
         B[:, :-1][inside] = m0
-        G = np.zeros(inside.shape)        # the block's M1/h
-        G[inside] = (A0 * m0 - Q / (beta + 1.0)) / width
+        G = np.zeros(inside.shape)
+        G[inside] = g
         if not sampled_first and lo == 0:
             G[:, :1] = 0.0
         B[:, :-1] -= G
@@ -283,9 +279,10 @@ def kernel_weights(nodes: np.ndarray, beta: float, rows=None, sampled_first=True
     """Node weights W[k, i] of product integration against the plain
     kernel (t_j-s)^{beta-1} at target node t_j, j = rows[k] (default:
     every node): the moments of every subinterval [t_i, t_{i+1}] with
-    i < j, folded onto its two nodes. W @ phi gives the raw integrals
-    int_a^{t_j} (t_j-s)^{beta-1} phi(s) ds, with phi interpolated
-    piecewise linearly between nodes.
+    i < j, folded onto its two nodes, in closed form where the cell is
+    near t_j and by the Gauss rule of the far field where it is far.
+    W @ phi gives the raw integrals int_a^{t_j} (t_j-s)^{beta-1} phi(s)
+    ds, with phi interpolated piecewise linearly between nodes.
 
     With sampled_first false, the first subinterval puts only its M0 on
     node 0 and nothing on node 1: the one-point rule for a phi[0] that
@@ -330,12 +327,13 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_FAR_GAUSS)
 _GAUSS_X, _GAUSS_W = 0.5 * (_GAUSS_X + 1.0), 0.5 * _GAUSS_W   # on [0, 1]
 _SCAN_ROWS = 32
 # from this node count on, the running integral takes the far field; below
-# it every cell is near. A build plus 6 applications (a seeded solve makes
-# 3-9), dense / split: 0.7/1.4, 1.2/1.8, 2.0/2.4, 3.3/3.8, 5.5-6.8/4.7-5.4 ms
-# at 130/194/258/386/514 nodes (gamma 1/2, r = 4; 2-vCPU x86-64, one BLAS
-# thread). Split wins near 514 nodes, where the default n_base 512 stays
-# dense so that its outputs stay as they are (CHANGES.md)
-_FAR_MIN_NODES = 600
+# it the operator is the dense W, which takes the same rule cell by cell, so
+# the crossover changes speed only. A build plus 6 applications (a seeded
+# solve makes 3-9), dense / split, medians of 10 alternating pairs: 2.3/2.5,
+# 3.1/2.9, 4.3/3.6, 5.6/4.1 ms at 324/388/436/518 nodes (r = 4). Split wins
+# at least 9 of 10 from 388 nodes at r = 4, from 372 at r = 2.19 and from
+# 436 at r = 10.4 (mu = 1/3; 2-vCPU x86-64, one BLAS thread)
+_FAR_MIN_NODES = 440
 _SOE_X, _SOE_W = np.polynomial.legendre.leggauss(12)
 # a scan block keeps the SOE terms with lambda_l d <= _SOE_CUT, d its
 # smallest far distance
@@ -457,13 +455,13 @@ class _RunningIntegral:
     node offset x_j = t_j - a, phi piecewise linear: kernel_weights(x, beta,
     sampled_first=sampled_first) @ phi, built once and applied to many phi.
 
-    From _FAR_MIN_NODES nodes on, a row is split in two. The near band is
+    From _FAR_MIN_NODES nodes on, a row is split in two. The band is
     cell 0 (under the first-cell model) and the cells [f, j) of its scan
-    block, with closed-form moments as in kernel_weights. The far cells
-    [1, f) take the SOE far field on the Gauss samples of phi. It holds
-    O(N (L + K)) numbers, about 2 N L with L ~ 300 SOE terms, and no
-    N x N array. Below that node count every cell is near, and the
-    operator is W itself."""
+    block, with the weights of kernel_weights. The cells [1, f), far from
+    every row of the block, take the SOE far field on the Gauss samples
+    of phi: the rule of W with the kernel as a sum of exponentials. It
+    holds O(N (L + K)) numbers, about 2 N L with L ~ 300 SOE terms, and
+    no N x N array. Below that node count the operator is W itself."""
 
     def __init__(self, x: np.ndarray, beta: float, sampled_first=True):
         n = len(x)

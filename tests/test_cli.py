@@ -440,7 +440,7 @@ def test_an_overflowing_iterate_raises_no_runtime_warning(tmp_path, capsys):
         warnings.simplefilter("error")
         code = main(["solve", str(problem), "--n", "128", "--out", str(tmp_path / "t.csv")])
     assert code == 4
-    assert "error: the iterate became non-finite at iteration 38" in capsys.readouterr().err
+    assert "error: the iterate became non-finite at iteration 43" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "example"])

@@ -684,45 +684,39 @@ def test_weighted_profile_row_zero_is_zero():
 # kernel weight builders against dense references
 #
 # The references are the dense formulas the builders replaced: every entry
-# of the N x N matrix by every branch, the branch picked afterwards, and two
+# of the N x N matrix by every rule, the rule picked afterwards, and two
 # betainc calls for the weighted profile.
 # ---------------------------------------------------------------------------
 
 
-def _dense_pow_diff(A0, A1, h, e):
-    tiny = A1 <= 0.0
-    A1s = np.where(tiny, 1.0, A1)
-    ratio = h / A1s
-    small = (~tiny) & (ratio < 0.5)
-    with np.errstate(all="ignore"):
-        series = A1s**e * np.expm1(e * np.log1p(ratio))
-        direct = A0**e - A1**e
-        endpoint = A0**e
-    return np.where(tiny, endpoint, np.where(small, series, direct))
-
-
 def _dense_moment_matrices(nodes, beta, rows):
+    """M0 and M1/h of every cell for each row: the direct differences of
+    the closed forms near the row, the Gauss rule with the kernel at the
+    Gauss points where t_j - t_{i+1} >= 16 h_i, and 0 right of the row."""
     t = nodes
     A0 = t[rows, None] - t[None, :-1]
     A1 = t[rows, None] - t[None, 1:]
-    h = np.diff(t)[None, :]
+    h = np.broadcast_to(np.diff(t)[None, :], A1.shape)
     mask = np.arange(len(t) - 1)[None, :] < rows[:, None]
-    A0v = np.where(mask, A0, 1.0)
-    A1v = np.where(mask, np.maximum(A1, 0.0), 0.0)
-    hv = np.broadcast_to(h, A1.shape)
-    P = _dense_pow_diff(A0v, A1v, hv, beta)
-    Q = _dense_pow_diff(A0v, A1v, hv, beta + 1.0)
-    M0 = np.where(mask, P / beta, 0.0)
-    M1 = np.where(mask, A0v * M0 - Q / (beta + 1.0), 0.0)
-    return M0, M1
+    far = A1 >= 16.0 * h
+    with np.errstate(all="ignore"):
+        P = (A0**beta - A1**beta) / beta
+        G = (A0 * P - (A0 ** (beta + 1.0) - A1 ** (beta + 1.0)) / (beta + 1.0)) / h
+        S0 = S1 = 0.0
+        for g, wt in zip(fraccalc._GAUSS_X, fraccalc._GAUSS_W):
+            k = (A0 - g * h) ** (beta - 1.0) * h * wt
+            S0 = S0 + k
+            S1 = S1 + g * k
+    M0 = np.where(mask, np.where(far, S0, P), 0.0)
+    G = np.where(mask, np.where(far, S1, G), 0.0)
+    return M0, G
 
 
 def _folded_reference(nodes, beta, rows, sampled_first):
     """Node weights from the dense moments, folded in the builder's
     order (M0 - M1/h on node i, then M1/h added on node i+1), with the
     first-cell rule applied."""
-    M0, M1 = _dense_moment_matrices(nodes, beta, rows)
-    G = M1 / np.diff(nodes)
+    M0, G = _dense_moment_matrices(nodes, beta, rows)
     if not sampled_first:
         G[:, 0] = 0.0
     W = np.zeros((len(rows), len(nodes)))
@@ -751,7 +745,7 @@ def _two_betainc_profile(nodes, beta, eta, w, rows=None):
 
 def _mesh_with_close_tau(n_base, r):
     # tau just right of a grid node: a tiny subinterval, then a long one,
-    # so the target rows meet the far, near and endpoint branches
+    # so the target rows meet the far and near rules and the endpoint
     grid = build_mesh(0.0, 1.0, n_base, r, [])
     tau = float(grid.nodes[(2 * n_base) // 3]) + 1e-9
     return build_mesh(0.0, 1.0, n_base, r, [tau]), tau
@@ -774,6 +768,46 @@ def test_moment_matrices_bit_identical_to_dense_reference(n_base, graded):
             for j in (1, m.index_of(tau), m.index_of(tau) + 1, n - 1):
                 got = kernel_weights(m.nodes, beta, [j], sampled_first=sampled)
                 assert np.array_equal(got, want[[j]]), (beta, sampled, j)
+
+
+def _mp_kernel_row(mp, x, beta, phi, j, sampled_first):
+    """int_0^{x_j} (x_j - s)^{beta-1} phi(s) ds with phi the linear
+    interpolant of the samples (cell 0 carrying phi[0] alone when
+    sampled_first is false), in closed form on each cell in mpmath."""
+    total = mp.mpf(0)
+    xj = mp.mpf(x[j])
+    for i in range(j):
+        A0, A1 = xj - mp.mpf(x[i]), xj - mp.mpf(x[i + 1])
+        slope = (mp.mpf(phi[i + 1]) - phi[i]) / (A0 - A1)
+        if i == 0 and not sampled_first:
+            slope = 0
+        M0 = (A0**beta - A1**beta) / beta
+        Q = (A0 ** (beta + 1) - A1 ** (beta + 1)) / (beta + 1)
+        total += (phi[i] + slope * A0) * M0 - slope * Q
+    return total
+
+
+@pytest.mark.parametrize(
+    "n_base, r, extra",
+    [(32, 1.0, ()), (48, 4.0, (0.3,)), (40, 2.19, (0.5, 2.0 / 3.0)), (64, 10.4, (0.5,))],
+)
+def test_kernel_weight_rows_match_a_40_digit_reference(n_base, r, extra):
+    # every row takes its near cells in closed form and its far cells by
+    # the Gauss rule; on smooth phi both meet the exact product integral
+    mp = pytest.importorskip("mpmath")
+    m = build_mesh(0.0, 1.0, n_base, r, extra)
+    x, n = m.x, len(m.x)
+    phi = 2.0 + np.cos(3.0 * x)
+    rows = sorted({1, 2, 3, n // 4, n // 2, n - 2, n - 1} | {m.index_of(e) for e in extra})
+    assert np.any(x[n - 1] - x[1:] >= 16.0 * np.diff(x))   # the last row has far cells
+    for beta in (0.1, 0.3, 0.5, 0.999, 1.0):
+        for sampled in FIRST_CELL_MODELS:
+            got = kernel_weights(x, beta, rows, sampled_first=sampled) @ phi
+            with mp.workdps(40):
+                for k, j in enumerate(rows):
+                    want = _mp_kernel_row(mp, x, mp.mpf(beta), phi, j, sampled)
+                    gap = abs(float((mp.mpf(got[k]) - want) / want))
+                    assert gap <= 1e-15, (beta, sampled, j, gap)
 
 
 @pytest.mark.parametrize("delta", [1e-6, 1e-12])

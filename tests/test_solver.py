@@ -29,6 +29,8 @@ from hilferbvp.solver import (
     verify_ode,
 )
 
+DATA = Path(__file__).parent / "data"
+
 # frozen closed-form values for the bundled nonlocal instance
 #   A = (2/5) (2/3)^{-1/2} / Gamma(1/2), computed with 50-digit arithmetic
 A_EXAMPLE = 0.27639531957706838
@@ -461,7 +463,7 @@ PANEL_CASES = [
 ]
 # w of the cases that plain damped Picard (with the halving) solved,
 # recorded from that solver at the same settings
-PANEL_PICARD_W = json.loads((Path(__file__).parent / "data" / "panel_picard_w.json").read_text())
+PANEL_PICARD_W = json.loads((DATA / "panel_picard_w.json").read_text())
 
 
 @pytest.mark.parametrize("panel, f, mu, nu", PANEL_CASES)
@@ -570,6 +572,107 @@ def test_equivalence_randomized():
 
 
 # ---------------------------------------------------------------------------
+# closed forms at small gamma, with f growing in z
+#
+# mu = 0.15, nu = 0.05 (gamma 0.1925, default r 10.4): z reaches 1e20 on
+# the first cells, so far-cell weights that cancel down to rounding show
+# through f. Bounds set from the Gauss rule on far cells.
+# ---------------------------------------------------------------------------
+
+
+def _mittag_leffler(mp, alpha, beta, x):
+    """E_{alpha,beta}(x) = sum_k x^k / Gamma(alpha k + beta), 0 <= x <= 1,
+    to 30 digits: past alpha k + beta = 2 the terms fall."""
+    total, k = mp.mpf(0), 0
+    while True:
+        term = x**k * mp.rgamma(alpha * k + beta)
+        total += term
+        if alpha * k + beta > 2 and term < mp.mpf(10) ** -30 * total:
+            return total
+        k += 1
+
+
+# relative error bounds at n_base 256, 2048, 8192; the parent rule read
+# 5.6e3 / 3.2e2 / 2.2e6 at mu = 0.15 and 5.5e-5 at mu = 0.25, n_base 8192
+BOUNDARY_ROW_BOUNDS = {
+    (0.15, 0.05): (1e-2, 2e-4, 1e-5),
+    (0.25, 0.1): (1.5e-3, 3e-5, 2e-6),
+    (1.0 / 3.0, 0.25): (3e-4, 7e-6, 5e-7),
+}
+
+
+@pytest.mark.parametrize("mu, nu", sorted(BOUNDARY_ROW_BOUNDS))
+def test_boundary_row_integrates_the_weight_against_beta(mu, nu):
+    # w = 1: z = (t-a)^{gamma-1}, sample 0 at t_1 as the solver takes it,
+    # and int_0^1 (1-s)^{mu-gamma} s^{gamma-1} ds = B(1-gamma+mu, gamma)
+    spec = spec_with("z", c=1.0, d=1.0, mu=mu, nu=nu)
+    params = derive_params(spec)
+    gamma = params.gamma
+    want = specfun.beta(1.0 - gamma + mu, gamma)
+    errors = []
+    for n_base in (256, 2048, 8192):
+        ws = solver._Workspace(spec, params, problem_mesh(spec, SolveConfig(n_base=n_base)))
+        samples = ws.weight_down.copy()
+        samples[0] = ws.weight_down[1]
+        errors.append(abs(float((ws.boundary_weights @ samples)[0]) - want) / want)
+    assert errors == sorted(errors, reverse=True), errors
+    assert all(e <= bound for e, bound in zip(errors, BOUNDARY_ROW_BOUNDS[mu, nu])), errors
+
+
+@pytest.mark.parametrize("far", [False, True], ids=["dense", "split"])
+def test_linear_ivp_at_small_gamma_meets_mittag_leffler(far, monkeypatch):
+    # f = z, z_a = 1: w = E_{mu,gamma}((t-a)^mu). The parent rule read
+    # 1.47 / 12.8 / 5.9e3 / 1.5e6 at n_base 64-512
+    mp = pytest.importorskip("mpmath")
+    monkeypatch.setattr(fraccalc, "_FAR_MIN_NODES", 0 if far else 1 << 30)
+    spec = spec_with("z", mu=0.15, nu=0.05)
+    mu, gamma = spec.order.mu, spec.order.gamma
+    errors = []
+    for n_base in (64, 128, 256, 512):
+        grid = solve_volterra_ivp(spec, 1.0, SolveConfig(n_base=n_base, tol=1e-13))
+        rows = np.unique(np.linspace(0, len(grid.w) - 1, 60).astype(int))
+        with mp.workdps(30):
+            want = [float(_mittag_leffler(mp, mu, gamma, mp.mpf(x) ** mu))
+                    for x in grid.mesh.x[rows]]
+        errors.append(np.max(np.abs(grid.w[rows] - want)))
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all(orders >= 1.5), (errors, orders)
+    assert errors[-1] <= 0.05, errors
+
+
+def _affine_k(mp, spec, R):
+    """init_coeff K of f = R z + 1 on [0, 1]: with z = K t^{gamma-1}
+    E_{mu,gamma}(R t^mu) + t^mu E_{mu,mu+1}(R t^mu), the boundary
+    condition c K + d (K E_{mu,1}(R) + E_{mu,mu+2-gamma}(R)) =
+    sum_k lambda_k z(tau_k) is linear in K."""
+    mu, gamma = mp.mpf(spec.order.mu), mp.mpf(spec.order.gamma)
+    E = lambda b, x: _mittag_leffler(mp, mu, b, x)  # noqa: E731
+    lhs = spec.c + spec.d * E(1, R)
+    rhs = -spec.d * E(mu + 2 - gamma, R)
+    for lam, tau in spec.nonlocal_terms:
+        tau = mp.mpf(tau)
+        lhs -= lam * tau ** (gamma - 1) * E(gamma, R * tau**mu)
+        rhs += lam * tau**mu * E(mu + 1, R * tau**mu)
+    return float(rhs / lhs)
+
+
+@pytest.mark.parametrize("far", [False, True], ids=["dense", "split"])
+@pytest.mark.parametrize("n_base, bound", [(512, 3e-4), (2048, 3e-5)])
+def test_affine_bvp_at_small_gamma_meets_its_closed_form(n_base, bound, far, monkeypatch):
+    # K = -0.39407431424; the parent rule read init_coeff 2.1e-5 at
+    # n_base 512 and -0.00579 at 2048
+    mp = pytest.importorskip("mpmath")
+    monkeypatch.setattr(fraccalc, "_FAR_MIN_NODES", 0 if far else 1 << 30)
+    spec = load_problem(str(DATA / "small_gamma_affine.json"))
+    with mp.workdps(30):
+        K = _affine_k(mp, spec, mp.mpf(0.5))
+    assert abs(K + 0.39407431424) <= 1e-11
+    report = solve_picard(spec, SolveConfig(n_base=n_base))
+    assert report.converged
+    assert abs(report.init_coeff - K) <= bound, report.init_coeff
+
+
+# ---------------------------------------------------------------------------
 # residual checks
 # ---------------------------------------------------------------------------
 
@@ -637,19 +740,20 @@ def test_dense_kernel_moments_built_once_per_order(monkeypatch):
 # (init_coeff, residual_bc, *history), for f = 0.5 sin z + t with mu = 1/3,
 # c = 1, d = 1/2, lambda = 0.3 at tau = 1/2. Recorded with the C library's
 # Gamma (math.gamma, x86-64, glibc, numpy 2.4), the kernel moments folded
-# into one node-weight matrix and the Anderson-mixed iteration, whose least
-# squares run in LAPACK; the n_base 256 solves start from the solve on 16
-# intervals. A change to the Gamma values, to the least-squares solver, to
-# the seed or to the floating-point order of a solve moves these bits.
+# into one node-weight matrix (far cells by the Gauss rule) and the
+# Anderson-mixed iteration, whose least squares run in LAPACK; the n_base
+# 256 solves start from the solve on 16 intervals. A change to the Gamma
+# values, to the least-squares solver, to the seed or to the floating-point
+# order of a solve moves these bits.
 SOLVE_DIGESTS = {
-    (0.0, 64): ("c08af180368b0087", 11),
-    (0.0, 256): ("2be0fda728a4537c", 9),
-    (0.25, 64): ("4a4ffe4440235f3e", 11),
-    (0.25, 256): ("d04f3110e1b4e662", 9),
-    (0.6, 64): ("55ef03c8ca1b806d", 11),
-    (0.6, 256): ("c3718b818f784d69", 8),
-    (1.0, 64): ("17ba7fc35498e5ee", 11),
-    (1.0, 256): ("4faaa6ad1ed76c98", 8),
+    (0.0, 64): ("f44045db254b9004", 11),
+    (0.0, 256): ("3a210fd389885996", 9),
+    (0.25, 64): ("885c085e15c1bdff", 11),
+    (0.25, 256): ("98b9e0ed7a522619", 9),
+    (0.6, 64): ("eed587cb8f4edde4", 11),
+    (0.6, 256): ("ee97b24973170db1", 8),
+    (1.0, 64): ("8c009be75282e7c7", 11),
+    (1.0, 256): ("74fc894460190a1c", 8),
 }
 
 
@@ -668,12 +772,12 @@ def test_solve_is_bit_identical_to_recorded_values(nu, n_base):
 VERIFY_ODE_BITS = {
     (0.0, 64): "0x1.7526e825cc1cep-9",
     (0.0, 256): "0x1.8c8e9a91b83c4p-11",
-    (0.25, 64): "0x1.117e7cfeb7280p-8",
-    (0.25, 256): "0x1.70085b1d58c60p-12",
+    (0.25, 64): "0x1.117e7cfeb7504p-8",
+    (0.25, 256): "0x1.70085b1d4a450p-12",
     (0.6, 64): "0x1.e942895cd6019p-12",
     (0.6, 256): "0x1.262ecfc679ba4p-15",
-    (1.0, 64): "0x1.be79bd4c60000p-13",
-    (1.0, 256): "0x1.36b1ca5734000p-15",
+    (1.0, 64): "0x1.be79bd4c46000p-13",
+    (1.0, 256): "0x1.36b1ca5738000p-15",
 }
 
 
@@ -688,8 +792,9 @@ def test_solve_frees_its_moments_before_verify_ode():
     # below the crossover the running integral holds the N x N weights W;
     # they are dropped before verify_ode runs, which builds none
     spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),))
-    config = SolveConfig(n_base=512)
+    config = SolveConfig(n_base=384)
     n = len(problem_mesh(spec, config).nodes)
+    assert n < fraccalc._FAR_MIN_NODES
     tracemalloc.start()
     try:
         solve_picard(spec, config)
