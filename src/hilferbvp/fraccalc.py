@@ -12,11 +12,13 @@ in closed form on every subinterval where they are singular or nearly
 so. Cells that lie at least 16 of their widths from the singularities
 take 4-point Gauss-Legendre instead, every product-integration weight
 alike; in the O(N L) stages below the kernel at the Gauss points is a
-sum of L ~ 300 exponentials carried from row to row. In the weighted
-profile the block of cells next to t = a, the same for every row, reaches
-the rows at least four times its length from a through the binomial
-series of the kernel about s = a, 27 terms with row-independent moments,
-in place of incomplete-Beta weights. So the weighted profile, and the
+sum of exponentials carried from row to row, of which a scan block
+keeps L live terms (a median of 118, 102-205, on the graded n_base 2048
+mesh of the benchmark's solve-large anchor; 85-89 at n_base 128-256).
+In the weighted profile the block of cells next to t = a, the same for
+every row, reaches the rows at least four times its length from a
+through the binomial series of the kernel about s = a, 27 terms with
+row-independent moments, in place of incomplete-Beta weights. So the weighted profile, and the
 running integral from _FAR_MIN_NODES nodes on, cost O(N L) rather than
 O(N^2) and hold no N x N array; that moves them by at most 1.8e-15
 relative (see _profile_weighted and _RunningIntegral).
@@ -340,35 +342,119 @@ _SOE_X, _SOE_W = np.polynomial.legendre.leggauss(12)
 _SOE_CUT = 50.0
 
 
+# from alpha = _GJ_MIN_ALPHA on, the SOE takes lambda in (0, 1) by the
+# _GJ_NODES-point Gauss rule of the weight lambda^{alpha-1} on [0, 1]
+_GJ_NODES = 10
+_GJ_MIN_ALPHA = 0.2
+# np.longdouble is the 80-bit extended type on x86-64 Linux, plain double
+# on some other platforms
+_EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+
+@lru_cache(maxsize=8)
+def _gauss_jacobi(alpha):
+    """Nodes lam_k and weights w_k of the _GJ_NODES-point Gauss rule of
+    the weight lam^{alpha-1} on [0, 1], 0 < alpha < 1: sum_k w_k g(lam_k)
+    = int_0^1 lam^{alpha-1} g(lam) dlam for g of degree < 2 _GJ_NODES.
+
+    The three-term recurrence is that of the Jacobi polynomials of
+    parameters (0, alpha-1), moved to [0, 1]. Golub-Welsch in double
+    (eigenvalues and first eigenvector components of the Jacobi matrix)
+    leaves nodes and weights up to 3.8e-14 and 1.6e-14 relative off
+    (alpha = 0.2, 0.21, ..., 0.99, 0.995, 0.999). So, with np.longdouble
+    wider than double, one pass of the orthonormal recurrence p_j and
+    its derivative at the double eigenvalues, coefficients and recurrence
+    in np.longdouble, gives one Newton step on p_K and the weights
+    w_k = 1 / sum_{j<K} p_j(lam_k)^2, that sum taken at the corrected
+    node to first order (the step is about 1e-14 of lam_k). Both then
+    meet a 40-digit reference to 1.1e-16 relative (80-bit long double),
+    in about 0.1 ms. Where np.longdouble is double, the rule is
+    Golub-Welsch in double, as the step in double made the SOE worse
+    (1.55e-15 against 8.5e-16 on the grid of _soe's tier-1 test)."""
+    ld = np.longdouble if _EXTENDED else float
+    b = ld(alpha) - 1.0
+    k = np.arange(_GJ_NODES + 1, dtype=ld)
+    s = 2.0 * k + b
+    diag = (1.0 + b * b / (s[:-1] * (s[:-1] + 2.0))) / 2.0
+    k, s = k[1:], s[1:]
+    off = np.sqrt(k * k * (k + b) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
+    lam, Q = np.linalg.eigh(np.diag(diag.astype(float)) + np.diag(off[:-1].astype(float), -1))
+    w = Q[0] ** 2 / alpha
+    if _EXTENDED:
+        # p_{j+1} = ((lam - diag_j) p_j - off_{j-1} p_{j-1}) / off_j from
+        # p_0 = sqrt(alpha), row 0 of P holding p_j and row 1 p_j', and
+        # sums holding sum_{j<K} p_j^2 and sum_{j<K} p_j p_j'
+        lam = lam.astype(ld)
+        step = (lam - diag[:, None]) / off[:, None]
+        back = np.r_[0.0, off[:-1]] / off
+        P_prev, P, sums = np.zeros((3, 2, _GJ_NODES), dtype=ld)
+        P[0] = np.sqrt(ld(alpha))
+        for j in range(_GJ_NODES):
+            sums += P[0] * P
+            P_prev, P = P, step[j] * P - back[j] * P_prev
+            P[1] += P_prev[0] / off[j]
+        shift = P[0] / P[1]
+        lam -= shift
+        w = 1.0 / (sums[0] - 2.0 * shift * sums[1])
+    lam, w = lam.astype(float), w.astype(float)
+    lam.setflags(write=False)
+    w.setflags(write=False)
+    return lam, w
+
+
 def _soe(alpha, delta):
-    """Exponents lam and weights omega with sum_l omega_l exp(-lam_l x)
-    = x^{-alpha} for x in [delta, 1], 0 <= alpha < 1; alpha = 0 (the
-    kernel of order beta = 1) is the single term 1. The relative error
-    is at most 1.38e-15 (alpha = 0.005, delta = 1e-14), measured at
-    alpha = 0.001, 0.002, 0.003, 0.005, 0.01, 0.02, ..., 0.99, 0.995,
-    0.999 and delta = 1e-2, 1e-3, ..., 1e-15 on geometric grids of 500
-    and 2000 points in [delta, 1]; 38 of those 2940 cases exceed 1e-15.
+    """Exponents lam (ascending) and weights omega with
+    sum_l omega_l exp(-lam_l x) = x^{-alpha} for x in [delta, 1],
+    0 <= alpha < 1; alpha = 0 (the kernel of order beta = 1) is the
+    single term 1.
 
     It is the quadrature of x^{-alpha} = Gamma(alpha)^{-1}
-    int exp(alpha u - e^u x) du by 12-point Gauss-Legendre panels: unit
-    panels on [0, log(37/delta) + 1/2], where e^u delta reaches 61, and
-    panels that double in width below 0 down to the u at which the
-    remaining tail, at most e^{alpha u} / alpha, is 1e-17 of Gamma(alpha)."""
+    int_0^inf lam^{alpha-1} exp(-lam x) dlam. For lam >= 1, u = log lam
+    takes 12-point Gauss-Legendre unit panels on [0, log(37/delta) + 1/2],
+    where lam delta reaches 61. For lam < 1 and alpha >= _GJ_MIN_ALPHA,
+    the 10 nodes of the Gauss rule of the weight lam^{alpha-1} on [0, 1]
+    (_gauss_jacobi), which integrates exp(-lam x), x <= 1, to 6e-31 of
+    x^{-alpha} Gamma(alpha): what it adds in double comes from the
+    rounding of its nodes and weights, hence computed correctly rounded
+    (in double Golub-Welsch arithmetic they are up to 1.6e-14 off, and
+    the rule then missed 1e-15). Below alpha = 0.2, u takes 12-point
+    panels that double in width below 0, down to the u at which the
+    remaining tail, at most e^{alpha u} / alpha, is 1e-17 of
+    Gamma(alpha): there the correctly rounded rule reaches 2.16e-15
+    (alpha = 0.001, where one node carries 0.996 of the mass) and
+    exceeds 1e-15 in 98 of the grid's 644 cases below alpha = 0.2, all
+    below alpha = 0.05. The Gauss rule cuts L by 62-86 terms, 336 -> 262
+    at alpha = 0.5, delta = 1e-7.
+
+    Measured at alpha = 0.001, 0.002, 0.003, 0.005, 0.01, 0.02, ...,
+    0.99, 0.995, 0.999 and delta = 1e-2, 1e-3, ..., 1e-15 on geometric
+    grids of 500 and 2000 points in [delta, 1] (tools/soe_grid.py), the
+    relative error is at most 1.38e-15 (alpha = 0.005, delta = 1e-14),
+    and 37 of those 2940 cases exceed 1e-15. From alpha = 0.2 on it is at
+    most 1.05e-15 (alpha = 0.94, delta = 1e-15), and 1 of those 2296
+    cases exceeds 1e-15. Where np.longdouble is double, the rule from
+    alpha = 0.2 on meets 8.5e-16 on the alpha and delta of the tier-1
+    test, but 1.37e-15 on the grid, where 95 of the 2296 exceed 1e-15."""
     if alpha == 0.0:
         return np.zeros(1), np.ones(1)
     top = math.log(37.0 / delta) + 0.5
     edges = [0.0]
-    u_min = math.log(1e-17 * specfun.gamma(alpha + 1.0)) / alpha
-    width = 1.0
-    while edges[0] > u_min:
-        edges.insert(0, max(edges[0] - width, u_min))
-        width *= 2.0
+    if alpha < _GJ_MIN_ALPHA:
+        u_min = math.log(1e-17 * specfun.gamma(alpha + 1.0)) / alpha
+        width = 1.0
+        while edges[0] > u_min:
+            edges.insert(0, max(edges[0] - width, u_min))
+            width *= 2.0
     edges.extend(np.arange(1.0, math.ceil(top) + 1.0))
     e = np.asarray(edges)
     lo, hi = e[:-1, None], e[1:, None]
     u = (0.5 * (hi - lo) * _SOE_X + 0.5 * (hi + lo)).ravel()
     wt = (0.5 * (hi - lo) * _SOE_W).ravel()
-    return np.exp(u), wt * np.exp(alpha * u) / specfun.gamma(alpha)
+    lam, omega = np.exp(u), wt * np.exp(alpha * u)
+    if alpha >= _GJ_MIN_ALPHA:
+        nodes, weights = _gauss_jacobi(alpha)
+        lam, omega = np.r_[nodes, lam], np.r_[weights, omega]
+    return lam, omega / specfun.gamma(alpha)
 
 
 def _scan_blocks(x, h, c0):
@@ -460,8 +546,9 @@ class _RunningIntegral:
     block, with the weights of kernel_weights. The cells [1, f), far from
     every row of the block, take the SOE far field on the Gauss samples
     of phi: the rule of W with the kernel as a sum of exponentials. It
-    holds O(N (L + K)) numbers, about 2 N L with L ~ 300 SOE terms, and
-    no N x N array. Below that node count the operator is W itself."""
+    holds O(N (L + K)) numbers, about 2 N L with L the live SOE terms of
+    a scan block (a median of 118 on a graded n_base 2048 mesh), and no
+    N x N array. Below that node count the operator is W itself."""
 
     def __init__(self, x: np.ndarray, beta: float, sampled_first=True):
         n = len(x)
@@ -677,7 +764,8 @@ def rl_integral_quad(phi, mu: float, t: float, mesh: GradedMesh = None) -> float
     values (then mesh is required and phi is interpolated piecewise
     linearly as-is). A t that several nodes round to is a DomainError.
 
-    Each call builds the whole profile, O(N L) with L ~ 300 SOE terms
+    Each call builds the whole profile, O(N L) with L the live SOE terms
+    of a scan block, a median of 118 on a graded n_base 2048 mesh
     (O(N^2) for a sampled phi below _FAR_MIN_NODES nodes), to return one
     entry, so a loop over nodes costs N times that; solve_picard and
     verify_ode compute all nodes at once. A one-row build waits for a
@@ -775,7 +863,8 @@ def hilfer_derivative_num(g: WeightedGrid, order: FracOrder, t: float) -> float:
     nu = 1, z_a = z(a) and it is the Caputo derivative D^mu [z - z(a)].
     A t that several nodes round to is a DomainError.
 
-    Each call builds the whole O(N L) profile (L ~ 300 SOE terms) to
+    Each call builds the whole O(N L) profile (L the live SOE terms of a
+    scan block, a median of 118 on a graded n_base 2048 mesh) to
     return one entry, so a loop over nodes costs N times that;
     solve_picard and verify_ode compute all nodes at once. A one-row
     build waits for a perfbench change, as its profile.hilfer_s probe

@@ -429,18 +429,22 @@ def test_solve_stops_at_a_non_finite_iterate(tmp_path):
 
 
 def test_an_overflowing_iterate_raises_no_runtime_warning(tmp_path, capsys):
-    # f = -8 z|z| + 1 drives the iterate to +-inf; inf times the zero
+    # f = -1e200 (z|z| - 1) drives the iterate to -inf; inf times the zero
     # weights of the running integral is NaN, and the solve stops on it
-    # with its typed message and no numpy warning
+    # with its typed message and no numpy warning. The first iterate,
+    # T(0), is about 1e200 (below 1e205 at the mesh's first node), so f of
+    # it passes 1e600: the second iterate overflows by hundreds of orders
+    # of magnitude, before any Anderson mixing, and rounding cannot move
+    # that iteration (1e150 and 1e250 for 1e200 give the same)
     doc = json.loads((DATA / "nontrivial.json").read_text())
-    doc["f"] = "-8*z*abs(z) + 1"
+    doc["f"] = "-1e200*z*abs(z) + 1e200"
     problem = tmp_path / "overflow.json"
     problem.write_text(json.dumps(doc))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["solve", str(problem), "--n", "128", "--out", str(tmp_path / "t.csv")])
     assert code == 4
-    assert "error: the iterate became non-finite at iteration 43" in capsys.readouterr().err
+    assert "error: the iterate became non-finite at iteration 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "example"])
@@ -826,14 +830,14 @@ def test_console_script_runs():
     "rho, p",
     [
         ("t*1e308*10*0 + 1", "1/2"),  # NaN at every sample
-        ("1e308", "1"),  # finite samples whose panel sums overflow to inf
+        ("1e308", "1"),  # finite samples whose norm over [0, 2] is 2e308
     ],
 )
 def test_check_stops_on_a_non_finite_rho_integral(tmp_path, rho, p):
     # a panel sum that is not finite never meets the tolerance, and halving
     # on it down to depth 40 visits about 2^40 panels: the timeout turns such
     # a hang into a failure
-    path = write_problem(tmp_path, rho=rho, p=p)
+    path = write_problem(tmp_path, rho=rho, p=p, b="2")
     result = subprocess.run(
         [sys.executable, "-m", "hilferbvp.cli", "check", path],
         capture_output=True,
@@ -845,8 +849,9 @@ def test_check_stops_on_a_non_finite_rho_integral(tmp_path, rho, p):
 
 
 def test_check_sweep_reports_an_overflowing_rho(tmp_path, capsys):
-    # |exp(100 t)|^64 passes a double: an error line, not a traceback
-    path = write_problem(tmp_path, rho="exp(100*t)")
+    # t*1e308*10 is inf from t = 0.18 (a product lets the inf through):
+    # an error line, not a traceback
+    path = write_problem(tmp_path, rho="t*1e308*10")
     assert main(["check", path, "--sweep-p"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "[a, b] = [0.0, 1.0]" in err

@@ -99,11 +99,40 @@ def test_rho_norm_overflow_in_a_product_is_silent():
 
 
 def test_rho_norm_rejects_an_integrand_past_the_double_range():
-    # |exp(100 t)|^64 overflows in Python's **, which raises OverflowError;
+    # every sample 1e308 is a double, the norm 2e308 over [0, 2] is not;
     # NaN and inf integrands are tested through the CLI, in a subprocess with
     # a timeout, so that an adaptive rule that never stops fails, not hangs
-    with pytest.raises(DomainError, match=r"\|rho\|\^p over \[a, b\] = \[0.0, 1.0\]"):
-        rho_lp_norm(parse("exp(100*t)"), 64.0, 0.0, 1.0)
+    with pytest.raises(DomainError, match=r"\|rho\|\^p\)\^\(1/p\) over \[a, b\] = \[0.0, 2.0\]"):
+        rho_lp_norm(parse("1e308"), 1.0, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("p", [4.0, 64.0, 260.0, 300.0, 1000.0, 1e4])
+def test_rho_norm_of_a_small_rho_does_not_vanish_for_large_p(p):
+    # (t/16)^p underflows past p ~ 260 unless |rho| is scaled by its max
+    got = rho_lp_norm(parse("t/16"), p, 0.0, 1.0)
+    assert got == pytest.approx((p + 1.0) ** (-1.0 / p) / 16.0, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "rho, p, want",
+    [
+        ("3*t", 1000.0, 3.0 * 1001.0 ** (-1.0 / 1000.0)),
+        ("exp(100*t)", 64.0, math.exp(100.0) * 6400.0 ** (-1.0 / 64.0)),
+    ],
+)
+def test_rho_norm_of_a_large_rho_does_not_overflow(rho, p, want):
+    # |rho|^p passes the double range, (|rho|/M)^p stays below 1
+    got = rho_lp_norm(parse(rho), p, 0.0, 1.0)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [2.0, 300.0])
+def test_rho_norm_rescales_when_the_first_panel_reads_zero(p):
+    # rho = 2 max(0, t - 0.995) vanishes at all 15 samples of the first
+    # panel, so its scale M = 0 gives way to the first nonzero sample
+    got = rho_lp_norm(parse("t - 0.995 + abs(t - 0.995)"), p, 0.0, 1.0)
+    want = 2.0 * 0.005 ** ((p + 1.0) / p) / (p + 1.0) ** (1.0 / p)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_rho_norm_rejects_bad_exponent():
@@ -123,14 +152,15 @@ def test_rho_norm_nonsmooth_integrand():
 def test_rho_norm_is_bit_identical_to_sampling_by_evaluate(rho):
     # the compiled rho gives the panel sums of evaluate, in the same order
     tree = parse(rho)
+    scale = max(abs(evaluate(tree, 0.5 + 0.5 * x, 0.0)) for x in existence._GL_NODES)
 
     def integrand(s):
-        return abs(evaluate(tree, s, 0.0)) ** p
+        return (abs(evaluate(tree, s, 0.0)) / scale) ** p
 
     for p in existence._SWEEP_EXPONENTS:
         whole = existence._gl_panel(integrand, 0.0, 1.0)
         value = existence._adaptive(integrand, 0.0, 1.0, whole, 1e-10, 1e-12 * abs(whole), 0)
-        want = value ** (1.0 / p)
+        want = scale * value ** (1.0 / p)
         assert rho_lp_norm(tree, p, 0.0, 1.0) == want, p
         assert math.isfinite(want) and want > 0.0
 

@@ -810,14 +810,73 @@ def test_kernel_weight_rows_match_a_40_digit_reference(n_base, r, extra):
                     assert gap <= 1e-15, (beta, sampled, j, gap)
 
 
-@pytest.mark.parametrize("delta", [1e-6, 1e-12])
-@pytest.mark.parametrize("alpha", [0.001, 0.1, 0.5, 0.9, 0.999])
-def test_soe_matches_the_power_on_its_range(alpha, delta):
+def _soe_error(alpha, delta):
     lam, omega = fraccalc._soe(alpha, delta)
     x = np.geomspace(delta, 1.0, 500)
-    got = np.exp(-np.outer(x, lam)) @ omega
     want = x ** (-alpha)
-    assert np.max(np.abs(got - want) / want) <= 1e-15
+    return np.max(np.abs(np.exp(-np.outer(x, lam)) @ omega - want) / want)
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-6, 1e-12, 1e-15])
+@pytest.mark.parametrize("alpha", [0.001, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.999])
+def test_soe_matches_the_power_on_its_range(alpha, delta):
+    # below alpha = 0.2 doubling panels take lambda < 1, from it on the
+    # Gauss-Jacobi rule
+    assert _soe_error(alpha, delta) <= 1e-15
+
+
+def test_soe_with_the_double_rule_matches_the_power(monkeypatch):
+    # where np.longdouble is double the rule is Golub-Welsch in double: it
+    # still meets the bound above on that grid (8.5e-16 at worst)
+    monkeypatch.setattr(fraccalc, "_EXTENDED", False)
+    fraccalc._gauss_jacobi.cache_clear()
+    try:
+        for alpha in (0.2, 0.3, 0.5, 0.7, 0.9, 0.999):
+            for delta in (1e-2, 1e-6, 1e-12, 1e-15):
+                assert _soe_error(alpha, delta) <= 1e-15, (alpha, delta)
+    finally:
+        fraccalc._gauss_jacobi.cache_clear()
+
+
+def _mp_golub_welsch(mp, alpha, k):
+    # nodes and weights of the Gauss rule of lam^(alpha-1) on [0, 1]: the
+    # eigenvalues of the Jacobi matrix of the shifted Jacobi polynomials
+    # (0, alpha - 1), and 1/alpha times their first eigenvector components squared
+    b = alpha - 1
+    J = mp.matrix(k, k)
+    for n in range(k):
+        s = 2 * n + b
+        J[n, n] = (1 + b * b / (s * (s + 2))) / 2
+        if n + 1 < k:
+            s += 2
+            J[n, n + 1] = J[n + 1, n] = mp.sqrt(
+                (n + 1) ** 2 * (n + 1 + b) ** 2 / (s * s * (s + 1) * (s - 1))
+            )
+    E, Q = mp.eigsy(J)
+    pairs = sorted((E[i], Q[0, i] ** 2 / alpha) for i in range(k))
+    return [e for e, _ in pairs], [w for _, w in pairs]
+
+
+@pytest.mark.skipif(not fraccalc._EXTENDED, reason="np.longdouble is double: the rule is Golub-Welsch in double")
+@pytest.mark.parametrize("alpha", [0.2, 0.35, 0.5, 0.75, 0.999])
+def test_gauss_jacobi_rule_matches_a_40_digit_golub_welsch(alpha):
+    # correctly rounded within 1e-15: Golub-Welsch in double misses that
+    # by up to 24x on the nodes and 7x on the weights at these alpha
+    mp = pytest.importorskip("mpmath")
+    lam, w = fraccalc._gauss_jacobi(alpha)
+    with mp.workdps(40):
+        want_lam, want_w = _mp_golub_welsch(mp, mp.mpf(alpha), fraccalc._GJ_NODES)
+        for got, want in ((lam, want_lam), (w, want_w)):
+            gaps = [abs(float((mp.mpf(g) - v) / v)) for g, v in zip(got, want)]
+            assert max(gaps) <= 1e-15, gaps
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.35, 0.5, 0.75, 0.999])
+def test_gauss_jacobi_rule_integrates_the_moments(alpha):
+    # int_0^1 lam^(alpha-1) lam^j dlam = 1/(alpha + j), exact for j < 2K
+    lam, w = fraccalc._gauss_jacobi(alpha)
+    for j in range(2 * fraccalc._GJ_NODES):
+        assert np.sum(w * lam**j) * (alpha + j) == pytest.approx(1.0, rel=2e-15, abs=0.0), j
 
 
 @pytest.mark.parametrize("far", [True, False], ids=["far", "dense"])

@@ -775,7 +775,7 @@ VERIFY_ODE_BITS = {
     (0.25, 64): "0x1.117e7cfeb7504p-8",
     (0.25, 256): "0x1.70085b1d4a450p-12",
     (0.6, 64): "0x1.e942895cd6019p-12",
-    (0.6, 256): "0x1.262ecfc679ba4p-15",
+    (0.6, 256): "0x1.262ecfca76d12p-15",
     (1.0, 64): "0x1.be79bd4c46000p-13",
     (1.0, 256): "0x1.36b1ca5738000p-15",
 }
