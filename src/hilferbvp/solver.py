@@ -406,11 +406,14 @@ def solve_picard(spec: ProblemSpec, config: SolveConfig = SolveConfig()) -> Solv
     w0 = _seed(spec, params, config, mesh)
     ws = _Workspace(spec, params, mesh)
     w, history, converged = _picard_loop(ws.apply, w0, config)
-    samples = ws.f_samples(w)
-    init_coeff = ws.init_coeff(ws.running(samples), ws.boundary(samples))
-    del ws.running_operator  # freed before the ODE residual adds its temporaries
-    grid = WeightedGrid(mesh=mesh, gamma=params.gamma, w=w)
-    residual_bc, residual_ode = ws.residuals(grid, samples)
+    # a budget can end on an iterate whose f samples overflow: the pass
+    # then gives NaN as apply does, under the same guard
+    with np.errstate(invalid="ignore", over="ignore"):
+        samples = ws.f_samples(w)
+        init_coeff = ws.init_coeff(ws.running(samples), ws.boundary(samples))
+        del ws.running_operator  # freed before the ODE residual adds its temporaries
+        grid = WeightedGrid(mesh=mesh, gamma=params.gamma, w=w)
+        residual_bc, residual_ode = ws.residuals(grid, samples)
     report = SolveReport(
         solution=grid,
         init_coeff=init_coeff,

@@ -447,6 +447,23 @@ def test_an_overflowing_iterate_raises_no_runtime_warning(tmp_path, capsys):
     assert "error: the iterate became non-finite at iteration 2" in capsys.readouterr().err
 
 
+def test_a_budget_that_ends_on_an_overflowing_iterate_raises_no_runtime_warning(tmp_path, capsys):
+    # one iteration: T(0) is about 1e200, so its f samples overflow, and
+    # the final pass (init_coeff and residuals) meets inf with zero weights
+    doc = json.loads((DATA / "nontrivial.json").read_text())
+    doc["f"] = "-1e200*z*abs(z) + 1e200"
+    problem = tmp_path / "overflow.json"
+    problem.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", str(problem), "--n", "128", "--max-iter", "1",
+                     "--out", str(tmp_path / "t.csv")])
+    assert code == 4
+    assert _error_lines(capsys) == [
+        "error: no convergence after 1 iterations (last residual 8.033e+199, tol 1.000e-08)"
+    ]
+
+
 @pytest.mark.parametrize("command", ["solve", "example"])
 def test_failed_solve_says_why_on_stderr(tmp_path, monkeypatch, capsys, command):
     # the bundled problem with an f that is inf * 0 once z is nonzero;

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import threading
@@ -810,73 +811,41 @@ def test_kernel_weight_rows_match_a_40_digit_reference(n_base, r, extra):
                     assert gap <= 1e-15, (beta, sampled, j, gap)
 
 
-def _soe_error(alpha, delta):
+def _soe_error(alpha, delta, points):
     lam, omega = fraccalc._soe(alpha, delta)
-    x = np.geomspace(delta, 1.0, 500)
+    x = np.geomspace(delta, 1.0, points)
     want = x ** (-alpha)
     return np.max(np.abs(np.exp(-np.outer(x, lam)) @ omega - want) / want)
 
 
-@pytest.mark.parametrize("delta", [1e-2, 1e-6, 1e-12, 1e-15])
-@pytest.mark.parametrize("alpha", [0.001, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.999])
+# the last four are the worst cases of the grid of tools/soe_grid.py under
+# the rule before the trapezoidal one (1.38e-15 at alpha = 0.005)
+@pytest.mark.parametrize(
+    "alpha, delta",
+    list(itertools.product([0.001, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.999], [1e-2, 1e-6, 1e-12, 1e-15]))
+    + [(0.005, 1e-14), (0.01, 1e-13), (0.94, 1e-15), (0.98, 1e-15)],
+)
 def test_soe_matches_the_power_on_its_range(alpha, delta):
-    # below alpha = 0.2 doubling panels take lambda < 1, from it on the
-    # Gauss-Jacobi rule
-    assert _soe_error(alpha, delta) <= 1e-15
+    for points in (500, 2000):
+        assert _soe_error(alpha, delta, points) <= 1e-15, points
 
 
-def test_soe_with_the_double_rule_matches_the_power(monkeypatch):
-    # where np.longdouble is double the rule is Golub-Welsch in double: it
-    # still meets the bound above on that grid (8.5e-16 at worst)
-    monkeypatch.setattr(fraccalc, "_EXTENDED", False)
-    fraccalc._gauss_jacobi.cache_clear()
-    try:
-        for alpha in (0.2, 0.3, 0.5, 0.7, 0.9, 0.999):
-            for delta in (1e-2, 1e-6, 1e-12, 1e-15):
-                assert _soe_error(alpha, delta) <= 1e-15, (alpha, delta)
-    finally:
-        fraccalc._gauss_jacobi.cache_clear()
-
-
-def _mp_golub_welsch(mp, alpha, k):
-    # nodes and weights of the Gauss rule of lam^(alpha-1) on [0, 1]: the
-    # eigenvalues of the Jacobi matrix of the shifted Jacobi polynomials
-    # (0, alpha - 1), and 1/alpha times their first eigenvector components squared
-    b = alpha - 1
-    J = mp.matrix(k, k)
-    for n in range(k):
-        s = 2 * n + b
-        J[n, n] = (1 + b * b / (s * (s + 2))) / 2
-        if n + 1 < k:
-            s += 2
-            J[n, n + 1] = J[n + 1, n] = mp.sqrt(
-                (n + 1) ** 2 * (n + 1 + b) ** 2 / (s * s * (s + 1) * (s - 1))
-            )
-    E, Q = mp.eigsy(J)
-    pairs = sorted((E[i], Q[0, i] ** 2 / alpha) for i in range(k))
-    return [e for e, _ in pairs], [w for _, w in pairs]
-
-
-@pytest.mark.skipif(not fraccalc._EXTENDED, reason="np.longdouble is double: the rule is Golub-Welsch in double")
-@pytest.mark.parametrize("alpha", [0.2, 0.35, 0.5, 0.75, 0.999])
-def test_gauss_jacobi_rule_matches_a_40_digit_golub_welsch(alpha):
-    # correctly rounded within 1e-15: Golub-Welsch in double misses that
-    # by up to 24x on the nodes and 7x on the weights at these alpha
+@pytest.mark.parametrize("alpha", [0.001, 0.5, 0.99, 0.995])
+def test_soe_rule_error_summed_exactly(alpha):
+    # the rule's own error, its nodes and weights as rounded, the sum taken
+    # in 30 digits: at most 3.0e-16 on these grids (alpha = 0.99, delta =
+    # 1e-7), the rest of test_soe_matches_the_power_on_its_range's bound is
+    # the rounding of the sum in double
     mp = pytest.importorskip("mpmath")
-    lam, w = fraccalc._gauss_jacobi(alpha)
-    with mp.workdps(40):
-        want_lam, want_w = _mp_golub_welsch(mp, mp.mpf(alpha), fraccalc._GJ_NODES)
-        for got, want in ((lam, want_lam), (w, want_w)):
-            gaps = [abs(float((mp.mpf(g) - v) / v)) for g, v in zip(got, want)]
-            assert max(gaps) <= 1e-15, gaps
-
-
-@pytest.mark.parametrize("alpha", [0.2, 0.35, 0.5, 0.75, 0.999])
-def test_gauss_jacobi_rule_integrates_the_moments(alpha):
-    # int_0^1 lam^(alpha-1) lam^j dlam = 1/(alpha + j), exact for j < 2K
-    lam, w = fraccalc._gauss_jacobi(alpha)
-    for j in range(2 * fraccalc._GJ_NODES):
-        assert np.sum(w * lam**j) * (alpha + j) == pytest.approx(1.0, rel=2e-15, abs=0.0), j
+    with mp.workdps(30):
+        for delta in (1e-2, 1e-7, 1e-11, 1e-15):
+            lam, omega = fraccalc._soe(alpha, delta)
+            terms = [(mp.mpf(l), mp.mpf(w)) for l, w in zip(lam, omega)]
+            for x in map(mp.mpf, np.geomspace(delta, 1.0, 60).tolist()):
+                want = x ** -mp.mpf(alpha)
+                got = mp.fsum(w * mp.exp(-l * x) for l, w in terms)
+                gap = abs(float((got - want) / want))
+                assert gap <= 4e-16, (delta, x, gap)
 
 
 @pytest.mark.parametrize("far", [True, False], ids=["far", "dense"])
@@ -1061,6 +1030,25 @@ def test_one_pass_far_field_on_the_large_anchor(large_anchor, monkeypatch):
         mesh.nodes, 1.0 - order.mu, order.gamma - 1.0, w, monkeypatch
     )
     assert gap <= 2e-15
+
+
+def test_far_field_keeps_few_soe_terms_on_the_large_anchor(large_anchor):
+    # live SOE terms per scan block of the running integral (beta = mu) and
+    # of the ODE residual's profile (beta = 1 - mu): a median of 54, where
+    # the Gauss-Legendre panels in log(lambda) before the trapezoidal rule
+    # kept 114
+    from hilferbvp.solver import SolveConfig, problem_mesh
+
+    x = problem_mesh(large_anchor, SolveConfig(n_base=2048)).x
+    h = np.diff(x)
+    mu = large_anchor.order.mu
+    c0 = 1 + np.flatnonzero(x[:-1] < fraccalc._FAR_WIDTHS * h)[-1]
+    live = [
+        len(G)
+        for beta, c in ((mu, 1), (1.0 - mu, c0))
+        for _, _, _, _, _, G, _ in fraccalc._soe_geometry(x, beta, fraccalc._scan_blocks(x, h, c), c)
+    ]
+    assert np.median(live) <= 60
 
 
 def _peak_arrays(build, n):
