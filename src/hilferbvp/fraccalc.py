@@ -670,9 +670,10 @@ def _profile_weighted(x, beta, eta, w, first=0) -> np.ndarray:
         # closed-form weights of the cells [lo, hi - 1), applied to w
         X = np.clip(x[lo:hi] / span, 0.0, 1.0)
         inside = X < 1.0                       # X = 1 gives C = D = 1 exactly
-        C = np.ones_like(X)
-        C[inside] = _betainc_reg(eta + 1.0, beta, X[inside])
-        D = C - X ** (eta + 1.0) * (1.0 - X) ** beta / ((eta + 1.0) * b1)
+        C, D = np.ones_like(X), np.ones_like(X)
+        Xi = X[inside]
+        C[inside] = Ci = _betainc_reg(eta + 1.0, beta, Xi)
+        D[inside] = Ci - Xi ** (eta + 1.0) * (1.0 - Xi) ** beta / ((eta + 1.0) * b1)
         B0 = b1 * span ** (beta + eta) * np.diff(C, axis=1)
         B1 = b2 * span ** (beta + eta + 1.0) * np.diff(D, axis=1) - x[lo:hi - 1] * B0
         return B0 @ w[lo:hi - 1] + B1 @ sw[lo:hi - 1]

@@ -1,9 +1,17 @@
 import importlib.util
+import os
 import random
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# HYPOTHESIS_PROFILE=deep runs the property tests that take their example
+# count from the loaded profile (test_compiled_random_tree_matches_evaluate)
+# at 10 times their tier-1 count; CI runs it as a step of its own
+settings.register_profile("deep", max_examples=5000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -161,6 +161,8 @@ ROUND_TRIP_CORPUS = [
     "1--2",
     "t^z^2",
     "((t))",
+    # the benchmark's f: c t^e + k (sin z - sin(c t^e + c t^e))
+    "1.5*t^-0.25 + 0.125*(sin(z) - sin(2*t^0.5 + -0.75*t^1.25))",
 ]
 
 
@@ -220,6 +222,18 @@ def test_compiled_tree_matches_evaluate_on_the_corpus():
         (Unary(op="tan", arg=Var(name="t")), 1.0, 0.0),
         (Binary(op="%", lhs=Num(value=1.0), rhs=Var(name="z"), pos=3), 1.0, 2.0),
         (Unary(op="neg", arg=None), 0.0, 0.0),   # malformed
+        # operands read inline by their parent (compile_expr)
+        ("sin(z)", 0.0, math.inf),
+        ("cos(t)", -math.inf, 0.0),
+        ("log(z)", 0.0, 0.0),
+        ("exp(z)", 0.0, 1e6),
+        ("t^0.5", -1.0, 0.0),               # power: negative base
+        ("t^0.5", math.nan, 0.0),           # power: NaN
+        ("(1+z)^0.5", 0.0, -2.0),
+        ("z/0", 0.0, 1.0),
+        ("2/z", 0.0, 0.0),
+        ("t + 1/0", 1.0, 0.0),              # a constant subtree evaluate rejects
+        ("log(z) + log(0)", 0.0, -1.0),     # the first error in evaluate's order
     ],
 )
 def test_compiled_tree_raises_the_same_eval_error(tree, t, z):
@@ -245,7 +259,9 @@ _TREES = st.recursive(
 )
 
 
-@settings(max_examples=500, deadline=None, derandomize=True)
+# 500 examples, or the loaded profile's count where it is larger (the
+# "deep" profile of conftest.py: 5000)
+@settings(max_examples=max(500, settings.default.max_examples), deadline=None, derandomize=True)
 @given(_TREES, _VALUES, _VALUES)
 def test_compiled_random_tree_matches_evaluate(tree, t, z):
     want = _outcome(lambda t, z: evaluate(tree, t, z), t, z)
@@ -318,6 +334,9 @@ NODE_POSITIONS = {
     "((t))": [2],
     "1 + 2 * t": [2, 0, 6, 4, 8],
     "sin ( t )": [0, 6],
+    "1.5*t^-0.25 + 0.125*(sin(z) - sin(2*t^0.5 + -0.75*t^1.25))": [
+        12, 3, 0, 5, 4, 6, 7, 19, 14, 28, 21, 25, 30, 42, 35, 34, 37, 36, 38, 49, 44, 45, 51, 50, 52,
+    ],
 }
 
 
