@@ -36,7 +36,11 @@ class EvalError(HilferError):
              or -1 for programmatically built trees. A pos >= 0 is named at
              the end of str(exc), as " (offset N)"; args[0] is the message
              without it.
+        index: in an error of a compiled pass (expr.compile_expr), the
+             index of the first point where the tree fails; else None.
     """
+
+    index = None
 
     def __init__(self, message, pos=-1):
         super().__init__(message)

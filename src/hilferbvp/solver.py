@@ -189,17 +189,17 @@ def problem_mesh(spec: ProblemSpec, config: SolveConfig) -> GradedMesh:
 
 
 def _f_at_nodes(f, t: np.ndarray, z: np.ndarray, rows=slice(None)) -> np.ndarray:
-    """f(t_i, z_i) for the i in rows, one call of the compiled f each; NaN
-    elsewhere. f gets Python floats: numpy scalars would warn where its
-    arithmetic overflows silently. An EvalError is raised again, same pos,
-    with the (t, z) it was met at before its message."""
+    """f(t_i, z_i) for the i in rows, from one pass of the compiled f
+    (expr.compile_expr) over those nodes; NaN elsewhere. An EvalError is
+    raised again, same pos, with the (t, z) of the first node in index
+    order where evaluate fails before its message."""
     phi = np.full(len(t), math.nan)
-    t, z = t.tolist(), z.tolist()
+    t, z = t[rows], z[rows]
     try:
-        for i in range(len(t))[rows]:
-            phi[i] = f(t[i], z[i])
+        phi[rows] = f(t, z)
     except EvalError as exc:
-        raise EvalError(f"f at t = {t[i]!r}, z = {z[i]!r}: {exc.args[0]}", exc.pos) from exc
+        at = f"t = {float(t[exc.index])!r}, z = {float(z[exc.index])!r}"
+        raise EvalError(f"f at {at}: {exc.args[0]}", exc.pos) from exc
     return phi
 
 
@@ -216,8 +216,9 @@ class _Workspace:
     residual. Both integrate the same f samples, with the first
     subinterval under the one-point rule (sampled_first false): sample 0
     holds f at t_1 with the limiting weighted value w(a). f is compiled
-    once per workspace (expr.compile_expr, bit-identical to evaluate).
-    apply is the one fixed-point map, of solve_picard and, with z_a held
+    once per workspace into a pass over whole node vectors
+    (expr.compile_expr, bit-identical to evaluate), and f_samples is one
+    such pass. apply is the one fixed-point map, of solve_picard and, with z_a held
     fixed, of solve_volterra_ivp, and residuals the one residual pass."""
 
     def __init__(self, spec: ProblemSpec, params: DerivedParams, mesh: GradedMesh):

@@ -154,8 +154,8 @@ def test_rho_norm_is_bit_identical_to_sampling_by_evaluate(rho):
     tree = parse(rho)
     scale = max(abs(evaluate(tree, 0.5 + 0.5 * x, 0.0)) for x in existence._GL_NODES)
 
-    def integrand(s):
-        return (abs(evaluate(tree, s, 0.0)) / scale) ** p
+    def integrand(points):
+        return [(abs(evaluate(tree, s, 0.0)) / scale) ** p for s in points]
 
     for p in existence._SWEEP_EXPONENTS:
         whole = existence._gl_panel(integrand, 0.0, 1.0)

@@ -1,7 +1,9 @@
 import dataclasses
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,13 +182,29 @@ def test_eval_is_pure_bitwise():
         assert evaluate(tree, 0.37, -1.25) == first
 
 
-def _outcome(fn, t, z):
-    """What fn(t, z) gives: its value's repr (so NaN equals NaN and the
-    sign of zero counts) or its EvalError's message and pos."""
+def _pass(tree, points):
+    """What one compiled pass over the points gives: its values' reprs
+    (so NaN equals NaN and the sign of zero counts), or its EvalError's
+    message, pos and index."""
+    t = np.array([p[0] for p in points], dtype=float)
+    z = np.array([p[1] for p in points], dtype=float)
     try:
-        return repr(fn(t, z))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return [repr(v) for v in compile_expr(tree)(t, z).tolist()]
     except EvalError as exc:
-        return str(exc), exc.pos
+        return str(exc), exc.pos, exc.index
+
+
+def _evaluated(tree, points):
+    """The same from evaluate, point by point in index order."""
+    values = []
+    for i, (t, z) in enumerate(points):
+        try:
+            values.append(repr(evaluate(tree, t, z)))
+        except EvalError as exc:
+            return str(exc), exc.pos, i
+    return values
 
 
 # 180 points in [-4, 4]^2 and 20 from edges where the checks fire
@@ -197,12 +215,27 @@ _POINTS += [(_SPECIAL[k % 8], _SPECIAL[(3 * k + 1) % 8]) for k in range(20)]
 
 
 def test_compiled_tree_matches_evaluate_on_the_corpus():
+    # one-point passes at every point, one pass over all of them (which
+    # raises at the first point where evaluate does, if any), and one over
+    # the points where evaluate succeeds
     for source in ROUND_TRIP_CORPUS:
         tree = parse(source)
-        compiled = compile_expr(tree)
-        for t, z in _POINTS:
-            assert _outcome(compiled, t, z) == _outcome(lambda t, z: evaluate(tree, t, z), t, z), (
-                source, t, z)
+        for point in _POINTS:
+            assert _pass(tree, [point]) == _evaluated(tree, [point]), (source, point)
+        assert _pass(tree, _POINTS) == _evaluated(tree, _POINTS), source
+        good = [pt for pt in _POINTS if isinstance(_evaluated(tree, [pt]), list)]
+        assert len(good) >= 100, source
+        assert _pass(tree, good) == _evaluated(tree, good), source
+
+
+@pytest.mark.parametrize("source", ["t", "z", "2.5", "-(1/4)"])
+def test_a_pass_returns_a_new_array(source):
+    # a variable or a constant still gives an array of its own, one value
+    # per point, never the argument itself
+    t, z = np.array([1.0, 2.0, 3.0]), np.array([-1.0, -0.0, 0.5])
+    out = compile_expr(parse(source))(t, z)
+    assert out is not t and out is not z and out.dtype == np.float64
+    assert out.tolist() == [evaluate(parse(source), ti, zi) for ti, zi in zip(t, z)]
 
 
 @pytest.mark.parametrize(
@@ -222,7 +255,7 @@ def test_compiled_tree_matches_evaluate_on_the_corpus():
         (Unary(op="tan", arg=Var(name="t")), 1.0, 0.0),
         (Binary(op="%", lhs=Num(value=1.0), rhs=Var(name="z"), pos=3), 1.0, 2.0),
         (Unary(op="neg", arg=None), 0.0, 0.0),   # malformed
-        # operands read inline by their parent (compile_expr)
+        # a variable operand of a function or of '^'
         ("sin(z)", 0.0, math.inf),
         ("cos(t)", -math.inf, 0.0),
         ("log(z)", 0.0, 0.0),
@@ -237,10 +270,16 @@ def test_compiled_tree_matches_evaluate_on_the_corpus():
     ],
 )
 def test_compiled_tree_raises_the_same_eval_error(tree, t, z):
+    # as a one-point pass, and as the failing point between points where
+    # evaluate succeeds: the pass names the first failing point's index
     tree = parse(tree) if isinstance(tree, str) else tree
-    want = _outcome(lambda t, z: evaluate(tree, t, z), t, z)
+    want = _evaluated(tree, [(t, z)])
     assert isinstance(want, tuple), want
-    assert _outcome(compile_expr(tree), t, z) == want
+    assert _pass(tree, [(t, z)]) == want
+    good = [pt for pt in [(1.0, 1.0), (0.5, 2.0), (2.0, 0.5)] if isinstance(_evaluated(tree, [pt]), list)]
+    points = good + [(t, z)] + good + [(t, z)]
+    assert _evaluated(tree, points) == want[:2] + (len(good),)
+    assert _pass(tree, points) == want[:2] + (len(good),)
 
 
 # Programmatic trees over every function and operator, with leaves and
@@ -264,8 +303,15 @@ _TREES = st.recursive(
 @settings(max_examples=max(500, settings.default.max_examples), deadline=None, derandomize=True)
 @given(_TREES, _VALUES, _VALUES)
 def test_compiled_random_tree_matches_evaluate(tree, t, z):
-    want = _outcome(lambda t, z: evaluate(tree, t, z), t, z)
-    assert _outcome(compile_expr(tree), t, z) == want
+    assert _pass(tree, [(t, z)]) == _evaluated(tree, [(t, z)])
+
+
+@settings(max_examples=max(500, settings.default.max_examples), deadline=None, derandomize=True)
+@given(_TREES, st.lists(st.tuples(_VALUES, _VALUES), max_size=12))
+def test_compiled_pass_matches_evaluate_point_by_point(tree, points):
+    # every value bit for bit by repr, or the first failing point's
+    # EvalError, message, pos and index; and no numpy warning (_pass)
+    assert _pass(tree, points) == _evaluated(tree, points)
 
 
 def test_eval_error_names_its_offset():

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from hilferbvp import fraccalc, solver, specfun
-from hilferbvp.errors import DomainError, NoConvergenceError, SingularProblemError
-from hilferbvp.expr import parse
+from hilferbvp.errors import DomainError, EvalError, NoConvergenceError, SingularProblemError
+from hilferbvp.expr import compile_expr, evaluate, parse
 from hilferbvp.fraccalc import FracOrder, WeightedGrid, weighted_norm
 from hilferbvp.problemio import example_problem_path, load_problem
 from hilferbvp.solver import (
@@ -273,6 +273,34 @@ def test_a_non_finite_iterate_raises_no_runtime_warning():
         warnings.simplefilter("error")
         with pytest.raises(NoConvergenceError, match="non-finite"):
             solve_picard(spec, SolveConfig(n_base=64))
+
+
+@pytest.mark.parametrize("source", ["z*1e308*10 + t", "z*1e308*10 - z*1e308*10", "1e300/(z*1e-300)"])
+def test_f_at_nodes_overflows_silently(source):
+    # + - * / overflow and form inf - inf on whole node vectors
+    # as on floats: evaluate's values, and no numpy RuntimeWarning
+    tree = parse(source)
+    t = np.array([0.25, 0.5, 0.75, 1.0])
+    z = np.array([1.0, -2.0, 0.5, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi = solver._f_at_nodes(compile_expr(tree), t, z)
+    want = [evaluate(tree, ti, zi) for ti, zi in zip(t.tolist(), z.tolist())]
+    assert [repr(v) for v in phi.tolist()] == [repr(v) for v in want]
+    assert not np.isfinite(phi).any()
+
+
+@pytest.mark.parametrize("rows", [slice(None), slice(1, 5)])
+def test_f_at_nodes_names_the_first_failing_node(rows):
+    # nodes 3 and 4 are both outside the domain; node 3 is named, with its
+    # (t, z) and the offset of the sqrt
+    t = np.array([0.0, 0.1, 0.4, 0.6, 0.9])
+    z = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    with pytest.raises(EvalError) as err:
+        solver._f_at_nodes(compile_expr(parse("z + sqrt(1/2 - t)")), t, z, rows)
+    assert str(err.value) == (
+        f"f at t = 0.6, z = 4.0: sqrt of negative value {0.5 - 0.6!r} (offset 4)"
+    )
 
 
 def test_picard_max_iter_one():

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from hilferbvp import beta, gamma, log_gamma
+from hilferbvp import beta, gamma, log_gamma, specfun
 from hilferbvp.errors import DomainError, PoleError
 
 # frozen reference values (50-digit arithmetic, rounded to double)
@@ -166,7 +166,7 @@ def _ratio(x, y):
 
 
 def _log_route(x, y):
-    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
+    return math.exp(specfun._log_beta(x, y))
 
 
 def _relative_errors(pairs):
@@ -210,6 +210,14 @@ def test_beta_ratio_route_up_to_170_matches_mpmath():
 def test_beta_log_route_matches_mpmath(x, y, bound):
     assert beta(x, y) == _log_route(x, y)
     assert _relative_errors([(x, y)])[0] <= bound
+
+
+@pytest.mark.parametrize("x, y", [(1000.0, 0.5), (1e5, 0.5), (0.5, 1e5), (171.0, 1.0)])
+def test_beta_of_large_unequal_arguments_does_not_cancel(x, y):
+    # exp(lgamma(x) + lgamma(y) - lgamma(x + y)) read 7.7e-13 at (1000, 0.5)
+    # and 3.0e-10 at (1e5, 0.5): lgamma(x) and lgamma(x + y) cancel
+    assert beta(x, y) == _log_route(x, y) == beta(y, x)
+    assert _relative_errors([(x, y)])[0] <= 1e-14
 
 
 def test_beta_past_the_double_range_overflows():
