@@ -60,7 +60,9 @@ class SingularProblemError(HilferError):
 class NoConvergenceError(HilferError):
     """Fixed-point iteration exhausted its iteration budget.
 
-    The partial result is attached as ``report`` for diagnostics.
+    The partial result is attached as ``report`` for diagnostics: the
+    SolveReport of the last iterate from solver.solve_picard, and the
+    last iterate's WeightedGrid from solver.solve_volterra_ivp.
     """
 
     def __init__(self, message, report=None):

@@ -132,18 +132,17 @@ def rho_lp_norm(rho: Expr, p: float, a: float, b: float) -> float:
     by adaptive Gauss-Legendre panels (interval halving to 1e-12 of the
     integral, see _adaptive), so that |rho|^p neither underflows to 0 nor
     overflows for large p. M is the largest |rho| among the first
-    panel's 15 samples; a sample whose (|rho|/M)^p overflows (or a
-    nonzero one when M = 0) restarts the integral with M set to it. rho
-    is compiled once (compile_expr) and sampled one panel per pass, which
-    gives evaluate's 15 samples bit for bit; the panel's sum then takes
-    (|rho|/M)^p and the weights in Python floats, node by node, so the
-    norm is the one scalar sampling gives, bit for bit. The four
-    exponents of a sweep take about 20 panels, of the kinked rho
-    0.7|t - 0.4132| as of a smooth one. Accepts any p > 0; the H2 admissibility constraints on p
-    are enforced by the certificate, not here. Raises DomainError when a
-    sample of |rho|, the integral or the norm is not a finite double
-    (NaN, inf or past the double range), and an EvalError of rho again
-    with the t it was met at before its message."""
+    panel's 15 samples, set as they are taken; a sample whose (|rho|/M)^p
+    overflows (or a nonzero one when M = 0) restarts the integral with M
+    set to it. rho is compiled once (compile_expr) and sampled once per
+    panel, which gives evaluate's 15 samples bit for bit; the panel's sum
+    then takes (|rho|/M)^p and the weights in Python floats, node by node,
+    so the norm is the one scalar sampling gives, bit for bit. A sweep
+    takes 20 passes, for a kinked rho as for a smooth one. Any p > 0 is
+    taken; the certificate enforces the H2 admissibility of p. Raises
+    DomainError when a sample of |rho|, the integral or the norm is not a
+    finite double (NaN, inf or past the double range), and an EvalError
+    of rho again with the t it was met at before its message."""
     if not p > 0.0:
         raise DomainError(f"exponent p must be positive, got {p!r}")
     if not a < b:
@@ -151,23 +150,23 @@ def rho_lp_norm(rho: Expr, p: float, a: float, b: float) -> float:
     rho_at = compile_expr(rho)
     zeros = np.zeros(len(_GL_NODES))
 
-    def sample(points):
+    def integrand(points):
+        nonlocal scale
         try:
-            return np.abs(rho_at(np.array(points), zeros)).tolist()
+            samples = np.abs(rho_at(np.array(points), zeros)).tolist()
         except EvalError as exc:
             raise EvalError(f"rho at t = {points[exc.index]!r}: {exc.args[0]}", exc.pos) from exc
-
-    def integrand(points):
+        if scale is None:
+            scale = max(samples)
         values = []
-        for r in sample(points):
+        for r in samples:
             try:
                 values.append((r / scale) ** p if r else 0.0)
             except (OverflowError, ZeroDivisionError):
                 raise _Rescale(r) from None
         return values
 
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    scale = max(sample([mid + half * x for x in _GL_NODES]))
+    scale = None  # set by the first panel's samples
     while True:
         try:
             whole = _gl_panel(integrand, a, b)

@@ -165,6 +165,30 @@ def test_rho_norm_is_bit_identical_to_sampling_by_evaluate(rho):
         assert math.isfinite(want) and want > 0.0
 
 
+def test_rho_norm_samples_each_panel_once(monkeypatch):
+    # the first panel, the whole-interval estimate, also sets the scale M,
+    # so no pass of the compiled rho repeats a panel
+    compile_expr, passes = existence.compile_expr, []
+
+    def counted(tree):
+        rho_at = compile_expr(tree)
+
+        def counted_at(t, z):
+            passes.append(tuple(t.tolist()))
+            return rho_at(t, z)
+
+        return counted_at
+
+    monkeypatch.setattr(existence, "compile_expr", counted)
+    counts = []
+    for p in existence._SWEEP_EXPONENTS:
+        passes.clear()
+        rho_lp_norm(parse("0.7*abs(t - 0.4132)"), p, 0.0, 1.0)
+        assert len(set(passes)) == len(passes), p
+        counts.append(len(passes))
+    assert counts == [3, 3, 3, 11]
+
+
 def _panels(monkeypatch, limit):
     # counts the 15-point panels that rho_lp_norm evaluates, and fails at
     # once past limit: a rule that runs away fails instead of hanging

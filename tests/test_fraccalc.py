@@ -1051,6 +1051,34 @@ def test_far_field_keeps_few_soe_terms_on_the_large_anchor(large_anchor):
     assert np.median(live) <= 60
 
 
+def _float_arrays(obj):
+    """Every float64 array in obj, through its lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64:
+            yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _float_arrays(item)
+
+
+@pytest.mark.parametrize("n_base", [512, 2048])
+def test_running_integral_holds_about_three_n_l_numbers(large_anchor, n_base):
+    # the far field folds its Gauss exponentials onto the nodes: about
+    # 3.0 N L numbers, L the median live SOE terms of a far block (3.03 and
+    # 3.02 here). Meeting the Gauss samples with each block's G instead, as
+    # the profile does, holds about 6 N L and raised solve-large's peak RSS
+    # by 2.6-6.4 MB at no gain in time
+    from hilferbvp.solver import SolveConfig, problem_mesh
+
+    x = problem_mesh(large_anchor, SolveConfig(n_base=n_base)).x
+    mu = large_anchor.order.mu
+    op = fraccalc._RunningIntegral(x, mu, sampled_first=False)
+    held = sum(a.size for value in vars(op).values() for a in _float_arrays(value))
+    blocks = fraccalc._scan_blocks(x, np.diff(x), 1)
+    live = np.median([len(G) for *_, G, _ in fraccalc._soe_geometry(x, mu, blocks, 1)])
+    assert held / (len(x) * live) <= 4.0
+
+
 def _peak_arrays(build, n):
     """tracemalloc peak of build() in units of float64 (n-1) x n arrays."""
     tracemalloc.start()
