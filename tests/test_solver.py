@@ -765,14 +765,17 @@ def test_dense_kernel_moments_built_once_per_order(monkeypatch):
 
 
 # First 16 hex digits of one sha256 over the bytes of w followed by
-# (init_coeff, residual_bc, *history), for f = 0.5 sin z + t with mu = 1/3,
-# c = 1, d = 1/2, lambda = 0.3 at tau = 1/2. Recorded with the C library's
-# Gamma (math.gamma, x86-64, glibc, numpy 2.4), the kernel moments folded
-# into one node-weight matrix (far cells by the Gauss rule) and the
-# Anderson-mixed iteration, whose least squares run in LAPACK; the n_base
-# 256 solves start from the solve on 16 intervals. A change to the Gamma
-# values, to the least-squares solver, to the seed or to the floating-point
-# order of a solve moves these bits.
+# (init_coeff, residual_bc, *history), with mu = 1/3, c = 1, d = 1/2,
+# lambda = 0.3 at tau = 1/2: for f = 0.5 sin z + t, keyed (nu, n_base), and
+# for the benchmark-shaped _T_HEAVY_F, keyed (f, nu, n_base), whose t-only
+# powers inside and beside sin a compiled pass can read once per node
+# vector. Recorded with the C library's Gamma (math.gamma, x86-64, glibc,
+# numpy 2.4), the kernel moments folded into one node-weight matrix (far
+# cells by the Gauss rule) and the Anderson-mixed iteration, whose least
+# squares run in LAPACK; the n_base 256 solves start from the solve on 16
+# intervals. A change to the Gamma values, to the least-squares solver, to
+# the seed or to the floating-point order of a solve moves these bits.
+_T_HEAVY_F = "0.8*t^0.3 + 0.5*(sin(z) - sin(1.2*t^-0.4 + 0.7*t^0.9))"
 SOLVE_DIGESTS = {
     (0.0, 64): ("f44045db254b9004", 11),
     (0.0, 256): ("3a210fd389885996", 9),
@@ -782,16 +785,31 @@ SOLVE_DIGESTS = {
     (0.6, 256): ("ee97b24973170db1", 8),
     (1.0, 64): ("8c009be75282e7c7", 11),
     (1.0, 256): ("74fc894460190a1c", 8),
+    (_T_HEAVY_F, 0.25, 64): ("39c9bd0bb21f0e76", 10),
+    (_T_HEAVY_F, 0.25, 256): ("589c604dd601dd65", 9),
+    (_T_HEAVY_F, 1.0, 64): ("35c6824bb1346c04", 10),
+    (_T_HEAVY_F, 1.0, 256): ("f512365afd646375", 9),
 }
 
 
-@pytest.mark.parametrize("nu, n_base", sorted(SOLVE_DIGESTS))
-def test_solve_is_bit_identical_to_recorded_values(nu, n_base):
-    spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),), nu=nu)
-    report = solve_picard(spec, SolveConfig(n_base=n_base))
+def _digest_cases(table):
+    """Every key of table, with the test id of its fields joined by '-'."""
+    return [pytest.param(key, id="-".join(map(str, key))) for key in table]
+
+
+def _digest_solve(key):
+    """(spec, report) of a digest key, (nu, n_base) or (f, nu, n_base)."""
+    f, nu, n_base = key if len(key) == 3 else ("0.5*sin(z) + t", *key)
+    spec = spec_with(f, c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),), nu=nu)
+    return spec, solve_picard(spec, SolveConfig(n_base=n_base))
+
+
+@pytest.mark.parametrize("key", _digest_cases(SOLVE_DIGESTS))
+def test_solve_is_bit_identical_to_recorded_values(key):
+    _, report = _digest_solve(key)
     h = hashlib.sha256(report.solution.w.tobytes())
     h.update(np.array([report.init_coeff, report.residual_bc, *report.history]).tobytes())
-    assert (h.hexdigest()[:16], report.iterations) == SOLVE_DIGESTS[(nu, n_base)]
+    assert (h.hexdigest()[:16], report.iterations) == SOLVE_DIGESTS[key]
 
 
 # verify_ode of the solutions above, as float.hex, recorded with the whole
@@ -806,14 +824,17 @@ VERIFY_ODE_BITS = {
     (0.6, 256): "0x1.262ecfca76d12p-15",
     (1.0, 64): "0x1.be79bd4c46000p-13",
     (1.0, 256): "0x1.36b1ca5738000p-15",
+    (_T_HEAVY_F, 0.25, 64): "0x1.d8951af7de4e2p-7",
+    (_T_HEAVY_F, 0.25, 256): "0x1.05fd76aee1c88p-8",
+    (_T_HEAVY_F, 1.0, 64): "0x1.2894ae8bc7180p-5",
+    (_T_HEAVY_F, 1.0, 256): "0x1.4fe902a0aaf00p-9",
 }
 
 
-@pytest.mark.parametrize("nu, n_base", sorted(VERIFY_ODE_BITS))
-def test_verify_ode_is_bit_identical_to_recorded_values(nu, n_base):
-    spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),), nu=nu)
-    report = solve_picard(spec, SolveConfig(n_base=n_base))
-    assert verify_ode(spec, report.solution).hex() == VERIFY_ODE_BITS[(nu, n_base)]
+@pytest.mark.parametrize("key", _digest_cases(VERIFY_ODE_BITS))
+def test_verify_ode_is_bit_identical_to_recorded_values(key):
+    spec, report = _digest_solve(key)
+    assert verify_ode(spec, report.solution).hex() == VERIFY_ODE_BITS[key]
 
 
 def test_solve_frees_its_moments_before_verify_ode(monkeypatch):
