@@ -330,13 +330,12 @@ def _vector(e):
     if isinstance(e, Var):
         return _read_t if e.name == "t" else _read_z
     if isinstance(e, Unary):
-        kids = [_vector(e.arg)]
-        fn = _UNARY.get(e.op)
+        args, fn = [e.arg], _UNARY.get(e.op)
     elif isinstance(e, Binary):
-        kids = [_vector(e.lhs), _vector(e.rhs)]
-        fn = _BINARY.get(e.op)
+        args, fn = [e.lhs, e.rhs], _BINARY.get(e.op)
     else:
         return _defer
+    kids = [_vector(a) for a in args]
     if not any(map(callable, kids)):
         try:
             return evaluate(e, 0.0, 0.0)
@@ -344,11 +343,38 @@ def _vector(e):
             return _defer
     if fn is None:
         return _defer
+    reads_z = [_reads_z(a) for a in args]
+    if any(reads_z):  # its t-only operands are computed once per t array
+        kids = [
+            k if r or not callable(k) or k is _read_t else _once_per_t(k)
+            for k, r in zip(kids, reads_z)
+        ]
     if len(kids) == 1:
         (x,) = kids
         return lambda t, z: fn(x(t, z))
     f, g = (k if callable(k) else (lambda t, z, c=k: c) for k in kids)
     return lambda t, z: fn(f(t, z), g(t, z))
+
+
+def _reads_z(e):
+    """Whether e reads z, i.e. any variable name but t, as evaluate does."""
+    return bool(variables_used(e) - {"t"})
+
+
+def _once_per_t(run):
+    """run, computed on the first pass over a t array and reused by every
+    later pass over the same array object (compared with is, through a
+    strong reference to the last t). A pass that raises stores nothing."""
+    last_t = last = None
+
+    def hoisted(t, z):
+        nonlocal last_t, last
+        if t is not last_t:
+            last = run(t, z)
+            last_t = t
+        return last
+
+    return hoisted
 
 
 def variables_used(e: Expr):

@@ -190,13 +190,17 @@ def problem_mesh(spec: ProblemSpec, config: SolveConfig) -> GradedMesh:
 
 def _f_at_nodes(f, t: np.ndarray, z: np.ndarray, rows=slice(None)) -> np.ndarray:
     """f(t_i, z_i) for the i in rows, from one pass of the compiled f
-    (expr.compile_expr) over those nodes; NaN elsewhere. An EvalError is
-    raised again, same pos, with the (t, z) of the first node in index
-    order where evaluate fails before its message."""
-    phi = np.full(len(t), math.nan)
-    t, z = t[rows], z[rows]
+    (expr.compile_expr) over those nodes; NaN elsewhere. Over all nodes
+    the pass gets t itself, so passes over the same t array reuse f's
+    t-only subtrees. An EvalError is raised again, same pos, with the
+    (t, z) of the first node in index order where evaluate fails before
+    its message."""
+    if rows != slice(None):
+        phi = np.full(len(t), math.nan)
+        phi[rows] = _f_at_nodes(f, t[rows], z[rows])
+        return phi
     try:
-        phi[rows] = f(t, z)
+        return f(t, z)
     except EvalError as exc:
         at = f"t = {float(t[exc.index])!r}, z = {float(z[exc.index])!r}"
         raise EvalError(f"f at {at}: {exc.args[0]}", exc.pos) from exc
@@ -228,6 +232,7 @@ class _Workspace:
         gamma = params.gamma
         x = self.x = mesh.x
         self.sample_nodes = np.r_[mesh.nodes[1], mesh.nodes[1:]]  # the t at which f is read
+        self.sample_nodes.flags.writeable = False  # f keeps arrays computed from it
         self.f = compile_expr(spec.f)
         self.gamma_mu = specfun.gamma(mu)
         self.gamma_gamma = specfun.gamma(gamma)

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import settings
 
 # HYPOTHESIS_PROFILE=deep runs the property tests that take their example
-# count from the loaded profile (test_compiled_random_tree_matches_evaluate
-# and test_compiled_pass_matches_evaluate_point_by_point) at 10 times their
+# count from the loaded profile (test_compiled_random_tree_matches_evaluate,
+# test_compiled_pass_matches_evaluate_point_by_point and
+# test_compiled_passes_over_one_t_array_match_evaluate) at 10 times their
 # tier-1 count; CI runs them as a step of its own
 settings.register_profile("deep", max_examples=5000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

@@ -188,10 +188,15 @@ def _pass(tree, points):
     message, pos and index."""
     t = np.array([p[0] for p in points], dtype=float)
     z = np.array([p[1] for p in points], dtype=float)
+    return _run(compile_expr(tree), t, z)
+
+
+def _run(compiled, t, z):
+    """_pass of a compiled tree over the arrays t and z."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return [repr(v) for v in compile_expr(tree)(t, z).tolist()]
+            return [repr(v) for v in compiled(t, z).tolist()]
     except EvalError as exc:
         return str(exc), exc.pos, exc.index
 
@@ -286,16 +291,20 @@ def test_compiled_tree_raises_the_same_eval_error(tree, t, z):
 # (t, z) from the finite doubles and the specials: the compiled fast path
 # must fall back to evaluate exactly where evaluate raises
 _VALUES = st.floats() | st.sampled_from(_SPECIAL + (710.0, 0.5, 2.0))
-_TREES = st.recursive(
-    st.builds(Num, value=_VALUES) | st.sampled_from([Var(name="t"), Var(name="z")]),
-    lambda kids: st.builds(
-        Unary, op=st.sampled_from(("neg", "sin", "cos", "abs", "exp", "log", "sqrt")), arg=kids,
-        pos=st.integers(-1, 40),
-    ) | st.builds(
-        Binary, op=st.sampled_from("+-*/^"), lhs=kids, rhs=kids, pos=st.integers(-1, 40),
-    ),
-    max_leaves=10,
-)
+def _trees(names):
+    return st.recursive(
+        st.builds(Num, value=_VALUES) | st.sampled_from([Var(name=name) for name in names]),
+        lambda kids: st.builds(
+            Unary, op=st.sampled_from(("neg", "sin", "cos", "abs", "exp", "log", "sqrt")), arg=kids,
+            pos=st.integers(-1, 40),
+        ) | st.builds(
+            Binary, op=st.sampled_from("+-*/^"), lhs=kids, rhs=kids, pos=st.integers(-1, 40),
+        ),
+        max_leaves=10,
+    )
+
+
+_TREES = _trees(["t", "z"])
 
 
 # 500 examples, or the loaded profile's count where it is larger (the
@@ -312,6 +321,20 @@ def test_compiled_pass_matches_evaluate_point_by_point(tree, points):
     # every value bit for bit by repr, or the first failing point's
     # EvalError, message, pos and index; and no numpy warning (_pass)
     assert _pass(tree, points) == _evaluated(tree, points)
+
+
+# trees also over a name that is neither t nor z, which evaluate reads as z
+@settings(max_examples=max(500, settings.default.max_examples), deadline=None, derandomize=True)
+@given(_trees(["t", "z", "y"]), st.lists(st.tuples(_VALUES, _VALUES, _VALUES), max_size=12))
+def test_compiled_passes_over_one_t_array_match_evaluate(tree, points):
+    # one compiled tree, three passes: (t, z1), the same t array with z2
+    # (which reuses the t-only subtrees of the first pass) and a copy of t
+    # with z2 (which computes them again); each equals evaluate point by
+    # point, by repr, or raises its first EvalError, message, pos and index
+    t, z1, z2 = (np.array([p[k] for p in points], dtype=float) for k in range(3))
+    compiled = compile_expr(tree)
+    for tk, zk in ((t, z1), (t, z2), (t.copy(), z2)):
+        assert _run(compiled, tk, zk) == _evaluated(tree, list(zip(tk.tolist(), zk.tolist())))
 
 
 def test_eval_error_names_its_offset():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hilferbvp import fraccalc, solver, specfun
+from hilferbvp import expr, fraccalc, solver, specfun
 from hilferbvp.errors import DomainError, EvalError, NoConvergenceError, SingularProblemError
 from hilferbvp.expr import compile_expr, evaluate, parse
 from hilferbvp.fraccalc import FracOrder, WeightedGrid, weighted_norm
@@ -835,6 +835,47 @@ VERIFY_ODE_BITS = {
 def test_verify_ode_is_bit_identical_to_recorded_values(key):
     spec, report = _digest_solve(key)
     assert verify_ode(spec, report.solution).hex() == VERIFY_ODE_BITS[key]
+
+
+def test_a_second_f_pass_reads_the_t_only_subtrees_of_the_first(monkeypatch):
+    # on one workspace's node vector the powers of t and the sin of their
+    # sum are computed by the first pass only: the second makes no pow call
+    # and one sin call per node, for sin(z)
+    calls = {"pow": 0, "sin": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(math, "pow", counted("pow", math.pow))
+    monkeypatch.setitem(expr._UNARY, "sin", expr._mapped(counted("sin", math.sin)))
+    spec = spec_with(_T_HEAVY_F, c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),))
+    ws = solver._Workspace(spec, derive_params(spec), problem_mesh(spec, SolveConfig(n_base=64)))
+    n = len(ws.sample_nodes)
+    ws.f_samples(np.linspace(0.0, 1.0, n))
+    assert calls == {"pow": 3 * n, "sin": 2 * n}
+    calls.update(pow=0, sin=0)
+    second = ws.f_samples(np.linspace(1.0, -1.0, n))
+    assert calls == {"pow": 0, "sin": n}
+    z = ws.weight_down * np.linspace(1.0, -1.0, n)
+    z[0] = ws.weight_down[1]
+    t = ws.sample_nodes.tolist()
+    assert second.tolist() == [evaluate(spec.f, ti, zi) for ti, zi in zip(t, z.tolist())]
+
+
+def test_a_failing_t_only_subtree_raises_again_on_every_pass():
+    # log(t - 0.5) fails at the nodes below 0.5; the pass that fails keeps
+    # nothing of it, so a later pass over the same t raises the same error
+    f = compile_expr(parse("z + log(t - 0.5)"))
+    t = np.array([0.75, 1.0, 0.25, 0.5])
+    errors = []
+    for z in (np.zeros(4), np.ones(4)):
+        with pytest.raises(EvalError) as err:
+            f(t, z)
+        errors.append((str(err.value), err.value.pos, err.value.index))
+    assert errors == [(f"log of non-positive value {0.25 - 0.5!r} (offset 4)", 4, 2)] * 2
 
 
 def test_solve_frees_its_moments_before_verify_ode(monkeypatch):
