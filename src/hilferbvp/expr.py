@@ -250,10 +250,22 @@ def compile_expr(e: Expr):
     that EvalError, message and pos, with its index in the attribute
     index, so evaluate alone holds the domain rules.
 
+    Where a node that reads z (any variable name but t, as in evaluate)
+    has an operand that reads t only, that operand's array is computed on
+    the first pass over a t array and reused by every later pass over the
+    same array object, compared with is: the compiled function keeps the
+    last t and one array per such operand until a pass over another t
+    array replaces them, or until it is freed itself. So t must not change
+    in place between passes. A bare t is read, not kept, and a tree that
+    reads no z keeps nothing. Such an operand that raises keeps nothing:
+    that pass is evaluate's, as any failing pass is, and the next pass
+    computes the operand again.
+
     A pass of the benchmark's f, c t^e + k (sin z - sin(c t^e + c t^e)),
-    takes 620-630 us at 2051 points, 74 us at 200 and 19.4 us at 20
-    (2-vCPU Xeon)."""
-    run = _vector(e)
+    takes 630-680 us at 2051 points when it is the first over its t array
+    and 124-135 us on every later one; 96-101 and 20-21 us at 257 points,
+    23-25 and 5.2-5.5 us at 17 (2-vCPU Xeon, best of 7)."""
+    run, _ = _vector(e)
     if not callable(run):  # a constant: a new array of its value
         value = float(run)
         run = lambda t, z: np.full(len(t), value)
@@ -322,43 +334,44 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide
 
 
 def _vector(e):
-    """How a parent reads e: the value of a subtree without a variable
-    that evaluate accepts, else a function (t, z) -> array (evaluate
-    reads any variable name but t as z)."""
+    """(how a parent reads e, whether e reads z). A parent reads the value
+    of a subtree without a variable that evaluate accepts, else a function
+    (t, z) -> array. e reads z when it reads any variable name but t, as
+    evaluate does; then its t-only operands other than t itself are
+    computed once per t array."""
     if isinstance(e, Num):
-        return e.value
+        return e.value, False
     if isinstance(e, Var):
-        return _read_t if e.name == "t" else _read_z
+        return (_read_t, False) if e.name == "t" else (_read_z, True)
     if isinstance(e, Unary):
         args, fn = [e.arg], _UNARY.get(e.op)
     elif isinstance(e, Binary):
         args, fn = [e.lhs, e.rhs], _BINARY.get(e.op)
     else:
-        return _defer
-    kids = [_vector(a) for a in args]
+        return _defer, False
+    kids, reads = [], []
+    for a in args:
+        k, r = _vector(a)
+        kids.append(k)
+        reads.append(r)
+    reads_z = True in reads
     if not any(map(callable, kids)):
         try:
-            return evaluate(e, 0.0, 0.0)
+            return evaluate(e, 0.0, 0.0), False
         except EvalError:
-            return _defer
+            return _defer, False
     if fn is None:
-        return _defer
-    reads_z = [_reads_z(a) for a in args]
-    if any(reads_z):  # its t-only operands are computed once per t array
+        return _defer, reads_z
+    if reads_z:
         kids = [
             k if r or not callable(k) or k is _read_t else _once_per_t(k)
-            for k, r in zip(kids, reads_z)
+            for k, r in zip(kids, reads)
         ]
     if len(kids) == 1:
         (x,) = kids
-        return lambda t, z: fn(x(t, z))
+        return (lambda t, z: fn(x(t, z))), reads_z
     f, g = (k if callable(k) else (lambda t, z, c=k: c) for k in kids)
-    return lambda t, z: fn(f(t, z), g(t, z))
-
-
-def _reads_z(e):
-    """Whether e reads z, i.e. any variable name but t, as evaluate does."""
-    return bool(variables_used(e) - {"t"})
+    return (lambda t, z: fn(f(t, z), g(t, z))), reads_z
 
 
 def _once_per_t(run):

@@ -222,8 +222,12 @@ class _Workspace:
     holds f at t_1 with the limiting weighted value w(a). f is compiled
     once per workspace into a pass over whole node vectors
     (expr.compile_expr, bit-identical to evaluate), and f_samples is one
-    such pass. apply is the one fixed-point map, of solve_picard and, with z_a held
-    fixed, of solve_volterra_ivp, and residuals the one residual pass."""
+    such pass over sample_nodes. That array is read-only and the same
+    object on every pass, so every pass after the first reuses the arrays
+    of f's t-only subtrees; the compiled f holds them as long as the
+    workspace lives. apply is the one fixed-point map, of solve_picard
+    and, with z_a held fixed, of solve_volterra_ivp, and residuals the one
+    residual pass."""
 
     def __init__(self, spec: ProblemSpec, params: DerivedParams, mesh: GradedMesh):
         self.spec = spec

@@ -857,12 +857,8 @@ def test_a_second_f_pass_reads_the_t_only_subtrees_of_the_first(monkeypatch):
     ws.f_samples(np.linspace(0.0, 1.0, n))
     assert calls == {"pow": 3 * n, "sin": 2 * n}
     calls.update(pow=0, sin=0)
-    second = ws.f_samples(np.linspace(1.0, -1.0, n))
+    ws.f_samples(np.linspace(1.0, -1.0, n))
     assert calls == {"pow": 0, "sin": n}
-    z = ws.weight_down * np.linspace(1.0, -1.0, n)
-    z[0] = ws.weight_down[1]
-    t = ws.sample_nodes.tolist()
-    assert second.tolist() == [evaluate(spec.f, ti, zi) for ti, zi in zip(t, z.tolist())]
 
 
 def test_a_failing_t_only_subtree_raises_again_on_every_pass():
