@@ -292,11 +292,12 @@ def _add_config_flags(sub, iteration):
     --out, then --report. Each dest is the SolveConfig field the flag sets."""
     sub.add_argument("--n", type=int, dest="n_base", metavar="N", help="graded mesh size")
     sub.add_argument("--grade", type=float, dest="grading", metavar="GRADE",
-                     help="grading exponent")
+                     help="grading exponent r; omitted here and in the problem file, "
+                          "r = max(1, 2/gamma)")
     if iteration:
         sub.add_argument("--tol", type=float, help="iteration stopping tolerance")
-        sub.add_argument("--max-iter", type=int)
-        sub.add_argument("--damping", type=float)
+        sub.add_argument("--max-iter", type=int, help="iteration budget of each mesh level")
+        sub.add_argument("--damping", type=float, help="Anderson mixing parameter in (0, 1]")
         sub.add_argument("--out", help="solution table destination")
     sub.add_argument("--report", help=_REPORT_HELP)
 

@@ -134,11 +134,12 @@ def rho_lp_norm(rho: Expr, p: float, a: float, b: float) -> float:
     overflows for large p. M is the largest |rho| among the first
     panel's 15 samples, set as they are taken; a sample whose (|rho|/M)^p
     overflows (or a nonzero one when M = 0) restarts the integral with M
-    set to it. rho is compiled once (compile_expr) and sampled once per
-    panel, which gives evaluate's 15 samples bit for bit; the panel's sum
-    then takes (|rho|/M)^p and the weights in Python floats, node by node,
-    so the norm is the one scalar sampling gives, bit for bit. A sweep
-    takes 20 passes, for a kinked rho as for a smooth one. Any p > 0 is
+    set to it. rho is compiled against each panel's 15 nodes
+    (compile_expr) and sampled in one pass, which gives evaluate's samples
+    bit for bit; the panel's sum then takes (|rho|/M)^p and the weights
+    in Python floats, node by node, so the norm is the one scalar
+    sampling gives, bit for bit. A sweep takes 20 passes, for a kinked
+    rho as for a smooth one. Any p > 0 is
     taken; the certificate enforces the H2 admissibility of p. Raises
     DomainError when a sample of |rho|, the integral or the norm is not a
     finite double (NaN, inf or past the double range), and an EvalError
@@ -147,13 +148,12 @@ def rho_lp_norm(rho: Expr, p: float, a: float, b: float) -> float:
         raise DomainError(f"exponent p must be positive, got {p!r}")
     if not a < b:
         raise DomainError(f"need a < b, got a={a!r}, b={b!r}")
-    rho_at = compile_expr(rho)
     zeros = np.zeros(len(_GL_NODES))
 
     def integrand(points):
         nonlocal scale
         try:
-            samples = np.abs(rho_at(np.array(points), zeros)).tolist()
+            samples = np.abs(compile_expr(rho, points)(zeros)).tolist()
         except EvalError as exc:
             raise EvalError(f"rho at t = {points[exc.index]!r}: {exc.args[0]}", exc.pos) from exc
         if scale is None:

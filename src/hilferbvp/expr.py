@@ -229,54 +229,42 @@ def evaluate(e: Expr, t: float, z: float) -> float:
     raise EvalError(f"malformed node {e!r}")
 
 
-def compile_expr(e: Expr):
-    """A callable (t, z) -> array that takes two float64 arrays of one
-    length and gives evaluate(e, t[i], z[i]) at every i, bit for bit.
+def compile_expr(e: Expr, t):
+    """A callable z -> array that takes a float64 array of the length of
+    the nodes t and gives evaluate(e, t[i], z[i]) at every i, bit for bit.
 
-    The tree is compiled once into one function per operator over whole
-    vectors. A subtree without a variable is a constant, evaluate's value
-    of it, taken once here. neg, abs and + - * / are numpy array
-    arithmetic, which rounds as the same operations on Python floats do.
-    sin, cos, exp, log, sqrt and every '^' map evaluate's math function
-    over the operand's Python floats, so they make evaluate's libm calls.
-    The fast path checks only a zero divisor and a NaN power; the math
-    calls raise ArithmeticError or ValueError on exactly the other inputs
-    where evaluate raises EvalError, and + - * overflow and form NaN
-    silently, as on floats (numpy's warnings are off in the pass). An
-    unknown operator, a malformed node or a constant subtree that
-    evaluate rejects compiles to a function that raises ValueError. When
+    The tree is compiled once, against a copy of t, into one function per
+    operator over whole vectors. A subtree without a variable is a
+    constant, evaluate's value of it, and a subtree that reads t only is
+    an array over the nodes; both are computed here, once, so a pass
+    computes only the subtrees that read z (any variable name but t, as
+    in evaluate). neg, abs and + - * / are numpy array arithmetic, which
+    rounds as the same operations on Python floats do. sin, cos, exp,
+    log, sqrt and every '^' map evaluate's math function over the
+    operand's Python floats, so they make evaluate's libm calls. The fast
+    path checks only a zero divisor and a NaN power; the math calls raise
+    ArithmeticError or ValueError on exactly the other inputs where
+    evaluate raises EvalError, and + - * overflow and form NaN silently,
+    as on floats (numpy's warnings are off here and in the pass). An
+    unknown operator, a malformed node, or a constant or t-only subtree
+    that raises here compiles to a function that raises ValueError. When
     anything in the pass raises, the whole pass is evaluate's, point by
     point in index order: the first point where evaluate raises raises
     that EvalError, message and pos, with its index in the attribute
-    index, so evaluate alone holds the domain rules.
+    index, so evaluate alone holds the domain rules."""
+    t = np.array(t, dtype=float)
+    with np.errstate(all="ignore"):
+        run = _vector(e, t)
+    if run is _read_z:  # a copy, not the argument itself
+        run = np.copy
+    elif not callable(run):  # a constant or an array over t: a new array on every pass
+        values = np.full(len(t), run, dtype=float)
+        run = lambda z: values.copy()
 
-    Where a node that reads z (any variable name but t, as in evaluate)
-    has an operand that reads t only, that operand's array is computed on
-    the first pass over a t array and reused by every later pass over the
-    same array object, compared with is: the compiled function keeps the
-    last t and one array per such operand until a pass over another t
-    array replaces them, or until it is freed itself. So t must not change
-    in place between passes. A bare t is read, not kept, and a tree that
-    reads no z keeps nothing. Such an operand that raises keeps nothing:
-    that pass is evaluate's, as any failing pass is, and the next pass
-    computes the operand again.
-
-    A pass of the benchmark's f, c t^e + k (sin z - sin(c t^e + c t^e)),
-    takes 630-680 us at 2051 points when it is the first over its t array
-    and 124-135 us on every later one; 96-101 and 20-21 us at 257 points,
-    23-25 and 5.2-5.5 us at 17 (2-vCPU Xeon, best of 7)."""
-    run, _ = _vector(e)
-    if not callable(run):  # a constant: a new array of its value
-        value = float(run)
-        run = lambda t, z: np.full(len(t), value)
-    elif run in (_read_t, _read_z):  # a variable: a copy, not the argument itself
-        read = run
-        run = lambda t, z: read(t, z).copy()
-
-    def compiled(t, z):
+    def compiled(z):
         try:
             with np.errstate(all="ignore"):
-                return run(t, z)
+                return run(z)
         except (ArithmeticError, ValueError):
             return _point_by_point(e, t, z)
 
@@ -294,15 +282,11 @@ def _point_by_point(e, t, z):
     return out
 
 
-def _defer(t, z):
+def _defer(z):
     raise ValueError("evaluate reports this node")
 
 
-def _read_t(t, z):
-    return t
-
-
-def _read_z(t, z):
+def _read_z(z):
     return z
 
 
@@ -333,61 +317,39 @@ _UNARY = {"neg": operator.neg, "abs": abs, **{op: _mapped(fn) for op, fn in _MAT
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide, "^": _power}
 
 
-def _vector(e):
-    """(how a parent reads e, whether e reads z). A parent reads the value
-    of a subtree without a variable that evaluate accepts, else a function
-    (t, z) -> array. e reads z when it reads any variable name but t, as
-    evaluate does; then its t-only operands other than t itself are
-    computed once per t array."""
+def _vector(e, t):
+    """How a parent reads e over the nodes t: the value of a subtree
+    without a variable, the array of one that reads t only, or else a
+    function z -> array. A constant or t-only subtree that raises here
+    is the function that defers to evaluate."""
     if isinstance(e, Num):
-        return e.value, False
+        return e.value
     if isinstance(e, Var):
-        return (_read_t, False) if e.name == "t" else (_read_z, True)
+        return t if e.name == "t" else _read_z
     if isinstance(e, Unary):
         args, fn = [e.arg], _UNARY.get(e.op)
     elif isinstance(e, Binary):
         args, fn = [e.lhs, e.rhs], _BINARY.get(e.op)
     else:
-        return _defer, False
-    kids, reads = [], []
-    for a in args:
-        k, r = _vector(a)
-        kids.append(k)
-        reads.append(r)
-    reads_z = True in reads
-    if not any(map(callable, kids)):
+        return _defer
+    kids = [_vector(a, t) for a in args]
+    if not any(callable(k) or isinstance(k, np.ndarray) for k in kids):
         try:
-            return evaluate(e, 0.0, 0.0), False
+            return evaluate(e, 0.0, 0.0)
         except EvalError:
-            return _defer, False
+            return _defer
     if fn is None:
-        return _defer, reads_z
-    if reads_z:
-        kids = [
-            k if r or not callable(k) or k is _read_t else _once_per_t(k)
-            for k, r in zip(kids, reads)
-        ]
+        return _defer
+    if not any(map(callable, kids)):  # t only
+        try:
+            return fn(*kids)
+        except (ArithmeticError, ValueError):
+            return _defer
     if len(kids) == 1:
         (x,) = kids
-        return (lambda t, z: fn(x(t, z))), reads_z
-    f, g = (k if callable(k) else (lambda t, z, c=k: c) for k in kids)
-    return (lambda t, z: fn(f(t, z), g(t, z))), reads_z
-
-
-def _once_per_t(run):
-    """run, computed on the first pass over a t array and reused by every
-    later pass over the same array object (compared with is, through a
-    strong reference to the last t). A pass that raises stores nothing."""
-    last_t = last = None
-
-    def hoisted(t, z):
-        nonlocal last_t, last
-        if t is not last_t:
-            last = run(t, z)
-            last_t = t
-        return last
-
-    return hoisted
+        return lambda z: fn(x(z))
+    f, g = (k if callable(k) else (lambda z, c=k: c) for k in kids)
+    return lambda z: fn(f(z), g(z))
 
 
 def variables_used(e: Expr):

@@ -188,23 +188,16 @@ def problem_mesh(spec: ProblemSpec, config: SolveConfig) -> GradedMesh:
     return build_mesh(spec.a, spec.b, config.n_base, grading_exponent(spec, config), taus)
 
 
-def _f_at_nodes(f, t: np.ndarray, z: np.ndarray, rows=slice(None)) -> np.ndarray:
-    """f(t_i, z_i) for the i in rows, from one pass of the compiled f
-    (expr.compile_expr) over those nodes; NaN elsewhere. Over all nodes
-    the pass gets t itself, so passes over the same t array reuse f's
-    t-only subtrees. An EvalError is raised again, same pos, with the
-    (t, z) of the first node in index order where evaluate fails before
-    its message."""
-    if rows != slice(None):
-        phi = np.full(len(t), math.nan)
-        phi[rows] = _f_at_nodes(f, t[rows], z[rows])
-        return phi
+def _f_at_nodes(f, t: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """f(t_i, z_i) at every node, from one pass of f compiled against the
+    nodes t (expr.compile_expr). An EvalError is raised again, same pos,
+    with the (t, z) of the first node in index order where evaluate fails
+    before its message."""
     try:
-        return f(t, z)
+        return f(z)
     except EvalError as exc:
         at = f"t = {float(t[exc.index])!r}, z = {float(z[exc.index])!r}"
         raise EvalError(f"f at {at}: {exc.args[0]}", exc.pos) from exc
-    return phi
 
 
 class _Workspace:
@@ -220,14 +213,11 @@ class _Workspace:
     residual. Both integrate the same f samples, with the first
     subinterval under the one-point rule (sampled_first false): sample 0
     holds f at t_1 with the limiting weighted value w(a). f is compiled
-    once per workspace into a pass over whole node vectors
-    (expr.compile_expr, bit-identical to evaluate), and f_samples is one
-    such pass over sample_nodes. That array is read-only and the same
-    object on every pass, so every pass after the first reuses the arrays
-    of f's t-only subtrees; the compiled f holds them as long as the
-    workspace lives. apply is the one fixed-point map, of solve_picard
-    and, with z_a held fixed, of solve_volterra_ivp, and residuals the one
-    residual pass."""
+    once per workspace against sample_nodes, the t at which it is read
+    (expr.compile_expr, bit-identical to evaluate): its t-only subtrees
+    are computed then, and f_samples is one pass over a new z. apply is
+    the one fixed-point map, of solve_picard and, with z_a held fixed, of
+    solve_volterra_ivp, and residuals the one residual pass."""
 
     def __init__(self, spec: ProblemSpec, params: DerivedParams, mesh: GradedMesh):
         self.spec = spec
@@ -235,9 +225,8 @@ class _Workspace:
         mu = spec.order.mu
         gamma = params.gamma
         x = self.x = mesh.x
-        self.sample_nodes = np.r_[mesh.nodes[1], mesh.nodes[1:]]  # the t at which f is read
-        self.sample_nodes.flags.writeable = False  # f keeps arrays computed from it
-        self.f = compile_expr(spec.f)
+        self.sample_nodes = np.r_[mesh.nodes[1], mesh.nodes[1:]]
+        self.f = compile_expr(spec.f, self.sample_nodes)
         self.gamma_mu = specfun.gamma(mu)
         self.gamma_gamma = specfun.gamma(gamma)
         self.gamma_bc = specfun.gamma(1.0 - gamma + mu)
@@ -291,7 +280,8 @@ class _Workspace:
 
     def residuals(self, grid: WeightedGrid, samples) -> tuple:
         """(residual_bc, residual_ode) of grid, given the f samples of its w."""
-        return self.bc_residual(grid.w, samples), _ode_residual(self.spec, grid, samples)
+        checked = samples[_checked_nodes(grid.mesh)]
+        return self.bc_residual(grid.w, samples), _ode_residual(self.spec, grid, checked)
 
     def apply(self, w: np.ndarray, za: float = None) -> np.ndarray:
         """One application of the fixed-point map, in weighted form: its
@@ -497,8 +487,8 @@ def verify_ode(spec: ProblemSpec, z: WeightedGrid) -> float:
     checked nodes' stencils read; its rows below that are NaN and never
     read, so the skipped nodes cost no near-field moments."""
     rows = _checked_nodes(z.mesh)
-    samples = _f_at_nodes(compile_expr(spec.f), z.mesh.nodes, z.z_values(), rows)
-    return _ode_residual(spec, z, samples)
+    t = z.mesh.nodes[rows]
+    return _ode_residual(spec, z, _f_at_nodes(compile_expr(spec.f, t), t, z.z_values()[rows]))
 
 
 def _checked_nodes(mesh: GradedMesh) -> slice:
@@ -506,10 +496,9 @@ def _checked_nodes(mesh: GradedMesh) -> slice:
 
 
 def _ode_residual(spec: ProblemSpec, z: WeightedGrid, samples: np.ndarray) -> float:
-    """verify_ode's residual, given f(t_i, z_i) at its checked nodes (a
-    solve's f samples serve: they hold every node)."""
+    """verify_ode's residual, given f(t_i, z_i) at its checked nodes."""
     mesh = z.mesh
     j = _checked_nodes(mesh)
     profile = _hilfer_profile(z, spec.order, j.start - 1)  # the first stencil row
-    resid = np.abs(profile[j] - samples[j]) * mesh.x[j] ** (1.0 - z.gamma)
+    resid = np.abs(profile[j] - samples) * mesh.x[j] ** (1.0 - z.gamma)
     return float(np.max(resid, initial=0.0))  # a NaN residual propagates

@@ -400,13 +400,13 @@ def test_verify_evaluates_f_once_per_node(tmp_path, monkeypatch):
     assert main(["solve", problem, "--out", str(table)]) == 0
     compiled, passes = [], []
 
-    def counting_compile(e):
+    def counting_compile(e, t):
         compiled.append(e)
-        f = compile_expr(e)
+        f = compile_expr(e, t)
 
-        def counting(t, z):
-            passes.append(len(t))
-            return f(t, z)
+        def counting(z):
+            passes.append(len(z))
+            return f(z)
 
         return counting
 

@@ -170,12 +170,12 @@ def test_rho_norm_samples_each_panel_once(monkeypatch):
     # so no pass of the compiled rho repeats a panel
     compile_expr, passes = existence.compile_expr, []
 
-    def counted(tree):
-        rho_at = compile_expr(tree)
+    def counted(tree, t):
+        rho_at = compile_expr(tree, t)
 
-        def counted_at(t, z):
-            passes.append(tuple(t.tolist()))
-            return rho_at(t, z)
+        def counted_at(z):
+            passes.append(tuple(t))
+            return rho_at(z)
 
         return counted_at
 

@@ -188,15 +188,23 @@ def _pass(tree, points):
     message, pos and index."""
     t = np.array([p[0] for p in points], dtype=float)
     z = np.array([p[1] for p in points], dtype=float)
-    return _run(compile_expr(tree), t, z)
+    return _run(_compiled(tree, t), z)
 
 
-def _run(compiled, t, z):
-    """_pass of a compiled tree over the arrays t and z."""
+def _compiled(tree, t):
+    """compile_expr(tree, t), which computes the t-only subtrees, with no
+    numpy warning either."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return compile_expr(tree, t)
+
+
+def _run(compiled, z):
+    """_pass of a compiled tree over the array z."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return [repr(v) for v in compiled(t, z).tolist()]
+            return [repr(v) for v in compiled(z).tolist()]
     except EvalError as exc:
         return str(exc), exc.pos, exc.index
 
@@ -238,7 +246,7 @@ def test_a_pass_returns_a_new_array(source):
     # a variable or a constant still gives an array of its own, one value
     # per point, never the argument itself
     t, z = np.array([1.0, 2.0, 3.0]), np.array([-1.0, -0.0, 0.5])
-    out = compile_expr(parse(source))(t, z)
+    out = compile_expr(parse(source), t)(z)
     assert out is not t and out is not z and out.dtype == np.float64
     assert out.tolist() == [evaluate(parse(source), ti, zi) for ti, zi in zip(t, z)]
 
@@ -327,14 +335,20 @@ def test_compiled_pass_matches_evaluate_point_by_point(tree, points):
 @settings(max_examples=max(500, settings.default.max_examples), deadline=None, derandomize=True)
 @given(_trees(["t", "z", "y"]), st.lists(st.tuples(_VALUES, _VALUES, _VALUES), max_size=12))
 def test_compiled_passes_over_one_t_array_match_evaluate(tree, points):
-    # one compiled tree, three passes: (t, z1), the same t array with z2
-    # (which reuses the t-only subtrees of the first pass) and a copy of t
-    # with z2 (which computes them again); each equals evaluate point by
-    # point, by repr, or raises its first EvalError, message, pos and index
+    # one tree compiled against t, whose t-only subtrees it computes once,
+    # and then t changed in place: the compiled tree holds its own copy of
+    # the nodes, so its passes over z1 and z2 each equal evaluate at the
+    # nodes as they were, point by point, by repr, or raise its first
+    # EvalError, message, pos and index; a fresh compile against a copy of
+    # the changed t equals evaluate at the new nodes
     t, z1, z2 = (np.array([p[k] for p in points], dtype=float) for k in range(3))
-    compiled = compile_expr(tree)
-    for tk, zk in ((t, z1), (t, z2), (t.copy(), z2)):
-        assert _run(compiled, tk, zk) == _evaluated(tree, list(zip(tk.tolist(), zk.tolist())))
+    nodes = t.tolist()
+    compiled = _compiled(tree, t)
+    t[:] = 0.75
+    for z in (z1, z2):
+        assert _run(compiled, z) == _evaluated(tree, list(zip(nodes, z.tolist())))
+    fresh = _compiled(tree, t.copy())
+    assert _run(fresh, z2) == _evaluated(tree, list(zip(t.tolist(), z2.tolist())))
 
 
 def test_eval_error_names_its_offset():

@@ -284,22 +284,40 @@ def test_f_at_nodes_overflows_silently(source):
     z = np.array([1.0, -2.0, 0.5, 3.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        phi = solver._f_at_nodes(compile_expr(tree), t, z)
+        phi = solver._f_at_nodes(compile_expr(tree, t), t, z)
     want = [evaluate(tree, ti, zi) for ti, zi in zip(t.tolist(), z.tolist())]
     assert [repr(v) for v in phi.tolist()] == [repr(v) for v in want]
     assert not np.isfinite(phi).any()
 
 
-@pytest.mark.parametrize("rows", [slice(None), slice(1, 5)])
-def test_f_at_nodes_names_the_first_failing_node(rows):
+def test_f_at_nodes_names_the_first_failing_node():
     # nodes 3 and 4 are both outside the domain; node 3 is named, with its
     # (t, z) and the offset of the sqrt
     t = np.array([0.0, 0.1, 0.4, 0.6, 0.9])
     z = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     with pytest.raises(EvalError) as err:
-        solver._f_at_nodes(compile_expr(parse("z + sqrt(1/2 - t)")), t, z, rows)
+        solver._f_at_nodes(compile_expr(parse("z + sqrt(1/2 - t)"), t), t, z)
     assert str(err.value) == (
         f"f at t = 0.6, z = 4.0: sqrt of negative value {0.5 - 0.6!r} (offset 4)"
+    )
+
+
+def test_verify_ode_samples_f_at_its_checked_nodes_only():
+    # z + log(t - t_k) is undefined at the nodes up to t_k: with t_k the
+    # node below the first checked one the residual is finite, and with
+    # t_k the first checked node that node's t and z are named
+    spec = spec_with("0.5*sin(z) + t", c=1.0, d=0.5, nonlocal_terms=((0.3, 0.5),))
+    grid = solve_picard(spec, SolveConfig(n_base=64)).solution
+    first = solver._checked_nodes(grid.mesh).start
+    t, z = grid.mesh.nodes.tolist(), grid.z_values().tolist()
+    assert first > 1
+    skipped = replace(spec, f=parse(f"z + log(t - {t[first - 1]!r})"))
+    assert math.isfinite(verify_ode(skipped, grid))
+    checked = replace(spec, f=parse(f"z + log(t - {t[first]!r})"))
+    with pytest.raises(EvalError) as err:
+        verify_ode(checked, grid)
+    assert str(err.value) == (
+        f"f at t = {t[first]!r}, z = {z[first]!r}: log of non-positive value 0.0 (offset 4)"
     )
 
 
@@ -864,12 +882,12 @@ def test_a_second_f_pass_reads_the_t_only_subtrees_of_the_first(monkeypatch):
 def test_a_failing_t_only_subtree_raises_again_on_every_pass():
     # log(t - 0.5) fails at the nodes below 0.5; the pass that fails keeps
     # nothing of it, so a later pass over the same t raises the same error
-    f = compile_expr(parse("z + log(t - 0.5)"))
     t = np.array([0.75, 1.0, 0.25, 0.5])
+    f = compile_expr(parse("z + log(t - 0.5)"), t)
     errors = []
     for z in (np.zeros(4), np.ones(4)):
         with pytest.raises(EvalError) as err:
-            f(t, z)
+            f(z)
         errors.append((str(err.value), err.value.pos, err.value.index))
     assert errors == [(f"log of non-positive value {0.25 - 0.5!r} (offset 4)", 4, 2)] * 2
 
