@@ -25,6 +25,7 @@ relative (see _profile_weighted and _RunningIntegral).
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -98,12 +99,25 @@ class GradedMesh:
     def index_of(self, t: float) -> int:
         """Index of the node nearest to t, the node rule that build_mesh
         merges by, applied to t - a; DomainError when it is farther than
-        1e-12*(b-a) from t."""
+        1e-12*(b-a) from t, or when a + x rounds several nodes to t, as
+        then t does not name one node."""
         gaps = np.abs(self.x - (t - self.a))
         j = int(np.argmin(gaps))
         if not gaps[j] <= _NODE_REL_TOL * (self.b - self.a):
             raise DomainError(f"t = {float(t)!r} is not a mesh node")
+        same = np.flatnonzero(self.nodes == t)
+        if len(same) > 1:
+            raise DomainError(f"t = {float(t)!r} is the value of nodes {', '.join(map(str, same))}")
         return j
+
+
+def _check_count(name, value, least):
+    """DomainError unless value is an integer (a numbers.Integral, so a
+    numpy integer too) of at least least."""
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value!r}")
 
 
 def build_mesh(a, b, n_base, r, extra_nodes=()) -> GradedMesh:
@@ -116,8 +130,7 @@ def build_mesh(a, b, n_base, r, extra_nodes=()) -> GradedMesh:
     """
     if not a < b:
         raise DomainError(f"need a < b, got a={a!r}, b={b!r}")
-    if n_base < 2:
-        raise DomainError(f"n_base must be >= 2, got {n_base!r}")
+    _check_count("n_base", n_base, 2)
     if not r >= 1.0:
         raise DomainError(f"grading exponent must be >= 1, got {r!r}")
     j = np.arange(n_base + 1, dtype=float)
@@ -143,7 +156,8 @@ class WeightedGrid:
 
     Between nodes, w (not z) is interpolated piecewise linearly; that rule
     is part of this type's contract. With gamma = 1 the weight is trivial
-    and w coincides with z.
+    and w coincides with z. The grid holds a read-only float64 copy of the
+    given w, which may be any sequence of one value per node.
     """
 
     mesh: GradedMesh
@@ -153,9 +167,11 @@ class WeightedGrid:
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
             raise DomainError(f"gamma must lie in (0, 1], got {self.gamma!r}")
-        if len(self.w) != len(self.mesh.x):
+        w = np.array(self.w, dtype=float)
+        if w.shape != self.mesh.x.shape:
             raise DomainError("w values and mesh nodes differ in length")
-        self.w.setflags(write=False)
+        w.setflags(write=False)
+        object.__setattr__(self, "w", w)
 
     def z_values(self) -> np.ndarray:
         """Pointwise z_i = (t_i - a)^{gamma-1} w_i; at the left endpoint,
@@ -233,10 +249,10 @@ def rl_integral_monomial(mu, delta, a, t) -> float:
 _BLOCK_ENTRIES = 1 << 13
 
 
-def _moment_rows(t, rows, lo, hi, beta, sampled_first) -> np.ndarray:
-    """Columns lo..hi of kernel_weights(t, beta, rows, sampled_first):
-    the weights that the cells [lo, hi) left of each target node fold
-    onto the nodes lo..hi."""
+def _moment_rows(t, rows, lo, hi, beta) -> np.ndarray:
+    """Columns lo..hi of kernel_weights(t, beta, rows): the weights that
+    the cells [lo, hi) left of each target node fold onto the nodes
+    lo..hi, cell 0 under the one-point rule."""
     W = np.zeros((len(rows), hi - lo + 1))
     step = max(1, _BLOCK_ENTRIES // (hi - lo + 1))
     for k0 in range(0, len(rows), step):
@@ -270,31 +286,31 @@ def _moment_rows(t, rows, lo, hi, beta, sampled_first) -> np.ndarray:
         B[:, :-1][inside] = m0
         G = np.zeros(inside.shape)
         G[inside] = g
-        if not sampled_first and lo == 0:
+        if lo == 0:
             G[:, :1] = 0.0
         B[:, :-1] -= G
         B[:, 1:] += G
     return W
 
 
-def kernel_weights(nodes: np.ndarray, beta: float, rows=None, sampled_first=True) -> np.ndarray:
+def kernel_weights(nodes: np.ndarray, beta: float, rows=None) -> np.ndarray:
     """Node weights W[k, i] of product integration against the plain
     kernel (t_j-s)^{beta-1} at target node t_j, j = rows[k] (default:
     every node): the moments of every subinterval [t_i, t_{i+1}] with
     i < j, folded onto its two nodes, in closed form where the cell is
     near t_j and by the Gauss rule of the far field where it is far.
     W @ phi gives the raw integrals int_a^{t_j} (t_j-s)^{beta-1} phi(s)
-    ds, with phi interpolated piecewise linearly between nodes.
-
-    With sampled_first false, the first subinterval puts only its M0 on
-    node 0 and nothing on node 1: the one-point rule for a phi[0] that
-    is not a sample.
+    ds, with phi interpolated piecewise linearly between nodes, except on
+    the first subinterval: it takes the one-point rule, its M0 on node 0
+    and nothing on node 1, so phi[0] holds the value that the solver's
+    model gives phi on that whole cell. (A node vector integrated
+    linearly on every cell is rl_integral_quad's gamma = 1 profile.)
 
     The solver reads only the t = b row, on the offsets t - a (W reads
     node differences only); _RunningIntegral gives every row of W @ phi
     without holding W, and W is its dense reference."""
     rows = np.arange(len(nodes)) if rows is None else np.asarray(rows)
-    return _moment_rows(nodes, rows, 0, len(nodes) - 1, beta, sampled_first)
+    return _moment_rows(nodes, rows, 0, len(nodes) - 1, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +492,12 @@ def _far_field(terms, n, samples) -> np.ndarray:
 
 class _RunningIntegral:
     """The raw integrals int_a^{t_j} (t_j-s)^{beta-1} phi(s) ds at every
-    node offset x_j = t_j - a, phi piecewise linear: kernel_weights(x, beta,
-    sampled_first=sampled_first) @ phi, built once and applied to many phi.
+    node offset x_j = t_j - a, phi piecewise linear past the one-point
+    first cell: kernel_weights(x, beta) @ phi, built once and applied to
+    many phi. The solver is its one user.
 
     From _FAR_MIN_NODES nodes on, a row is split in two. The band is
-    cell 0 (under the first-cell model) and the cells [f, j) of its scan
+    cell 0 (under the one-point rule) and the cells [f, j) of its scan
     block, with the weights of kernel_weights. The cells [1, f), far from
     every row of the block, take the SOE far field on the Gauss samples
     of phi: the rule of W with the kernel as a sum of exponentials. It
@@ -490,18 +507,18 @@ class _RunningIntegral:
     exponentials E 1.03, the bands 0.86. It holds no N x N array. Below
     that node count the operator is W itself."""
 
-    def __init__(self, x: np.ndarray, beta: float, sampled_first=True):
+    def __init__(self, x: np.ndarray, beta: float):
         n = len(x)
         rows = np.arange(n)
         if n < _FAR_MIN_NODES:
-            self.W = _moment_rows(x, rows, 0, n - 1, beta, sampled_first)
+            self.W = _moment_rows(x, rows, 0, n - 1, beta)
             return
         self.W = None
         h = np.diff(x)
         blocks = _scan_blocks(x, h, 1)
-        self.cell0 = _moment_rows(x, rows, 0, 1, beta, sampled_first)
+        self.cell0 = _moment_rows(x, rows, 0, 1, beta)
         self.bands = [
-            (j0, j1, f, _moment_rows(x, rows[j0:j1], f, j1 - 1, beta, sampled_first))
+            (j0, j1, f, _moment_rows(x, rows[j0:j1], f, j1 - 1, beta))
             for j0, j1, f in blocks
         ]
         self.factors = list(_far_factors(x, beta, _GAUSS_W[:, None] * h, blocks, 1))
@@ -698,42 +715,29 @@ def _profile_weighted(x, beta, eta, w, first=0) -> np.ndarray:
 
 def rl_integral_quad(phi, mu: float, t: float, mesh: GradedMesh = None) -> float:
     """Left fractional integral of order mu in (0, 1], evaluated at a mesh
-    node t by product integration.
+    node t (GradedMesh.index_of) by product integration.
 
     phi may be a WeightedGrid (its (s-a)^{gamma-1} factor is peeled off and
-    integrated in closed form together with the kernel) or an array of node
-    values (then mesh is required and phi is interpolated piecewise
-    linearly as-is). A t that several nodes round to is a DomainError.
+    integrated in closed form together with the kernel) or a sequence of
+    node values, which needs mesh and is taken as the gamma = 1 grid
+    WeightedGrid(mesh, 1.0, phi): interpolated piecewise linearly as-is,
+    on every cell. Both go through the one weighted profile.
 
     Each call builds the whole profile, O(N L) with L the live SOE terms
-    of a scan block, a median of 54 on a graded n_base 2048 mesh
-    (O(N^2) for a sampled phi below _FAR_MIN_NODES nodes), to return one
-    entry, so a loop over nodes costs N times that; solve_picard and
-    verify_ode compute all nodes at once. A one-row build waits for a
-    perfbench change, as its moments.* and profile.weighted_s probes time
-    this call.
+    of a scan block, a median of 54 on a graded n_base 2048 mesh, to
+    return one entry, so a loop over nodes costs N times that;
+    solve_picard and verify_ode compute all nodes at once. A one-row
+    build waits for a perfbench change, as its moments.* and
+    profile.weighted_s probes time this call.
     """
     if not 0.0 < mu <= 1.0:
         raise DomainError(f"kernel order must lie in (0, 1], got {mu!r}")
-    if isinstance(phi, WeightedGrid):
-        mesh = phi.mesh
-        prof = _profile_weighted(mesh.x, mu, phi.gamma - 1.0, phi.w)
-    else:
+    if not isinstance(phi, WeightedGrid):
         if mesh is None:
             raise DomainError("mesh is required for sampled integrands")
-        values = np.asarray(phi, dtype=float)
-        if len(values) != len(mesh.x):
-            raise DomainError("sampled integrand length does not match mesh")
-        prof = _RunningIntegral(mesh.x, mu) @ values
-    return float(prof[_node_index(mesh, t)]) / specfun.gamma(mu)
-
-
-def _node_index(mesh: GradedMesh, t: float) -> int:
-    """mesh.index_of(t), refused where a + x rounds several nodes to t."""
-    same = np.flatnonzero(mesh.nodes == t)
-    if len(same) > 1:
-        raise DomainError(f"t = {float(t)!r} is the value of nodes {', '.join(map(str, same))}")
-    return mesh.index_of(t)
+        phi = WeightedGrid(mesh, 1.0, phi)
+    prof = _profile_weighted(phi.mesh.x, mu, phi.gamma - 1.0, phi.w)
+    return float(prof[phi.mesh.index_of(t)]) / specfun.gamma(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +806,7 @@ def hilfer_derivative_num(g: WeightedGrid, order: FracOrder, t: float) -> float:
     for nu > 0 a smaller one raises DomainError. At nu = 0 this is the
     Riemann-Liouville derivative of order mu (FracOrder(mu, 0.0)); at
     nu = 1, z_a = z(a) and it is the Caputo derivative D^mu [z - z(a)].
-    A t that several nodes round to is a DomainError.
+    t is looked up by GradedMesh.index_of.
 
     Each call builds the whole O(N L) profile (L the live SOE terms of a
     scan block, a median of 54 on a graded n_base 2048 mesh) to
@@ -810,7 +814,7 @@ def hilfer_derivative_num(g: WeightedGrid, order: FracOrder, t: float) -> float:
     solve_picard and verify_ode compute all nodes at once. A one-row
     build waits for a perfbench change, as its profile.hilfer_s probe
     times this call."""
-    j = _node_index(g.mesh, t)
+    j = g.mesh.index_of(t)
     if j == 0 or j == len(g.mesh.x) - 1:
         raise DomainError("derivative is not available at boundary nodes")
     return float(_hilfer_profile(g, order)[j])

@@ -37,6 +37,7 @@ from .fraccalc import (
     FracOrder,
     GradedMesh,
     WeightedGrid,
+    _check_count,
     _hilfer_profile,
     build_mesh,
 )
@@ -131,12 +132,10 @@ class SolveConfig:
     damping: float = 1.0
 
     def __post_init__(self):
-        if self.n_base < _MIN_INTERVALS:
-            raise DomainError(f"n_base must be >= {_MIN_INTERVALS}, got {self.n_base!r}")
+        _check_count("n_base", self.n_base, _MIN_INTERVALS)
         if not self.tol > 0.0:
             raise DomainError(f"tol must be positive, got {self.tol!r}")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        _check_count("max_iter", self.max_iter, 1)
         if not 0.0 < self.damping <= 1.0:
             raise DomainError(f"damping must lie in (0, 1], got {self.damping!r}")
         if self.grading is not None and not self.grading >= 1.0:
@@ -211,13 +210,17 @@ class _Workspace:
     row of kernel_weights at t = b. Each is built on first use and then
     serves every iteration, the final coefficient and the boundary
     residual. Both integrate the same f samples, with the first
-    subinterval under the one-point rule (sampled_first false): sample 0
-    holds f at t_1 with the limiting weighted value w(a). f is compiled
-    once per workspace against sample_nodes, the t at which it is read
-    (expr.compile_expr, bit-identical to evaluate): its t-only subtrees
-    are computed then, and f_samples is one pass over a new z. apply is
-    the one fixed-point map, of solve_picard and, with z_a held fixed, of
-    solve_volterra_ivp, and residuals the one residual pass."""
+    subinterval under the one-point rule of kernel_weights: sample 0
+    holds f at t_1 with the limiting weighted value w(a). That model
+    lives in the sample vectors alone: sample_nodes and weight_down are
+    taken at the sample offsets x[1], x[1], x[2], ..., so a sample's z
+    is weight_down * w (bc_residual reads weight_down at tau nodes only,
+    all past node 0). f is compiled once per workspace against
+    sample_nodes, the t at which it is read (expr.compile_expr,
+    bit-identical to evaluate): its t-only subtrees are computed then,
+    and f_samples is one pass over a new z. apply is the one fixed-point
+    map, of solve_picard and, with z_a held fixed, of solve_volterra_ivp,
+    and residuals the one residual pass."""
 
     def __init__(self, spec: ProblemSpec, params: DerivedParams, mesh: GradedMesh):
         self.spec = spec
@@ -226,6 +229,7 @@ class _Workspace:
         gamma = params.gamma
         x = self.x = mesh.x
         self.sample_nodes = np.r_[mesh.nodes[1], mesh.nodes[1:]]
+        self.weight_down = np.r_[x[1], x[1:]] ** (gamma - 1.0)
         self.f = compile_expr(spec.f, self.sample_nodes)
         self.gamma_mu = specfun.gamma(mu)
         self.gamma_gamma = specfun.gamma(gamma)
@@ -233,25 +237,21 @@ class _Workspace:
         self.tau_indices = tuple(mesh.index_of(tau) for _, tau in spec.nonlocal_terms)
         self.lambdas = tuple(lam for lam, _ in spec.nonlocal_terms)
         self.weight_up = x ** (1.0 - gamma)  # (t-a)^{1-gamma}
-        self.weight_down = np.zeros_like(x)
-        self.weight_down[1:] = x[1:] ** (gamma - 1.0)
 
     @cached_property
     def running_operator(self) -> fraccalc._RunningIntegral:
-        return fraccalc._RunningIntegral(self.x, self.spec.order.mu, sampled_first=False)
+        return fraccalc._RunningIntegral(self.x, self.spec.order.mu)
 
     @cached_property
     def boundary_weights(self) -> np.ndarray:
         beta = 1.0 - self.params.gamma + self.spec.order.mu
         last = [len(self.x) - 1]
-        return fraccalc.kernel_weights(self.x, beta, last, sampled_first=False)
+        return fraccalc.kernel_weights(self.x, beta, last)
 
     def f_samples(self, w: np.ndarray) -> np.ndarray:
         """f at the nodes (index >= 1); entry 0 holds the first-interval
         model value f(t_1, (t_1-a)^{gamma-1} w(a))."""
-        z = self.weight_down * w
-        z[0] = self.weight_down[1] * w[0]
-        return _f_at_nodes(self.f, self.sample_nodes, z)
+        return _f_at_nodes(self.f, self.sample_nodes, self.weight_down * w)
 
     def running(self, samples) -> np.ndarray:
         """(1/Gamma(mu)) int_a^{t_j} (t_j-s)^{mu-1} f ds at every node."""

@@ -78,6 +78,13 @@ def test_build_mesh_errors():
         build_mesh(0.0, 1.0, 4, 1.0, [1.5])
 
 
+@pytest.mark.parametrize("n_base", [4.5, 4.0, "4"])
+def test_build_mesh_refuses_a_non_integral_n_base(n_base):
+    with pytest.raises(DomainError, match=f"^n_base must be an integer, got {n_base!r}$"):
+        build_mesh(0.0, 1.0, n_base, 1.0)
+    assert len(build_mesh(0.0, 1.0, np.int64(4), 1.0).x) == 5
+
+
 def test_index_of():
     m = build_mesh(0.0, 1.0, 8, 2.0, [2.0 / 3.0])
     for j, t in enumerate(m.nodes):
@@ -283,6 +290,32 @@ def test_weighted_grid_point_values_outside_the_mesh(t):
         g.z_at(t)
 
 
+def test_weighted_grid_takes_a_list_of_node_values():
+    g = WeightedGrid(mesh=build_mesh(0, 1, 4, 1), gamma=0.5, w=[0.0, 1.0, 2.0, 3.0, 4.0])
+    assert g.w.dtype == np.float64 and not g.w.flags.writeable
+    assert np.array_equal(g.w, np.arange(5.0))
+
+
+def test_weighted_grid_holds_integer_values_as_floats():
+    # z = x^{-1/2} w, not truncated to the integers of w
+    m = build_mesh(0, 1, 4, 1)
+    g = WeightedGrid(mesh=m, gamma=0.5, w=np.arange(5))
+    want = [0.0, 2.0, 2.0 * math.sqrt(2.0), 2.0 * math.sqrt(3.0), 4.0]
+    assert g.z_values() == pytest.approx(want, rel=1e-15)
+
+
+def test_weighted_grid_leaves_the_callers_array_writable():
+    w = np.ones(5)
+    g = WeightedGrid(mesh=build_mesh(0, 1, 4, 1), gamma=0.5, w=w)
+    w[0] = 2.0
+    assert g.w[0] == 1.0 and not g.w.flags.writeable
+
+
+def test_weighted_grid_refuses_a_w_of_another_shape():
+    with pytest.raises(DomainError, match="w values and mesh nodes differ in length"):
+        WeightedGrid(mesh=build_mesh(0, 1, 4, 1), gamma=0.5, w=np.ones((5, 1)))
+
+
 # ---------------------------------------------------------------------------
 # closed-form integral of monomials
 # ---------------------------------------------------------------------------
@@ -452,9 +485,6 @@ def test_convergence_order_sampled():
 # kernel weights
 # ---------------------------------------------------------------------------
 
-FIRST_CELL_MODELS = (True, False)   # sampled_first
-
-
 @pytest.mark.parametrize("n_base", [100, 257, 1024])
 def test_kernel_operator_boundary_row_is_last_row_of_full_build(n_base):
     # the solver reads its boundary integral from a one-row build; the
@@ -464,22 +494,19 @@ def test_kernel_operator_boundary_row_is_last_row_of_full_build(n_base):
     m = build_mesh(0.0, 1.0, n_base, 2.0 / gamma, [0.3, 2.0 / 3.0])
     last = len(m.nodes) - 1
     for beta in (mu, 1.0 - gamma + mu, nu * (1.0 - mu), 1.0):
-        for sampled in FIRST_CELL_MODELS:
-            full = kernel_weights(m.nodes, beta, sampled_first=sampled)
-            row = kernel_weights(m.nodes, beta, [last], sampled_first=sampled)
-            assert np.array_equal(row, full[-1:]), (beta, sampled)
+        full = kernel_weights(m.nodes, beta)
+        row = kernel_weights(m.nodes, beta, [last])
+        assert np.array_equal(row, full[-1:]), beta
 
 
-@pytest.mark.parametrize("first", [None, 0.7], ids=["None", "first1"])
+@pytest.mark.parametrize("first", [0.7], ids=["first1"])
 def test_kernel_operator_targets_agree_with_full_rows(first):
     m = build_mesh(0.0, 2.0, 64, 2.0, [0.5])
     phi = np.cos(m.nodes) + m.nodes
-    if first is not None:
-        phi[0] = first   # the one-point rule's value rides in phi[0]
-    sampled = first is None
+    phi[0] = first   # the one-point rule's value rides in phi[0]
     rows = [0, 1, 17, len(m.nodes) - 1]
-    full = kernel_weights(m.nodes, 0.4, sampled_first=sampled) @ phi
-    part = kernel_weights(m.nodes, 0.4, rows, sampled_first=sampled) @ phi
+    full = kernel_weights(m.nodes, 0.4) @ phi
+    part = kernel_weights(m.nodes, 0.4, rows) @ phi
     assert part[0] == 0.0
     assert np.allclose(part, full[rows], rtol=1e-14, atol=0.0)
 
@@ -488,7 +515,7 @@ def test_kernel_operator_const_model_exact_for_constants():
     # the one-point rule is exact when phi is the same constant everywhere
     beta = 0.6
     m = build_mesh(0.0, 1.0, 32, 2.5, [])
-    W = kernel_weights(m.nodes, beta, sampled_first=False)
+    W = kernel_weights(m.nodes, beta)
     out = W @ np.full(len(m.nodes), 3.0)
     exact = 3.0 * m.nodes**beta / beta
     assert np.allclose(out, exact, rtol=1e-13, atol=0.0)
@@ -713,13 +740,12 @@ def _dense_moment_matrices(nodes, beta, rows):
     return M0, G
 
 
-def _folded_reference(nodes, beta, rows, sampled_first):
+def _folded_reference(nodes, beta, rows):
     """Node weights from the dense moments, folded in the builder's
     order (M0 - M1/h on node i, then M1/h added on node i+1), with the
-    first-cell rule applied."""
+    one-point rule on the first cell."""
     M0, G = _dense_moment_matrices(nodes, beta, rows)
-    if not sampled_first:
-        G[:, 0] = 0.0
+    G[:, 0] = 0.0
     W = np.zeros((len(rows), len(nodes)))
     W[:, :-1] = M0 - G
     W[:, 1:] += G
@@ -762,13 +788,12 @@ def test_moment_matrices_bit_identical_to_dense_reference(n_base, graded):
     assert n == n_base + 2
     everything = np.arange(n)
     for beta in (0.3, order.mu, 1.0 - order.gamma + order.mu, 1.0):
-        for sampled in FIRST_CELL_MODELS:
-            got = kernel_weights(m.nodes, beta, sampled_first=sampled)
-            want = _folded_reference(m.nodes, beta, everything, sampled)
-            assert np.array_equal(got, want), (beta, sampled)
-            for j in (1, m.index_of(tau), m.index_of(tau) + 1, n - 1):
-                got = kernel_weights(m.nodes, beta, [j], sampled_first=sampled)
-                assert np.array_equal(got, want[[j]]), (beta, sampled, j)
+        got = kernel_weights(m.nodes, beta)
+        want = _folded_reference(m.nodes, beta, everything)
+        assert np.array_equal(got, want), beta
+        for j in (1, m.index_of(tau), m.index_of(tau) + 1, n - 1):
+            got = kernel_weights(m.nodes, beta, [j])
+            assert np.array_equal(got, want[[j]]), (beta, j)
 
 
 def _mp_kernel_row(mp, x, beta, phi, j, sampled_first):
@@ -794,7 +819,10 @@ def _mp_kernel_row(mp, x, beta, phi, j, sampled_first):
 )
 def test_kernel_weight_rows_match_a_40_digit_reference(n_base, r, extra):
     # every row takes its near cells in closed form and its far cells by
-    # the Gauss rule; on smooth phi both meet the exact product integral
+    # the Gauss rule; on smooth phi both meet the exact product integral,
+    # under the one-point first cell of kernel_weights and under the
+    # linear one of rl_integral_quad on the node vector (its gamma = 1
+    # weighted profile) alike
     mp = pytest.importorskip("mpmath")
     m = build_mesh(0.0, 1.0, n_base, r, extra)
     x, n = m.x, len(m.x)
@@ -802,9 +830,10 @@ def test_kernel_weight_rows_match_a_40_digit_reference(n_base, r, extra):
     rows = sorted({1, 2, 3, n // 4, n // 2, n - 2, n - 1} | {m.index_of(e) for e in extra})
     assert np.any(x[n - 1] - x[1:] >= 16.0 * np.diff(x))   # the last row has far cells
     for beta in (0.1, 0.3, 0.5, 0.999, 1.0):
-        for sampled in FIRST_CELL_MODELS:
-            got = kernel_weights(x, beta, rows, sampled_first=sampled) @ phi
-            with mp.workdps(40):
+        one_point = kernel_weights(x, beta, rows) @ phi
+        linear = [rl_integral_quad(phi, beta, float(m.nodes[j]), m) * specfun.gamma(beta) for j in rows]
+        with mp.workdps(40):
+            for sampled, got in ((False, one_point), (True, linear)):
                 for k, j in enumerate(rows):
                     want = _mp_kernel_row(mp, x, mp.mpf(beta), phi, j, sampled)
                     gap = abs(float((mp.mpf(got[k]) - want) / want))
@@ -860,17 +889,16 @@ def test_running_integral_matches_the_dense_reference(n_base, r, far, monkeypatc
     m, _ = _mesh_with_close_tau(n_base, r)
     phi = 2.0 + np.cos(3.0 * m.nodes)
     for beta in (0.3, order.mu, 0.999):
-        for sampled in FIRST_CELL_MODELS:
-            op = fraccalc._RunningIntegral(m.nodes, beta, sampled_first=sampled)
-            assert (op.W is None) == far
-            got = op @ phi
-            want = kernel_weights(m.nodes, beta, sampled_first=sampled) @ phi
-            assert got[0] == want[0] == 0.0
-            if far:
-                gap = np.max(np.abs(got[1:] - want[1:]) / want[1:])
-                assert gap <= 1e-14, (beta, sampled, gap)
-            else:
-                assert np.array_equal(got, want), (beta, sampled)
+        op = fraccalc._RunningIntegral(m.nodes, beta)
+        assert (op.W is None) == far
+        got = op @ phi
+        want = kernel_weights(m.nodes, beta) @ phi
+        assert got[0] == want[0] == 0.0
+        if far:
+            gap = np.max(np.abs(got[1:] - want[1:]) / want[1:])
+            assert gap <= 1e-14, (beta, gap)
+        else:
+            assert np.array_equal(got, want), beta
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.5, 1.0])
@@ -1072,7 +1100,7 @@ def test_running_integral_holds_about_three_n_l_numbers(large_anchor, n_base):
 
     x = problem_mesh(large_anchor, SolveConfig(n_base=n_base)).x
     mu = large_anchor.order.mu
-    op = fraccalc._RunningIntegral(x, mu, sampled_first=False)
+    op = fraccalc._RunningIntegral(x, mu)
     held = sum(a.size for value in vars(op).values() for a in _float_arrays(value))
     blocks = fraccalc._scan_blocks(x, np.diff(x), 1)
     live = np.median([len(G) for *_, G, _ in fraccalc._soe_geometry(x, mu, blocks, 1)])
